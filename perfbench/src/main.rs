@@ -1,5 +1,6 @@
-//! The REV reproduction's benchmark: three workloads, end-to-end metrics
-//! untraced and per-layer metrics from a separate traced run.
+//! The REV reproduction's benchmark: two gated workloads (`sweep-quick`,
+//! `serve-open`) and one run by name only (`sim-long`), end-to-end
+//! metrics untraced and per-layer metrics from a separate traced run.
 //!
 //! ```text
 //! perfbench --workload sweep-quick|sim-long|serve-open|all --seed N \
@@ -24,7 +25,11 @@ use report::{Outcome, END_TO_END, PER_LAYER};
 use rev_trace::Json;
 use std::path::PathBuf;
 
-const WORKLOADS: [&str; 3] = ["sweep-quick", "sim-long", "serve-open"];
+/// The workloads `BENCHMARK.json` lists; `all` runs these.
+const WORKLOADS: [&str; 2] = ["sweep-quick", "serve-open"];
+/// Run by name only: its timings spread too widely between runs on a
+/// shared host to carry a regression bound (see `perfbench/README.md`).
+const UNGATED: [&str; 1] = ["sim-long"];
 const USAGE: &str = "usage: perfbench --workload sweep-quick|sim-long|serve-open|all \
 --seed N --seconds S --trace 0|1 [--out-dir DIR]";
 
@@ -68,7 +73,8 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let workload = workload.ok_or("--workload is required")?;
-    if workload != "all" && !WORKLOADS.contains(&workload.as_str()) {
+    let known = WORKLOADS.iter().chain(&UNGATED).any(|w| *w == workload);
+    if workload != "all" && !known {
         return Err(format!("unknown workload '{workload}'"));
     }
     Ok(Args { workload, seed, seconds, trace, out_dir })
@@ -155,7 +161,7 @@ fn result_line(correct: bool, attempted: u64, failed: u64, metrics: Vec<(String,
 
 fn main() {
     if std::env::args().nth(1).as_deref() == Some("--grid-pass") {
-        sweep::grid_pass_child();
+        sweep::grid_pass_child(std::env::args().nth(2).as_deref() == Some("--setup-only"));
         return;
     }
     let args = parse_args().unwrap_or_else(|e| {

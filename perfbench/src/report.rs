@@ -1,6 +1,8 @@
 //! What one workload run hands back to the command line: attempted and
 //! failed operations, end-to-end samples, per-layer values and notes.
 
+use crate::stats::Counters;
+use crate::trace::secs;
 use rev_trace::Json;
 use std::collections::BTreeMap;
 
@@ -123,6 +125,31 @@ impl Outcome {
     /// Sets a per-layer integer.
     pub fn layer_int(&mut self, name: &str, value: u64) {
         self.layers.insert(name.to_string(), Json::Int(value as i64));
+    }
+
+    /// Sets the build-chain layers from the self times of the spans
+    /// `trace::build_traced` records, plus warmup.
+    pub fn build_layers(&mut self, own: &BTreeMap<&'static str, f64>) {
+        self.layer("workloads.generate_s", secs(own, "workloads.generate"));
+        self.layer("prog.analyze_s", secs(own, "prog.analyze"));
+        // `linked_tables` analyses the program again before it builds.
+        self.layer(
+            "sigtable.build_s",
+            (secs(own, "sigtable.linked_tables") - secs(own, "prog.analyze")).max(0.0),
+        );
+        self.layer("core.assemble_s", secs(own, "core.assemble"));
+        self.layer("core.warmup_s", secs(own, "core.warmup"));
+    }
+
+    /// Sets the exact counters (`count.*`, `unreached.*`) and the ratios
+    /// derived from them.
+    pub fn counter_layers(&mut self, c: &Counters) {
+        for (name, v) in c.integers() {
+            self.layer_int(name, v);
+        }
+        for (name, v) in c.ratios() {
+            self.layer(name, v);
+        }
     }
 
     /// Adds an informational note to the report line.

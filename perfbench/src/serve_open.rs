@@ -1,29 +1,33 @@
-//! `serve-open`: open-loop `rev-serve/2` traffic, driven in-process
-//! through `rev_serve::server::serve` with 2 workers, the default slice
-//! and a checkpoint every slice.
+//! `serve-open`: `rev-serve/2` traffic, driven in-process through
+//! `rev_serve::server::serve` with 2 workers, the default slice and a
+//! checkpoint every slice.
 //!
-//! The seed fixes the schedule: `RATE` jobs per second, in as many whole
-//! blocks of 54 as best fill the run — every pair of the 18 profiles and the measured lengths
-//! (100k, 250k, 500k) once per block, in seeded order — each under a
-//! seeded balanced draw of the configurations (std-32K, std-64K,
-//! aggressive, cfi-only), at scale 0.05 with 50k warmup, and one arrival
-//! uniform within each `1/RATE`-second slot. Fixed work per block and
-//! slotted arrivals keep the latency percentiles steady across seeds:
-//! with Poisson arrivals and free draws, the p90 of a 100-job run moved
-//! by 30% between seeds. A generator thread sends each `submit` at its
-//! due time; every response line is timestamped as the gateway writes
-//! it, and a job's latency runs from its due time to its verdict line.
+//! The run has two timed parts. The open-loop part sends `RATE` jobs per
+//! second, one arrival uniform within each `1/RATE`-second slot, in the
+//! fewest whole blocks of 54 jobs that fill `--seconds`. Every block
+//! holds each pair of the 18 profiles and the measured lengths (100k,
+//! 250k, 500k) once, as 18 triples of one job per length, so long jobs
+//! never bunch up; the seed fixes the order within and across triples
+//! and a balanced draw of the configurations (std-32K, std-64K,
+//! aggressive, cfi-only) per block, at scale 0.05 with 50k warmup. A
+//! generator thread sends each `submit` at its due time; every response
+//! line is timestamped as the gateway writes it, and a job's latency
+//! runs from its due time to its verdict line. The closed part then
+//! submits `BURSTS` bursts of one 250k job per profile at once (seeded
+//! configurations) and times each from gateway start to its last
+//! verdict: the drain time and throughput the gateway itself sets,
+//! where the open-loop part's span is set by the schedule.
 //!
-//! Outside the timed section each verdict is checked byte for byte
+//! Outside the timed parts each verdict is checked byte for byte
 //! against `verdict_snapshot` of a batch run of the same spec (untraced)
 //! or of a client-side session re-drive that checkpoints every slice and
 //! resumes once from a restored checkpoint (traced).
 
 use crate::report::Outcome;
-use crate::stats::{median, quantile, Counters};
-use crate::trace::{self_times, total_times, Tracer};
+use crate::stats::{median, quantile, Counters, Rng};
+use crate::trace::{build_traced, secs, self_times, total_times, Tracer};
 use rev_bench::{parallel_map, run_rev_only, BenchOptions};
-use rev_core::{analyze_and_link, linked_tables, RevReport, RevSimulator, Session, SessionStatus};
+use rev_core::{RevReport, Session, SessionStatus};
 use rev_serve::proto::VerdictOutcome;
 use rev_serve::{verdict_snapshot, JobConfig, JobSpec, Request, Response, ServeOptions};
 use rev_sigtable::ValidationMode;
@@ -41,6 +45,10 @@ const WORKERS: usize = 2;
 const SCALE: f64 = 0.05;
 const WARMUP: u64 = 50_000;
 const LENGTHS: [u64; 3] = [100_000, 250_000, 500_000];
+/// Closed bursts timed for `wall_s` and `sim_minstr_per_s`.
+const BURSTS: usize = 8;
+/// Measured instructions of every burst job.
+const BURST_LENGTH: u64 = 250_000;
 /// Lead time between the handshake and the first due time.
 const LEAD: Duration = Duration::from_millis(100);
 /// A run whose generator sent any job a whole arrival slot late no
@@ -59,35 +67,20 @@ fn configs() -> [(&'static str, JobConfig); 4] {
     ]
 }
 
-/// splitmix64: the schedule's only source of randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn shuffle<T>(&mut self, v: &mut [T]) {
-        for i in (1..v.len()).rev() {
-            let j = (self.next() % (i as u64 + 1)) as usize;
-            v.swap(i, j);
-        }
-    }
-}
-
 /// `n` items cycling through `choices`, shuffled.
 fn balanced<T: Clone>(rng: &mut Rng, choices: &[T], n: usize) -> Vec<T> {
     let mut v: Vec<T> = choices.iter().cycle().take(n).cloned().collect();
     rng.shuffle(&mut v);
     v
+}
+
+fn spec(id: String, profile: &str, length: u64, config: &(&str, JobConfig)) -> JobSpec {
+    let mut spec = JobSpec::new(id, profile, length);
+    spec.scale = SCALE;
+    spec.warmup = WARMUP;
+    spec.label = config.0.to_string();
+    spec.config = config.1.clone();
+    spec
 }
 
 /// One scheduled job: its due offset from the schedule start and spec.
@@ -96,26 +89,49 @@ struct Planned {
     spec: JobSpec,
 }
 
-/// The schedule: whole blocks of jobs, each block holding every
-/// (profile, length) pair once, so every seed offers the same work.
-fn schedule(seed: u64, seconds: f64) -> Vec<Planned> {
-    let mut rng = Rng(seed ^ 0x5e7e_0be7);
-    let pairs: Vec<(&str, u64)> =
-        ALL_PROFILES.iter().flat_map(|p| LENGTHS.map(|len| (p.name, len))).collect();
-    let blocks = ((RATE * seconds / pairs.len() as f64).ceil() as usize).max(1);
-    let n = blocks * pairs.len();
-    let due: Vec<f64> = (0..n).map(|i| (i as f64 + rng.unit()) / RATE).collect();
-    let work = balanced(&mut rng, &pairs, n);
-    let cfgs = balanced(&mut rng, &configs(), n);
-    (0..n)
-        .map(|i| {
-            let (profile, length) = work[i];
-            let mut spec = JobSpec::new(format!("j{i:04}"), profile, length);
-            spec.scale = SCALE;
-            spec.warmup = WARMUP;
-            spec.label = cfgs[i].0.to_string();
-            spec.config = cfgs[i].1.clone();
-            Planned { due_s: due[i], spec }
+/// The open-loop schedule: whole blocks of 18 triples, each triple one
+/// job of every length, each block every (profile, length) pair once.
+fn schedule(rng: &mut Rng, seconds: f64) -> Vec<Planned> {
+    let per_block = ALL_PROFILES.len() * LENGTHS.len();
+    let blocks = ((RATE * seconds / per_block as f64).ceil() as usize).max(1);
+    let mut plan = Vec::with_capacity(blocks * per_block);
+    for _ in 0..blocks {
+        let profiles: Vec<Vec<&str>> = LENGTHS
+            .iter()
+            .map(|_| {
+                let mut names: Vec<&str> = ALL_PROFILES.iter().map(|p| p.name).collect();
+                rng.shuffle(&mut names);
+                names
+            })
+            .collect();
+        let cfgs = balanced(rng, &configs(), per_block);
+        for t in 0..ALL_PROFILES.len() {
+            let mut order = [0, 1, 2];
+            rng.shuffle(&mut order);
+            for l in order {
+                let i = plan.len();
+                let due_s = (i as f64 + rng.unit()) / RATE;
+                let id = format!("j{i:04}");
+                plan.push(Planned {
+                    due_s,
+                    spec: spec(id, profiles[l][t], LENGTHS[l], &cfgs[i % per_block]),
+                });
+            }
+        }
+    }
+    plan
+}
+
+/// The closed bursts: one job per profile each, seeded configurations.
+fn bursts(rng: &mut Rng) -> Vec<Vec<JobSpec>> {
+    (0..BURSTS)
+        .map(|b| {
+            let cfgs = balanced(rng, &configs(), ALL_PROFILES.len());
+            ALL_PROFILES
+                .iter()
+                .zip(&cfgs)
+                .map(|(p, c)| spec(format!("b{b}-{}", p.name), p.name, BURST_LENGTH, c))
+                .collect()
         })
         .collect()
 }
@@ -196,15 +212,23 @@ fn parse(raw: &[u8]) -> Option<Response> {
     Response::from_json(&rev_trace::json::parse(text.trim_end()).ok()?).ok()
 }
 
+/// A whole gateway session fed at once: hello, every job, shutdown.
+fn closed_input(jobs: &[JobSpec]) -> Vec<u8> {
+    let mut input = line(&hello());
+    for job in jobs {
+        input.extend(line(&Request::Submit(Box::new(job.clone()))));
+    }
+    input.extend(line(&Request::Shutdown { suspend: false }));
+    input
+}
+
 /// Median time from a cold gateway start to the verdict of one small
 /// probe job (mcf, 20k instructions): the set-up a client waits through
 /// before the gateway serves anything.
 fn setup_seconds() -> f64 {
     let mut probe = JobSpec::new("probe", "mcf", 20_000);
     probe.scale = SCALE;
-    let mut input = line(&hello());
-    input.extend(line(&Request::Submit(Box::new(probe))));
-    input.extend(line(&Request::Shutdown { suspend: false }));
+    let input = closed_input(&[probe]);
     let samples: Vec<f64> = (0..SETUP_REPS)
         .map(|_| {
             let mut cap = Capture::default();
@@ -228,6 +252,61 @@ struct JobTrace {
     progress: Vec<Instant>,
     verdict: Option<(Instant, VerdictOutcome, String)>,
     error: Option<String>,
+}
+
+/// Files every response line of one gateway session under its job;
+/// returns the gateway's closing metrics.
+fn collect(cap: &Capture, jobs: &mut HashMap<String, JobTrace>, out: &mut Outcome) -> Json {
+    let mut gateway = Json::Null;
+    for (at, raw) in &cap.lines {
+        match parse(raw) {
+            Some(Response::Accepted { id, .. }) => jobs.entry(id).or_default().accepted = Some(*at),
+            Some(Response::Progress { id, .. }) => jobs.entry(id).or_default().progress.push(*at),
+            Some(Response::Verdict { id, outcome, snapshot }) => {
+                jobs.entry(id).or_default().verdict = Some((*at, outcome, snapshot.render()));
+            }
+            Some(Response::Error { id, code, message, .. }) => {
+                let why = format!("{}: {message}", code.as_str());
+                match id {
+                    Some(id) => jobs.entry(id).or_default().error = Some(why),
+                    None => out.fail(format!("gateway error: {why}")),
+                }
+            }
+            Some(Response::Metrics { metrics }) => gateway = metrics,
+            Some(_) => {}
+            None => out.fail(format!("unparseable gateway line: {}", String::from_utf8_lossy(raw))),
+        }
+    }
+    gateway
+}
+
+fn committed(gateway: &Json) -> u64 {
+    gateway.get("serve.instructions_committed").and_then(Json::as_u64).unwrap_or(0)
+}
+
+/// Counts every job of `specs` as attempted and fails those without a
+/// `budget` verdict; returns the instant of the last verdict.
+fn check_outcomes(
+    specs: &[&JobSpec],
+    jobs: &HashMap<String, JobTrace>,
+    out: &mut Outcome,
+) -> Option<Instant> {
+    out.attempted += specs.len() as u64;
+    let mut last = None;
+    for spec in specs {
+        let j = jobs.get(&spec.id);
+        match (j.and_then(|j| j.verdict.as_ref()), j.and_then(|j| j.error.as_ref())) {
+            (_, Some(e)) => out.fail(format!("{}: {e}", spec.id)),
+            (None, None) => out.fail(format!("{}: no verdict", spec.id)),
+            (Some((at, outcome, _)), None) => {
+                if *outcome != VerdictOutcome::Budget {
+                    out.fail(format!("{}: outcome {}", spec.id, outcome.as_str()));
+                }
+                last = last.max(Some(*at));
+            }
+        }
+    }
+    last
 }
 
 /// The distinct simulation a job asks for (jobs differ only in id).
@@ -268,21 +347,11 @@ fn batch_reference(spec: &JobSpec) -> Reference {
 /// pieces — build, warm, slice, checkpoint every slice — resuming from a
 /// restored checkpoint after the first slice.
 fn session_redrive(spec: &JobSpec, tracer: &Tracer, w: usize, slice: u64) -> Reference {
-    let config = spec.config.to_rev_config();
-    let profile = profile_of(spec);
-    let program = tracer.span("workloads.generate", w, || rev_workloads::generate(&profile));
-    tracer
-        .span("prog.analyze", w, || analyze_and_link(&program, config.bb_limits))
-        .expect("generated programs analyze");
-    let (tables, stats) = tracer
-        .span("sigtable.linked_tables", w, || linked_tables(&program, &config))
-        .expect("generated programs build tables");
-    let image_bytes = stats.iter().map(|s| s.image_bytes as u64).sum();
-    let spare = RevSimulator::with_prebuilt(program.clone(), config, tables.clone(), stats.clone())
-        .expect("prebuilt tables assemble");
-    let mut sim = tracer
-        .span("core.assemble", w, || RevSimulator::with_prebuilt(program, config, tables, stats))
-        .expect("prebuilt tables assemble");
+    let (mut sim, image_bytes) =
+        build_traced(&profile_of(spec), spec.config.to_rev_config(), tracer, w);
+    // A cold copy for the restore (a checkpoint restores onto a simulator
+    // of the same structure that has not run).
+    let spare = sim.fork().expect("cold simulators fork");
     tracer.span("core.warmup", w, || sim.warmup(spec.warmup));
     let recipe = format!("{:?}", key(spec)).into_bytes();
     let mut session = Session::new(sim, spec.instructions);
@@ -309,22 +378,18 @@ fn session_redrive(spec: &JobSpec, tracer: &Tracer, w: usize, slice: u64) -> Ref
     }
 }
 
-/// Runs the workload; `trace` selects the traced reference and the
-/// per-layer metrics.
-pub fn run(seed: u64, seconds: f64, trace: bool, spans_path: &std::path::Path, out: &mut Outcome) {
-    let tracer = &Tracer::new(trace);
-    let setup_s = setup_seconds();
-    let plan = schedule(seed, seconds);
+/// The open-loop part: sends `plan` on schedule to one gateway session.
+/// Returns the capture and, per job, its due time and when it was sent.
+fn open_loop(plan: &[Planned]) -> (Capture, Vec<(Instant, Instant)>) {
     let (tx, rx) = channel::<Vec<u8>>();
     let mut cap = Capture::default();
-    let mut base = Instant::now();
-    let mut sent: Vec<(Instant, Instant)> = Vec::new();
+    let mut sent = Vec::new();
     std::thread::scope(|s| {
         let generator = s.spawn(|| {
             let _ = tx.send(line(&hello()));
             let start = Instant::now() + LEAD;
             let mut sent = Vec::with_capacity(plan.len());
-            for job in &plan {
+            for job in plan {
                 let due = start + Duration::from_secs_f64(job.due_s);
                 let now = Instant::now();
                 if due > now {
@@ -335,64 +400,59 @@ pub fn run(seed: u64, seconds: f64, trace: bool, spans_path: &std::path::Path, o
             }
             let _ = tx.send(line(&Request::Shutdown { suspend: false }));
             drop(tx);
-            (start, sent)
+            sent
         });
         let reader = ChannelReader { rx, buf: Vec::new(), pos: 0 };
         rev_serve::serve(reader, &mut cap, &serve_options());
-        (base, sent) = generator.join().expect("generator thread");
+        sent = generator.join().expect("generator thread");
     });
-    let rss = crate::stats::peak_rss_mb();
+    (cap, sent)
+}
 
+/// Runs the workload; `trace` selects the traced reference and the
+/// per-layer metrics.
+pub fn run(seed: u64, seconds: f64, trace: bool, spans_path: &std::path::Path, out: &mut Outcome) {
+    let tracer = &Tracer::new(trace);
+    let setup_s = setup_seconds();
+    let mut rng = Rng(seed ^ 0x5e7e_0be7);
+    let plan = schedule(&mut rng, seconds);
+    let bursts = bursts(&mut rng);
+    let (cap, sent) = open_loop(&plan);
     let mut jobs: HashMap<String, JobTrace> = HashMap::new();
     for (p, &(due, _)) in plan.iter().zip(&sent) {
         jobs.entry(p.spec.id.clone()).or_default().due = Some(due);
     }
-    let mut gateway = Json::Null;
-    for (at, raw) in &cap.lines {
-        match parse(raw) {
-            Some(Response::Accepted { id, .. }) => jobs.entry(id).or_default().accepted = Some(*at),
-            Some(Response::Progress { id, .. }) => jobs.entry(id).or_default().progress.push(*at),
-            Some(Response::Verdict { id, outcome, snapshot }) => {
-                jobs.entry(id).or_default().verdict = Some((*at, outcome, snapshot.render()));
-            }
-            Some(Response::Error { id, code, message, .. }) => {
-                let why = format!("{}: {message}", code.as_str());
-                match id {
-                    Some(id) => jobs.entry(id).or_default().error = Some(why),
-                    None => out.fail(format!("gateway error: {why}")),
-                }
-            }
-            Some(Response::Metrics { metrics }) => gateway = metrics,
-            Some(_) => {}
-            None => out.fail(format!("unparseable gateway line: {}", String::from_utf8_lossy(raw))),
-        }
+    let gateway = collect(&cap, &mut jobs, out);
+    let mut drains = Vec::new();
+    let mut burst_rates = Vec::new();
+    for burst in &bursts {
+        let input = closed_input(burst);
+        let mut cap = Capture::default();
+        let t = Instant::now();
+        rev_serve::serve(input.as_slice(), &mut cap, &serve_options());
+        let metrics = collect(&cap, &mut jobs, out);
+        let specs: Vec<&JobSpec> = burst.iter().collect();
+        let drain_s =
+            (check_outcomes(&specs, &jobs, out).unwrap_or_else(Instant::now) - t).as_secs_f64();
+        drains.push(drain_s);
+        burst_rates.push(committed(&metrics) as f64 / drain_s / 1e6);
     }
+    let rss = crate::stats::peak_rss_mb();
 
-    // End-to-end: latency from due time to verdict, per job.
-    out.attempted += plan.len() as u64;
-    let mut latencies = Vec::new();
-    let mut last_verdict = base;
-    for p in &plan {
-        let j = &jobs[&p.spec.id];
-        match (&j.verdict, &j.error) {
-            (_, Some(e)) => out.fail(format!("{}: {e}", p.spec.id)),
-            (None, None) => out.fail(format!("{}: no verdict", p.spec.id)),
-            (Some((at, outcome, _)), None) => {
-                if *outcome != VerdictOutcome::Budget {
-                    out.fail(format!("{}: outcome {}", p.spec.id, outcome.as_str()));
-                }
-                latencies
-                    .push((*at - j.due.expect("every planned job has a due time")).as_secs_f64());
-                last_verdict = last_verdict.max(*at);
-            }
-        }
-    }
-    let wall_s = (last_verdict - base).as_secs_f64();
-    let committed = gateway.get("serve.instructions_committed").and_then(Json::as_u64).unwrap_or(0);
+    // End-to-end: latency from due time to verdict, per open-loop job.
+    let open_specs: Vec<&JobSpec> = plan.iter().map(|p| &p.spec).collect();
+    check_outcomes(&open_specs, &jobs, out);
+    let latencies: Vec<f64> = plan
+        .iter()
+        .filter_map(|p| {
+            let j = &jobs[&p.spec.id];
+            Some((j.verdict.as_ref()?.0 - j.due?).as_secs_f64())
+        })
+        .collect();
     let max_lag = sent.iter().map(|&(due, at)| (at - due).as_secs_f64()).fold(0.0, f64::max);
     out.sample("setup_s", [setup_s]);
-    out.sample("wall_s", [wall_s]);
-    out.sample("sim_minstr_per_s", [committed as f64 / wall_s / 1e6]);
+    out.sample("wall_s", drains.iter().copied());
+    out.sample("sim_minstr_per_s", burst_rates);
     out.sample("peak_rss_mb", [rss]);
     if max_lag > MAX_GEN_LAG_S {
         out.invalid = Some(format!(
@@ -403,7 +463,8 @@ pub fn run(seed: u64, seconds: f64, trace: bool, spans_path: &std::path::Path, o
         out.sample("latency_p90_s", [quantile(&latencies, 0.9)]);
     }
     let mut edges: Vec<(Instant, i64)> = Vec::new();
-    for j in jobs.values() {
+    for p in &plan {
+        let j = &jobs[&p.spec.id];
         if let (Some(a), Some((v, _, _))) = (j.accepted, &j.verdict) {
             edges.push((a, 1));
             edges.push((*v, -1));
@@ -420,15 +481,17 @@ pub fn run(seed: u64, seconds: f64, trace: bool, spans_path: &std::path::Path, o
         .unwrap_or(0);
     out.note("max_in_flight", Json::Int(max_in_flight));
     out.note("jobs", Json::Int(plan.len() as i64));
+    out.note("burst_jobs", Json::Int((BURSTS * ALL_PROFILES.len()) as i64));
     out.note("offered_jobs_per_s", Json::Float(RATE));
     out.note("max_gen_lag_s", Json::Float(max_lag));
     out.note("gateway", gateway.clone());
 
-    // Reference verdicts, outside the timed section: one simulation per
+    // Reference verdicts, outside the timed parts: one simulation per
     // distinct spec, rendered under each job's own id.
+    let every: Vec<&JobSpec> = open_specs.iter().copied().chain(bursts.iter().flatten()).collect();
     let mut distinct: BTreeMap<Key, JobSpec> = BTreeMap::new();
-    for p in &plan {
-        distinct.entry(key(&p.spec)).or_insert_with(|| p.spec.clone());
+    for spec in &every {
+        distinct.entry(key(spec)).or_insert_with(|| (*spec).clone());
     }
     let specs: Vec<JobSpec> = distinct.into_values().collect();
     let slice = serve_options().slice;
@@ -443,12 +506,12 @@ pub fn run(seed: u64, seconds: f64, trace: bool, spans_path: &std::path::Path, o
     let by_key: HashMap<Key, &RevReport> =
         specs.iter().zip(&refs).map(|(s, r)| (key(s), &r.report)).collect();
     let mut mismatched = 0;
-    for p in &plan {
-        if let Some((_, _, got)) = &jobs[&p.spec.id].verdict {
-            let want = verdict_snapshot(&p.spec, by_key[&key(&p.spec)]).to_json().render();
+    for spec in &every {
+        if let Some((_, _, got)) = &jobs[&spec.id].verdict {
+            let want = verdict_snapshot(spec, by_key[&key(spec)]).to_json().render();
             if *got != want {
                 mismatched += 1;
-                out.fail(format!("{}: verdict differs from its reference run", p.spec.id));
+                out.fail(format!("{}: verdict differs from its reference run", spec.id));
             }
         }
     }
@@ -458,8 +521,8 @@ pub fn run(seed: u64, seconds: f64, trace: bool, spans_path: &std::path::Path, o
     if !trace {
         return;
     }
-    // Per-layer: gateway phases from the event log, the job path from
-    // the re-drive's spans.
+    // Per-layer: gateway phases from the open-loop event log, the job
+    // path from the re-drive's spans.
     let mut admit = Vec::new();
     let mut first = Vec::new();
     let mut interval = Vec::new();
@@ -485,15 +548,14 @@ pub fn run(seed: u64, seconds: f64, trace: bool, spans_path: &std::path::Path, o
         "unreached.ckpt.restored",
         gateway.get("ckpt.restored").and_then(Json::as_u64).unwrap_or(0),
     );
-    // The gateway pass is the same code in both modes (responses are
-    // timestamped either way), so tracing adds nothing to its timing.
+    // The gateway parts are the same code in both modes (responses are
+    // timestamped either way), so tracing adds nothing to their timing.
     out.layer("trace.overhead_s", 0.0);
 
     let spans = tracer.spans();
     crate::trace::write_spans(&spans, spans_path);
     let own = self_times(&spans);
     let total = total_times(&spans);
-    let get = |m: &BTreeMap<&str, f64>, k: &str| m.get(k).copied().unwrap_or(0.0);
     let mut counters = Counters::default();
     let (mut image_bytes, mut ckpt_bytes, mut ckpts) = (0u64, 0u64, 0u64);
     for r in &refs {
@@ -502,30 +564,18 @@ pub fn run(seed: u64, seconds: f64, trace: bool, spans_path: &std::path::Path, o
         ckpt_bytes += r.ckpt_bytes;
         ckpts += r.ckpts;
     }
-    out.layer("workloads.generate_s", get(&own, "workloads.generate"));
-    out.layer("prog.analyze_s", get(&own, "prog.analyze"));
-    out.layer(
-        "sigtable.build_s",
-        (get(&own, "sigtable.linked_tables") - get(&own, "prog.analyze")).max(0.0),
-    );
+    out.build_layers(&own);
     out.layer_int("sigtable.image_bytes", image_bytes);
-    out.layer("core.assemble_s", get(&own, "core.assemble"));
-    out.layer("core.warmup_s", get(&own, "core.warmup"));
-    out.layer("core.run_s", get(&total, "core.run"));
+    out.layer("core.run_s", secs(&total, "core.run"));
     out.layer(
         "core.rev_ns_per_instr",
-        get(&total, "core.run") * 1e9 / counters.committed.max(1) as f64,
+        secs(&total, "core.run") * 1e9 / counters.committed.max(1) as f64,
     );
-    out.layer("core.ckpt_encode_s", get(&own, "core.ckpt_encode"));
+    out.layer("core.ckpt_encode_s", secs(&own, "core.ckpt_encode"));
     out.layer_int("core.ckpt_bytes", ckpt_bytes);
     out.layer_int("core.ckpt_count", ckpts);
-    out.layer("core.ckpt_restore_s", get(&own, "core.ckpt_restore"));
-    for (name, v) in counters.integers() {
-        out.layer_int(name, v);
-    }
-    for (name, v) in counters.ratios() {
-        out.layer(name, v);
-    }
+    out.layer("core.ckpt_restore_s", secs(&own, "core.ckpt_restore"));
+    out.counter_layers(&counters);
     out.note("counters_digest", Json::Str(counters.digest()));
     out.note("spans", Json::Int(spans.len() as i64));
 }

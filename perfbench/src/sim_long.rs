@@ -6,16 +6,15 @@
 //! and warms one simulator per profile (400k instructions under
 //! REV-32K); the timed section then runs 2M measured instructions on a
 //! fork of each warmed simulator, serially, in 100k-instruction session
-//! slices. Passes repeat while the time budget allows; every pass must
-//! reproduce the first pass's exact counters.
+//! slices. Windows repeat round-robin over the profiles while the time
+//! budget allows; a pass is one window per profile, each at its median
+//! time, and every repeated window must reproduce its profile's first
+//! exact counters.
 
 use crate::report::Outcome;
-use crate::stats::{quantile, Counters};
-use crate::trace::{self_times, total_times, Tracer};
-use rev_core::{
-    analyze_and_link, linked_tables, RevConfig, RevReport, RevSimulator, RunOutcome, Session,
-    SessionStatus,
-};
+use crate::stats::{median, quantile, Counters, Rng};
+use crate::trace::{build_traced, secs, self_times, total_times, Tracer};
+use rev_core::{RevConfig, RevReport, RevSimulator, RunOutcome, Session, SessionStatus};
 use rev_trace::Json;
 use rev_workloads::SpecProfile;
 use std::time::Instant;
@@ -32,11 +31,8 @@ const DIGESTS: &str = include_str!("../data/sim_long_digests.json");
 /// (seed 0 keeps the paper's programs).
 pub fn derived_profile(name: &str, seed: u64) -> SpecProfile {
     let mut p = SpecProfile::by_name(name).expect("built-in profile").clone();
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     if seed != 0 {
-        p.seed ^= z ^ (z >> 31);
+        p.seed ^= Rng(seed).next();
     }
     p
 }
@@ -98,48 +94,58 @@ pub fn run(seed: u64, seconds: f64, out: &mut Outcome) {
     }
     out.sample("setup_s", [setup_s]);
 
+    // Windows run round-robin over the profiles, as many as best fill the
+    // budget; a pass is one window per profile at its median time.
     let start = Instant::now();
-    let mut first: Option<Counters> = None;
-    let mut passes = 0usize;
+    let mut times: Vec<Vec<f64>> = vec![Vec::new(); warmed.len()];
+    let mut first: Vec<Option<RevReport>> = vec![None; warmed.len()];
     let mut slices = Vec::new();
-    loop {
-        let mut counters = Counters::default();
-        let mut pass_s = 0.0;
-        for (name, sim) in &warmed {
+    let mut windows = 0usize;
+    'run: loop {
+        for (i, (name, sim)) in warmed.iter().enumerate() {
             let fork = sim.fork().expect("warmed simulators fork");
             let t = Instant::now();
             let report = window(fork, &off, &mut slices);
-            pass_s += t.elapsed().as_secs_f64();
+            times[i].push(t.elapsed().as_secs_f64());
+            windows += 1;
             out.attempted += 1;
             check_window(name, &report, out);
-            counters.add(&report);
-        }
-        passes += 1;
-        out.sample("wall_s", [pass_s]);
-        out.sample("sim_minstr_per_s", [counters.committed as f64 / pass_s / 1e6]);
-        match &first {
-            None => {
-                check_digest(seed, &counters, out);
-                first = Some(counters);
+            match &first[i] {
+                None => first[i] = Some(report),
+                Some(f) if counters_of(f) != counters_of(&report) => {
+                    out.fail(format!("{name}: a repeated window changed the exact counters"));
+                }
+                Some(_) => {}
             }
-            Some(c) if *c != counters => out.fail("a repeated pass changed the exact counters"),
-            Some(_) => {}
-        }
-        let per_pass = start.elapsed().as_secs_f64() / passes as f64;
-        if start.elapsed().as_secs_f64() + per_pass > seconds {
-            break;
+            let elapsed = start.elapsed().as_secs_f64();
+            let full_round = first.iter().all(Option::is_some);
+            if full_round && elapsed + elapsed / windows as f64 / 2.0 > seconds {
+                break 'run;
+            }
         }
     }
+    let mut counters = Counters::default();
+    for report in first.iter().flatten() {
+        counters.add(report);
+    }
+    check_digest(seed, &counters, out);
+    let pass_s: f64 = times.iter().map(|t| median(t)).sum();
+    out.sample("wall_s", [pass_s]);
+    out.sample("sim_minstr_per_s", [counters.committed as f64 / pass_s / 1e6]);
     out.sample("peak_rss_mb", [crate::stats::peak_rss_mb()]);
     out.sample("latency_p50_s", [quantile(&slices, 0.5)]);
     out.sample("latency_p90_s", [quantile(&slices, 0.9)]);
-    out.note("passes", Json::Int(passes as i64));
+    out.note("windows", Json::Int(windows as i64));
     out.note("latency_samples", Json::Int(slices.len() as i64));
-    if let Some(c) = first {
-        let ints: Vec<(&str, Json)> =
-            c.integers().into_iter().map(|(k, v)| (k, Json::Int(v as i64))).collect();
-        out.note("counters", Json::obj(ints));
-    }
+    let ints: Vec<(&str, Json)> =
+        counters.integers().into_iter().map(|(k, v)| (k, Json::Int(v as i64))).collect();
+    out.note("counters", Json::obj(ints));
+}
+
+fn counters_of(report: &RevReport) -> Counters {
+    let mut c = Counters::default();
+    c.add(report);
+    c
 }
 
 /// The traced workload: set-up split into its layers, one untraced and
@@ -155,20 +161,8 @@ pub fn run_traced(seed: u64, spans_path: &std::path::Path, out: &mut Outcome) {
     let (mut untraced_s, mut traced_s, mut base_s) = (0.0, 0.0, 0.0);
     let (mut base_instrs, mut image_bytes) = (0u64, 0u64);
     for name in PROFILES {
-        let profile = derived_profile(name, seed);
-        let program = tracer.span("workloads.generate", 0, || rev_workloads::generate(&profile));
-        tracer
-            .span("prog.analyze", 0, || analyze_and_link(&program, config.bb_limits))
-            .expect("generated programs analyze");
-        let (tables, stats) = tracer
-            .span("sigtable.linked_tables", 0, || linked_tables(&program, &config))
-            .expect("generated programs build tables");
-        image_bytes += stats.iter().map(|s| s.image_bytes as u64).sum::<u64>();
-        let mut sim = tracer
-            .span("core.assemble", 0, || {
-                RevSimulator::with_prebuilt(program, config, tables, stats)
-            })
-            .expect("prebuilt tables assemble");
+        let (mut sim, bytes) = build_traced(&derived_profile(name, seed), config, &tracer, 0);
+        image_bytes += bytes;
         tracer.span("core.warmup", 0, || sim.warmup(WARMUP));
 
         let fork = tracer.span("core.fork", 0, || sim.fork()).expect("warmed simulators fork");
@@ -203,30 +197,17 @@ pub fn run_traced(seed: u64, spans_path: &std::path::Path, out: &mut Outcome) {
     crate::trace::write_spans(&spans, spans_path);
     let own = self_times(&spans);
     let total = total_times(&spans);
-    let get = |m: &std::collections::BTreeMap<&str, f64>, k: &str| m.get(k).copied().unwrap_or(0.0);
-    let rev_ns = get(&total, "core.run") * 1e9 / traced.committed.max(1) as f64;
+    let rev_ns = secs(&total, "core.run") * 1e9 / traced.committed.max(1) as f64;
     let base_ns = base_s * 1e9 / base_instrs.max(1) as f64;
-    out.layer("workloads.generate_s", get(&own, "workloads.generate"));
-    out.layer("prog.analyze_s", get(&own, "prog.analyze"));
-    out.layer(
-        "sigtable.build_s",
-        (get(&own, "sigtable.linked_tables") - get(&own, "prog.analyze")).max(0.0),
-    );
+    out.build_layers(&own);
     out.layer_int("sigtable.image_bytes", image_bytes);
-    out.layer("core.assemble_s", get(&own, "core.assemble"));
-    out.layer("core.warmup_s", get(&own, "core.warmup"));
-    out.layer("core.run_s", get(&total, "core.run"));
-    out.layer("core.fork_s", get(&own, "core.fork"));
+    out.layer("core.run_s", secs(&total, "core.run"));
+    out.layer("core.fork_s", secs(&own, "core.fork"));
     out.layer("core.rev_ns_per_instr", rev_ns);
     out.layer("cpu.base_ns_per_instr", base_ns);
     out.layer("core.monitor_ns_per_instr", rev_ns - base_ns);
     out.layer("trace.overhead_s", traced_s - untraced_s);
-    for (name, v) in traced.integers() {
-        out.layer_int(name, v);
-    }
-    for (name, v) in traced.ratios() {
-        out.layer(name, v);
-    }
+    out.counter_layers(&traced);
     out.note("traced_window_s", Json::Float(traced_s));
     out.note("untraced_window_s", Json::Float(untraced_s));
     out.note("spans", Json::Int(spans.len() as i64));

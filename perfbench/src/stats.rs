@@ -1,5 +1,5 @@
-//! Small measurement helpers: quantiles, peak memory, exact counters and
-//! the host fingerprint.
+//! Small measurement helpers: quantiles, peak memory, exact counters, the
+//! seeded generator and the host fingerprint.
 
 use rev_core::RevReport;
 use rev_mem::Requester;
@@ -33,6 +33,31 @@ pub fn spread(values: &[f64]) -> Json {
         ("q3", Json::Float(quantile(values, 0.75))),
         ("n", Json::Int(values.len() as i64)),
     ])
+}
+
+/// splitmix64: the only source of randomness in the generated inputs.
+pub struct Rng(pub u64);
+
+impl Rng {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in [0, 1).
+    pub fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    pub fn shuffle<T>(&mut self, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            let j = (self.next() % (i as u64 + 1)) as usize;
+            v.swap(i, j);
+        }
+    }
 }
 
 /// Peak resident set size of this process in MiB (`VmHWM`).

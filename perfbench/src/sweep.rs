@@ -15,8 +15,8 @@
 //! `Snapshot::render`) under `parallel_map(2)`, with one span per call.
 
 use crate::report::Outcome;
-use crate::stats::{median, peak_rss_mb, Counters};
-use crate::trace::{self_times, total_times, Tracer};
+use crate::stats::{peak_rss_mb, Counters};
+use crate::trace::{secs, self_times, total_times, Tracer};
 use rev_bench::{
     parallel_map, record_attacks, snapshot_from_runs, sweep_configs_pooled, BenchOptions,
     ProfileRun, SweepConfig, SweepOutcome, WarmPool,
@@ -33,8 +33,11 @@ use std::time::Instant;
 const JOBS: usize = 2;
 /// The committed reference snapshot of the quick grid.
 const BASELINE: &str = "baselines/quick.json";
-/// Option/pool constructions timed per pass for `setup_s`.
-const SETUP_REPS: usize = 1001;
+/// Extra children started per run that stop at the timed section, so
+/// `setup_s` is a median of several set-ups.
+const SETUP_PROBES: usize = 7;
+/// The line a child writes to stderr as its timed section starts.
+const TIMED_MARK: &str = "[perfbench] timed section starts";
 
 fn quick_options(quiet: bool) -> BenchOptions {
     let mut args = vec!["--quick", "--jobs", "2"];
@@ -67,30 +70,16 @@ fn committed(runs: &[ProfileRun]) -> u64 {
         .sum()
 }
 
-/// Median time of one option-parse + pool construction: what a grid run
-/// does before its first timed operation.
-fn setup_seconds() -> f64 {
-    let samples: Vec<f64> = (0..SETUP_REPS)
-        .map(|_| {
-            let t = Instant::now();
-            let opts = quick_options(true);
-            let pool = WarmPool::new(opts.ckpt_pool.as_deref());
-            std::hint::black_box((&opts, &pool));
-            drop(pool);
-            drop(opts);
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    median(&samples)
-}
-
 /// The child side of one untraced pass; prints one JSON line on stdout.
-pub fn grid_pass_child() {
-    let setup_s = setup_seconds();
-    let baseline = std::fs::read_to_string(BASELINE).unwrap_or_default();
+/// With `setup_only` it stops where the timed section would start.
+pub fn grid_pass_child(setup_only: bool) {
     let opts = quick_options(false);
     let configs = configs();
     let pool = WarmPool::new(opts.ckpt_pool.as_deref());
+    eprintln!("{TIMED_MARK}");
+    if setup_only {
+        return;
+    }
     let t = Instant::now();
     let mut snap = Snapshot::new();
     let attacks = record_attacks(&mut snap);
@@ -102,8 +91,8 @@ pub fn grid_pass_child() {
     snapshot_from_runs(&mut snap, &opts, &configs, &runs);
     let rendered = snap.render();
     let wall_s = t.elapsed().as_secs_f64();
+    let baseline = std::fs::read_to_string(BASELINE).unwrap_or_default();
     let out = Json::obj(vec![
-        ("setup_s", Json::Float(setup_s)),
         ("wall_s", Json::Float(wall_s)),
         ("peak_rss_mb", Json::Float(peak_rss_mb())),
         ("committed", Json::Int(committed(&runs) as i64)),
@@ -127,12 +116,24 @@ struct Pass {
     item_s: Vec<f64>,
 }
 
-/// Runs one untraced pass in a child process and times its work items
-/// from the narration lines it prints as each item starts.
-fn run_pass() -> Result<Pass, String> {
+/// A finished child process: its stderr lines with the instant each
+/// arrived, its stdout, and the time from spawning it to its timed
+/// section.
+struct Child {
+    lines: Vec<(Instant, String)>,
+    stdout: String,
+    setup_s: f64,
+}
+
+fn run_child(setup_only: bool) -> Result<Child, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let mut child = Command::new(exe)
-        .arg("--grid-pass")
+    let mut cmd = Command::new(exe);
+    cmd.arg("--grid-pass");
+    if setup_only {
+        cmd.arg("--setup-only");
+    }
+    let spawned = Instant::now();
+    let mut child = cmd
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -158,6 +159,18 @@ fn run_pass() -> Result<Pass, String> {
         let tail: Vec<&str> = lines.iter().rev().take(5).map(|(_, l)| l.as_str()).collect();
         return Err(format!("grid pass exited with {status}: {tail:?}"));
     }
+    let setup_s = lines
+        .iter()
+        .find(|(_, l)| l == TIMED_MARK)
+        .map(|(at, _)| (*at - spawned).as_secs_f64())
+        .ok_or("grid pass never reached its timed section")?;
+    Ok(Child { lines, stdout: out, setup_s })
+}
+
+/// Runs one untraced pass in a child process and times its work items
+/// from the narration lines it prints as each item starts.
+fn run_pass() -> Result<Pass, String> {
+    let Child { lines, stdout: out, setup_s } = run_child(false)?;
     let v = rev_trace::json::parse(out.lines().last().unwrap_or(""))
         .map_err(|e| format!("grid pass printed no result: {e}"))?;
     let f = |k: &str| v.get(k).and_then(Json::as_f64).unwrap_or(0.0);
@@ -177,7 +190,7 @@ fn run_pass() -> Result<Pass, String> {
         .flat_map(|ts| ts.windows(2).map(|p| (p[1] - p[0]).as_secs_f64()))
         .collect();
     Ok(Pass {
-        setup_s: f("setup_s"),
+        setup_s,
         wall_s: f("wall_s"),
         rss_mb: f("peak_rss_mb"),
         committed: v.get("committed").and_then(Json::as_u64).unwrap_or(0),
@@ -188,8 +201,19 @@ fn run_pass() -> Result<Pass, String> {
     })
 }
 
-/// Untraced passes until `seconds` would be exceeded (at least one).
+/// As many untraced passes as best fill `seconds` (at least one), after
+/// `SETUP_PROBES` children that only set up.
 pub fn run(seconds: f64, out: &mut Outcome) {
+    for _ in 0..SETUP_PROBES {
+        match run_child(true) {
+            Ok(c) => out.sample("setup_s", [c.setup_s]),
+            Err(e) => {
+                out.attempted += 1;
+                out.fail(e);
+                return;
+            }
+        }
+    }
     let start = Instant::now();
     let mut passes: Vec<Pass> = Vec::new();
     loop {
@@ -202,7 +226,7 @@ pub fn run(seconds: f64, out: &mut Outcome) {
             }
         }
         let per_pass = start.elapsed().as_secs_f64() / passes.len() as f64;
-        if start.elapsed().as_secs_f64() + per_pass > seconds {
+        if start.elapsed().as_secs_f64() + per_pass / 2.0 > seconds {
             break;
         }
     }
@@ -318,7 +342,6 @@ pub fn run_traced(spans_path: &std::path::Path, out: &mut Outcome) {
     crate::trace::write_spans(&spans, spans_path);
     let own = self_times(&spans);
     let total = total_times(&spans);
-    let get = |m: &std::collections::BTreeMap<&str, f64>, k: &str| m.get(k).copied().unwrap_or(0.0);
     let mut counters = Counters::default();
     let (mut gen, mut table, mut warm, mut fork) = (0.0, 0.0, 0.0, 0.0);
     let (mut rev_committed, mut base_instrs) = (0u64, 0u64);
@@ -338,18 +361,18 @@ pub fn run_traced(spans_path: &std::path::Path, out: &mut Outcome) {
         }
     }
     let stats = pool.stats();
-    let busy: f64 = get(&total, "bench.item");
-    let rev_ns = get(&total, "core.run") * 1e9 / rev_committed.max(1) as f64;
-    let base_ns = get(&total, "cpu.baseline") * 1e9 / base_instrs.max(1) as f64;
+    let busy: f64 = secs(&total, "bench.item");
+    let rev_ns = secs(&total, "core.run") * 1e9 / rev_committed.max(1) as f64;
+    let base_ns = secs(&total, "cpu.baseline") * 1e9 / base_instrs.max(1) as f64;
     // Generation, table builds and warmups run inside the pool here and
     // are reported as `bench.pool.*`, not under their own layers.
-    out.layer("core.run_s", get(&total, "core.run"));
+    out.layer("core.run_s", secs(&total, "core.run"));
     out.layer("core.rev_ns_per_instr", rev_ns);
     out.layer("cpu.base_ns_per_instr", base_ns);
     out.layer("core.monitor_ns_per_instr", rev_ns - base_ns);
     out.layer("core.fork_s", fork);
-    out.layer("bench.pool.program_s", gen + get(&own, "bench.pool.program"));
-    out.layer("bench.pool.table_s", table + get(&own, "bench.pool.cold_sim"));
+    out.layer("bench.pool.program_s", gen + secs(&own, "bench.pool.program"));
+    out.layer("bench.pool.table_s", table + secs(&own, "bench.pool.cold_sim"));
     out.layer("bench.pool.warm_s", warm);
     out.layer(
         "bench.pool.warm_hit_ratio",
@@ -359,16 +382,11 @@ pub fn run_traced(spans_path: &std::path::Path, out: &mut Outcome) {
         "bench.worker_idle_frac",
         (JOBS as f64 * items_s - busy).max(0.0) / (JOBS as f64 * items_s),
     );
-    out.layer("lint.audit_s", get(&own, "lint.audit"));
-    out.layer("attacks.mount_s", get(&own, "attacks.mount"));
-    out.layer("trace.snapshot_render_s", get(&own, "trace.snapshot_render"));
+    out.layer("lint.audit_s", secs(&own, "lint.audit"));
+    out.layer("attacks.mount_s", secs(&own, "attacks.mount"));
+    out.layer("trace.snapshot_render_s", secs(&own, "trace.snapshot_render"));
     out.layer("trace.overhead_s", wall_s - untraced.wall_s);
-    for (name, v) in counters.integers() {
-        out.layer_int(name, v);
-    }
-    for (name, v) in counters.ratios() {
-        out.layer(name, v);
-    }
+    out.counter_layers(&counters);
     out.note("traced_wall_s", Json::Float(wall_s));
     out.note("untraced_wall_s", Json::Float(untraced.wall_s));
     out.note("counters_digest", Json::Str(counters.digest()));

@@ -9,6 +9,8 @@
 //! A disabled tracer records nothing and adds one branch per call, so
 //! the untraced run measures the program, not the tracing.
 
+use rev_core::{analyze_and_link, linked_tables, RevConfig, RevSimulator};
+use rev_workloads::SpecProfile;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,6 +161,38 @@ pub fn total_times(spans: &[Span]) -> BTreeMap<&'static str, f64> {
         *out.entry(s.name).or_default() += s.dur_s();
     }
     out
+}
+
+/// Seconds recorded under `name` in a per-name map; 0 for a layer the
+/// workload never called.
+pub fn secs(times: &BTreeMap<&'static str, f64>, name: &str) -> f64 {
+    times.get(name).copied().unwrap_or(0.0)
+}
+
+/// Builds a cold simulator for `profile` through the public pieces, one
+/// span per call (`workloads.generate`, `prog.analyze`,
+/// `sigtable.linked_tables`, `core.assemble`); returns it with the summed
+/// size of its signature-table images.
+pub fn build_traced(
+    profile: &SpecProfile,
+    config: RevConfig,
+    tracer: &Tracer,
+    worker: usize,
+) -> (RevSimulator, u64) {
+    let program = tracer.span("workloads.generate", worker, || rev_workloads::generate(profile));
+    tracer
+        .span("prog.analyze", worker, || analyze_and_link(&program, config.bb_limits))
+        .expect("generated programs analyze");
+    let (tables, stats) = tracer
+        .span("sigtable.linked_tables", worker, || linked_tables(&program, &config))
+        .expect("generated programs build tables");
+    let image_bytes = stats.iter().map(|s| s.image_bytes as u64).sum();
+    let sim = tracer
+        .span("core.assemble", worker, || {
+            RevSimulator::with_prebuilt(program, config, tables, stats)
+        })
+        .expect("prebuilt tables assemble");
+    (sim, image_bytes)
 }
 
 /// Writes the spans as JSON lines to `path` (best effort: a failed write
