@@ -3,7 +3,7 @@
 //! this sweep shows overhead flat through H = 16 and climbing beyond —
 //! the case where dummy post-commit stages would be needed.
 
-use rev_bench::{overhead_pct, sim_for, BenchOptions, TablePrinter, WarmPool};
+use rev_bench::{overhead_pct, BenchOptions, TablePrinter, WarmPool};
 use rev_core::RevConfig;
 
 fn main() {
@@ -16,14 +16,14 @@ fn main() {
     for p in opts.profiles() {
         eprintln!("[ablation_chg] {} ...", p.name);
         let base = {
-            let sim = sim_for(&pool, &opts, &p, RevConfig::paper_default());
+            let sim = pool.cold_sim(&p, &RevConfig::paper_default());
             sim.run_baseline(opts.instructions).cpu.ipc()
         };
         let mut row = vec![p.name.to_string(), format!("{base:.3}")];
         for &h in &latencies {
             let mut cfg = RevConfig::paper_default();
             cfg.chg.latency = h;
-            let mut sim = sim_for(&pool, &opts, &p, cfg);
+            let mut sim = pool.cold_sim(&p, &cfg);
             let r = sim.run(opts.instructions);
             row.push(format!("{:.2}", overhead_pct(base, r.cpu.ipc())));
         }

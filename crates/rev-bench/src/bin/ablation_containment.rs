@@ -2,7 +2,7 @@
 //! post-commit deferred-store buffer vs its stricter page-shadowing
 //! alternative (Sec. IV.A).
 
-use rev_bench::{overhead_pct, sim_for, BenchOptions, TablePrinter, WarmPool};
+use rev_bench::{overhead_pct, BenchOptions, TablePrinter, WarmPool};
 use rev_core::{Containment, RevConfig};
 
 fn main() {
@@ -15,19 +15,13 @@ fn main() {
     for p in opts.profiles() {
         eprintln!("[ablation_containment] {} ...", p.name);
         let base = {
-            let sim = sim_for(&pool, &opts, &p, RevConfig::paper_default());
+            let sim = pool.cold_sim(&p, &RevConfig::paper_default());
             sim.run_baseline_with_warmup(opts.warmup, opts.instructions).cpu.ipc()
         };
         let run = |containment: Containment| {
             let mut cfg = RevConfig::paper_default();
             cfg.containment = containment;
-            let mut sim = if opts.pool {
-                pool.warm_fork(&p, &cfg, opts.warmup).0
-            } else {
-                let mut sim = sim_for(&pool, &opts, &p, cfg);
-                sim.warmup(opts.warmup);
-                sim
-            };
+            let (mut sim, _) = pool.warm_fork(&p, &cfg, opts.warmup);
             let r = sim.run(opts.instructions);
             (overhead_pct(base, r.cpu.ipc()), r.rev.shadow.pages_created)
         };

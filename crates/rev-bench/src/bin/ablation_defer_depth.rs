@@ -3,7 +3,7 @@
 //! back-pressures commit; too aggressive splitting multiplies
 //! validations.
 
-use rev_bench::{overhead_pct, sim_for, BenchOptions, TablePrinter, WarmPool};
+use rev_bench::{overhead_pct, BenchOptions, TablePrinter, WarmPool};
 use rev_core::RevConfig;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     for p in opts.profiles() {
         eprintln!("[ablation_defer] {} ...", p.name);
         let base = {
-            let sim = sim_for(&pool, &opts, &p, RevConfig::paper_default());
+            let sim = pool.cold_sim(&p, &RevConfig::paper_default());
             sim.run_baseline(opts.instructions).cpu.ipc()
         };
         let mut row = vec![p.name.to_string(), format!("{base:.3}")];
@@ -32,7 +32,7 @@ fn main() {
             cfg.defer_capacity = defer;
             cfg.bb_limits.max_instrs = max_instrs;
             cfg.bb_limits.max_stores = max_stores;
-            let mut sim = sim_for(&pool, &opts, &p, cfg);
+            let mut sim = pool.cold_sim(&p, &cfg);
             let r = sim.run(opts.instructions);
             row.push(format!("{:.2}", overhead_pct(base, r.cpu.ipc())));
         }

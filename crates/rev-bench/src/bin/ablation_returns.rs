@@ -4,7 +4,7 @@
 //! called function). The delayed scheme exists to avoid exactly that
 //! walk; this measures what it saves.
 
-use rev_bench::{overhead_pct, sim_for, BenchOptions, TablePrinter, WarmPool};
+use rev_bench::{overhead_pct, BenchOptions, TablePrinter, WarmPool};
 use rev_core::RevConfig;
 
 fn main() {
@@ -24,19 +24,13 @@ fn main() {
     for p in opts.profiles() {
         eprintln!("[ablation_returns] {} ...", p.name);
         let base = {
-            let sim = sim_for(&pool, &opts, &p, RevConfig::paper_default());
+            let sim = pool.cold_sim(&p, &RevConfig::paper_default());
             sim.run_baseline_with_warmup(opts.warmup, opts.instructions).cpu.ipc()
         };
         let run = |naive: bool| {
             let mut cfg = RevConfig::paper_default();
             cfg.naive_return_validation = naive;
-            let mut sim = if opts.pool {
-                pool.warm_fork(&p, &cfg, opts.warmup).0
-            } else {
-                let mut sim = sim_for(&pool, &opts, &p, cfg);
-                sim.warmup(opts.warmup);
-                sim
-            };
+            let (mut sim, _) = pool.warm_fork(&p, &cfg, opts.warmup);
             let r = sim.run(opts.instructions);
             (overhead_pct(base, r.cpu.ipc()), r.rev.spill_fetches)
         };

@@ -1,7 +1,7 @@
 //! Ablation: SC capacity sweep from 4 KiB to 256 KiB (the paper only
 //! evaluates 32 KiB and 64 KiB), showing where the working set saturates.
 
-use rev_bench::{overhead_pct, sim_for, BenchOptions, TablePrinter, WarmPool};
+use rev_bench::{overhead_pct, BenchOptions, TablePrinter, WarmPool};
 use rev_core::RevConfig;
 
 fn main() {
@@ -14,13 +14,12 @@ fn main() {
     for p in opts.profiles() {
         eprintln!("[ablation_sc_size] {} ...", p.name);
         let base = {
-            let sim = sim_for(&pool, &opts, &p, RevConfig::paper_default());
+            let sim = pool.cold_sim(&p, &RevConfig::paper_default());
             sim.run_baseline(opts.instructions).cpu.ipc()
         };
         let mut row = vec![p.name.to_string(), format!("{base:.3}")];
         for &size in &sizes {
-            let mut sim =
-                sim_for(&pool, &opts, &p, RevConfig::paper_default().with_sc_capacity(size));
+            let mut sim = pool.cold_sim(&p, &RevConfig::paper_default().with_sc_capacity(size));
             let r = sim.run(opts.instructions);
             row.push(format!("{:.2}", overhead_pct(base, r.cpu.ipc())));
         }

@@ -6,15 +6,17 @@
 //! `scripts/check.sh` soft regression gate, not any paper figure. Each
 //! profile runs once under the paper-default REV configuration with the
 //! wall clock taken around the measurement window only (generation, table
-//! build, and warmup excluded). Runs are serial (`--jobs` would have every
-//! run contend for the same cores and time noise, not work).
+//! build, and warmup excluded). Runs are serial and ignore `--jobs`:
+//! parallel runs would contend for the same cores and time noise, not
+//! work.
 //!
 //! ```text
-//! usage: perf [--quick] [--instructions N] [--warmup N] [--scale F]
-//!             [--bench NAME]... [--json PATH] [--check BASELINE]
-//!             [--band PCT] [--csv] [--quiet] [--superblocks=on|off]
-//!             [--pool=on|off] [--ckpt-pool DIR]
+//! usage: perf [--check BASELINE] [--band PCT] plus the shared harness
+//!             flags (`--quick`, `--bench NAME`, `--json PATH`, `--csv`,
+//!             `--quiet`, `--ckpt-pool DIR`, ...)
 //! ```
+//!
+//! Malformed input prints the usage text and exits with status 2.
 //!
 //! * `--json PATH` — write/merge the `perf` registries into `PATH`. If
 //!   the file already holds a `rev-trace/1` snapshot (e.g. the
@@ -33,54 +35,41 @@
 //! what the band is for.
 
 use rev_bench::{
-    perf_registry, perf_sample, perf_sample_pooled, perf_soft_check, BenchOptions, Narrator,
-    TablePrinter, WarmPool,
+    perf_registry, perf_sample, perf_soft_check, usage_exit, BenchOptions, Narrator, TablePrinter,
+    UsageError, WarmPool, USAGE,
 };
 use rev_core::RevConfig;
 use rev_trace::Snapshot;
 
-fn main() {
-    let mut opts = BenchOptions::default();
-    let mut check: Option<String> = None;
-    let mut band_pct = 15.0;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match arg.as_str() {
-            "--instructions" => {
-                opts.instructions =
-                    value("--instructions").parse().expect("--instructions must be an integer")
-            }
-            "--warmup" => opts.warmup = value("--warmup").parse().expect("--warmup: integer"),
-            "--scale" => opts.scale = value("--scale").parse().expect("--scale: float"),
-            "--quick" => {
-                opts.scale = 0.05;
-                opts.instructions = 200_000;
-                opts.warmup = 50_000;
-            }
-            "--bench" => opts.only.push(value("--bench")),
-            "--json" => opts.json = Some(value("--json")),
-            "--check" => check = Some(value("--check")),
-            "--band" => band_pct = value("--band").parse().expect("--band: float (percent)"),
-            "--csv" => opts.csv = true,
-            "--quiet" => opts.quiet = true,
-            "--superblocks=on" => opts.superblocks = true,
-            "--superblocks=off" => opts.superblocks = false,
-            "--pool=on" => opts.pool = true,
-            "--pool=off" => opts.pool = false,
-            "--ckpt-pool" => opts.ckpt_pool = Some(value("--ckpt-pool")),
-            other => {
-                eprintln!("error: unknown argument '{other}'");
-                eprintln!(
-                    "usage: perf [--quick] [--instructions N] [--warmup N] [--scale F]\n\
-                     \x20           [--bench NAME]... [--json PATH] [--check BASELINE]\n\
-                     \x20           [--band PCT] [--csv] [--quiet] [--superblocks=on|off]\n\
-                     \x20           [--pool=on|off] [--ckpt-pool DIR]"
-                );
-                std::process::exit(2);
-            }
-        }
+/// `perf`'s own flags, shown under the shared usage summary.
+const PERF_USAGE: &str = "perf also takes: [--check BASELINE] [--band PCT]";
+
+/// Removes `flag VALUE` from `args` and returns the value.
+fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, UsageError> {
+    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
+    if i + 1 == args.len() {
+        return Err(UsageError::new(format!("{flag} needs a value")));
     }
+    args.remove(i);
+    Ok(Some(args.remove(i)))
+}
+
+/// Takes `--check BASELINE` and `--band PCT` out of `args` and parses the
+/// rest as the shared harness options.
+fn parse(mut args: Vec<String>) -> Result<(BenchOptions, Option<String>, f64), UsageError> {
+    let check = take_flag_value(&mut args, "--check")?;
+    let band_pct = match take_flag_value(&mut args, "--band")? {
+        Some(v) => v
+            .parse()
+            .map_err(|_| UsageError::new(format!("--band must be a float (percent), got '{v}'")))?,
+        None => 15.0,
+    };
+    Ok((BenchOptions::parse(args)?, check, band_pct))
+}
+
+fn main() {
+    let (opts, check, band_pct) = parse(std::env::args().skip(1).collect())
+        .unwrap_or_else(|e| usage_exit(&e, &format!("{USAGE}\n{PERF_USAGE}")));
 
     let narrator = Narrator::new(opts.quiet);
     let pool = WarmPool::new(opts.ckpt_pool.as_deref());
@@ -88,11 +77,7 @@ fn main() {
     let mut samples = Vec::with_capacity(profiles.len());
     for profile in &profiles {
         narrator.note(&format!("[perf] {} ...", profile.name));
-        samples.push(if opts.pool {
-            perf_sample_pooled(profile, &opts, RevConfig::paper_default(), &pool)
-        } else {
-            perf_sample(profile, &opts, RevConfig::paper_default())
-        });
+        samples.push(perf_sample(profile, &opts, RevConfig::paper_default(), &pool));
     }
 
     let mut table = TablePrinter::new(

@@ -3,18 +3,17 @@
 //! variants and CFI-only — fans out across `--jobs` worker threads in a
 //! single sweep, with each profile's baseline computed once and shared by
 //! every configuration. The config-independent prefix (program, CFG
-//! stats, table builds, warmup per recipe) is shared through one warm
-//! checkpoint pool spanning the sweep *and* the table-sizes phase; a
+//! stats, table builds) is shared through one warm checkpoint pool
+//! spanning the sweep *and* the table-sizes phase; a
 //! `--shard i/N` run seals its share of the work items into `--shard-dir`
 //! and prints nothing, and the `--resume` merge run renders output
 //! byte-identical to a monolithic one.
 
 use rev_bench::{
-    mean, overhead_pct, parallel_map, program_for, record_attacks, snapshot_from_runs,
-    sweep_configs_pooled, write_snapshot, BenchOptions, Narrator, SweepConfig, SweepOutcome,
-    TablePrinter, WarmPool,
+    mean, overhead_pct, parallel_map, record_attacks, snapshot_from_runs, sweep_configs_pooled,
+    write_snapshot, BenchOptions, Narrator, SweepConfig, SweepOutcome, TablePrinter, WarmPool,
 };
-use rev_core::{CostModel, RevConfig, RevSimulator, ValidationMode};
+use rev_core::{CostModel, RevConfig, ValidationMode};
 use rev_mem::Requester;
 use rev_trace::Snapshot;
 use std::time::Instant;
@@ -212,19 +211,11 @@ fn main() {
     let profiles = opts.profiles();
     let size_rows = parallel_map(opts.jobs, &profiles, |worker, p| {
         narrator.note(&format!("[tables w{worker:02}] {} ...", p.name));
-        // Through the pool all three modes are table-shelf hits: the
-        // sweep above already built standard, aggressive and CFI-only
-        // tables for every profile.
+        // All three modes are table-shelf hits: the sweep above already
+        // built standard, aggressive and CFI-only tables for every profile.
         let ratio = |mode: ValidationMode| {
             let config = RevConfig::paper_default().with_mode(mode);
-            let stats = if opts.pool {
-                pool.table_stats(p, &config)[0]
-            } else {
-                let program = program_for(p);
-                let sim = RevSimulator::new(program, config).unwrap();
-                sim.table_stats()[0]
-            };
-            stats.ratio_to_code() * 100.0
+            pool.table_stats(p, &config)[0].ratio_to_code() * 100.0
         };
         (
             p.name.to_string(),

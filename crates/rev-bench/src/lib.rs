@@ -13,9 +13,6 @@
 //! * `--json PATH` — write the schema-versioned measurement snapshot
 //!   (`rev-trace` format; see `docs/METRICS.md`) to `PATH`,
 //! * `--quiet` — suppress worker progress and timing narration on stderr,
-//! * `--pool=on|off` — the warm-start checkpoint pool (default on; `off`
-//!   rebuilds every work item from scratch — output is byte-identical
-//!   either way, the equivalence suite enforces it),
 //! * `--ckpt-pool DIR` — persist warm checkpoints to `DIR` across runs,
 //! * `--shard i/N`, `--shard-dir DIR`, `--resume` — partition a sweep
 //!   across processes, seal per-item results, and merge them back into a
@@ -59,14 +56,10 @@ pub struct BenchOptions {
     pub json: Option<String>,
     /// Suppress worker progress and timing narration on stderr.
     pub quiet: bool,
-    /// Superblock memo replay in the monitor (`--superblocks=off` is the
-    /// escape hatch; every measurement snapshot is byte-identical either
-    /// way — the equivalence suite enforces it).
+    /// Superblock memo replay in the monitor (no command-line flag; job
+    /// specs and the equivalence suite turn it off, and every
+    /// measurement snapshot is byte-identical either way).
     pub superblocks: bool,
-    /// Warm-start checkpoint pool (`--pool=off` rebuilds every work item
-    /// from scratch; output is byte-identical either way — the
-    /// equivalence suite and `scripts/check.sh` enforce it).
-    pub pool: bool,
     /// On-disk warm-checkpoint cache directory (`--ckpt-pool DIR`),
     /// shared across processes and runs.
     pub ckpt_pool: Option<String>,
@@ -107,8 +100,14 @@ impl std::error::Error for UsageError {}
 /// The flag summary printed under a usage error.
 pub const USAGE: &str = "usage: [--instructions N] [--warmup N] [--scale F] [--quick] \
 [--bench NAME]... [--csv] [--jobs N] [--preflight] [--json PATH] [--quiet] \
-[--superblocks=on|off] [--pool=on|off] [--ckpt-pool DIR] \
-[--shard i/N --shard-dir DIR] [--resume]";
+[--ckpt-pool DIR] [--shard i/N --shard-dir DIR] [--resume]";
+
+/// Prints `err` and the `usage` summary to stderr and exits with status 2.
+pub fn usage_exit(err: &UsageError, usage: &str) -> ! {
+    eprintln!("error: {err}");
+    eprintln!("{usage}");
+    std::process::exit(2);
+}
 
 /// The host's available parallelism (1 if it cannot be determined).
 pub fn default_jobs() -> usize {
@@ -128,7 +127,6 @@ impl Default for BenchOptions {
             json: None,
             quiet: false,
             superblocks: true,
-            pool: true,
             ckpt_pool: None,
             shard: None,
             shard_dir: None,
@@ -184,10 +182,6 @@ impl BenchOptions {
                 "--preflight" => opts.preflight = true,
                 "--json" => opts.json = Some(value(&mut args, "--json")?),
                 "--quiet" => opts.quiet = true,
-                "--superblocks=on" => opts.superblocks = true,
-                "--superblocks=off" => opts.superblocks = false,
-                "--pool=on" => opts.pool = true,
-                "--pool=off" => opts.pool = false,
                 "--ckpt-pool" => opts.ckpt_pool = Some(value(&mut args, "--ckpt-pool")?),
                 "--shard" => {
                     let v = value(&mut args, "--shard")?;
@@ -212,11 +206,7 @@ impl BenchOptions {
     /// Parses `std::env::args`, printing the error and usage summary to
     /// stderr and exiting with status 2 on malformed input.
     pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        })
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e, USAGE))
     }
 
     /// The selected, scale-adjusted profiles.
@@ -226,28 +216,6 @@ impl BenchOptions {
             .filter(|p| self.only.is_empty() || self.only.iter().any(|n| n == p.name))
             .map(|p| if (self.scale - 1.0).abs() < 1e-9 { p.clone() } else { p.scaled(self.scale) })
             .collect()
-    }
-}
-
-/// Everything measured for one benchmark at one REV configuration.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark name.
-    pub name: String,
-    /// Baseline (no REV) run.
-    pub base: BaselineReport,
-    /// REV run.
-    pub rev: RevReport,
-    /// Signature-table size statistics (first module).
-    pub table: TableStats,
-    /// Static CFG statistics.
-    pub cfg: CfgStats,
-}
-
-impl BenchResult {
-    /// IPC overhead of REV vs base, in percent (the paper's Figs. 7/12).
-    pub fn overhead_pct(&self) -> f64 {
-        overhead_pct(self.base.cpu.ipc(), self.rev.cpu.ipc())
     }
 }
 
@@ -292,22 +260,6 @@ pub fn preflight(sim: &RevSimulator) {
     );
 }
 
-/// Runs one benchmark under `config` and its matching baseline.
-pub fn run_benchmark(profile: &SpecProfile, opts: &BenchOptions, config: RevConfig) -> BenchResult {
-    let program = program_for(profile);
-    let cfg = cfg_stats_for(&program);
-    let config = config.with_superblocks(opts.superblocks);
-    let mut sim = RevSimulator::new(program, config).expect("workload builds");
-    if opts.preflight {
-        preflight(&sim);
-    }
-    let base = sim.run_baseline_with_warmup(opts.warmup, opts.instructions);
-    sim.warmup(opts.warmup);
-    let rev = sim.run(opts.instructions);
-    let table = sim.table_stats()[0];
-    BenchResult { name: profile.name.to_string(), base, rev, table, cfg }
-}
-
 /// Runs one benchmark under REV only (reusing an externally supplied
 /// baseline when the caller sweeps configurations).
 pub fn run_rev_only(profile: &SpecProfile, opts: &BenchOptions, config: RevConfig) -> RevReport {
@@ -319,25 +271,6 @@ pub fn run_rev_only(profile: &SpecProfile, opts: &BenchOptions, config: RevConfi
     }
     sim.warmup(opts.warmup);
     sim.run(opts.instructions)
-}
-
-/// Builds a simulator for one ablation variant: through `pool`'s memo
-/// shelves when `opts.pool` is set — every variant of a profile shares
-/// one program generation, and all variants that agree on validation
-/// mode and BB limits share one table build — and from scratch
-/// otherwise. Warm forking is deliberately not used here: ablations run
-/// without warmup, where a fork would save nothing.
-pub fn sim_for(
-    pool: &WarmPool,
-    opts: &BenchOptions,
-    profile: &SpecProfile,
-    config: RevConfig,
-) -> RevSimulator {
-    if opts.pool {
-        pool.cold_sim(profile, &config)
-    } else {
-        RevSimulator::new(program_for(profile), config).expect("workload builds")
-    }
 }
 
 /// One benchmark measured at base, REV-32K and REV-64K (the sweep behind
@@ -504,9 +437,9 @@ fn write_sealed(path: &std::path::Path, data: &[u8]) {
     }
 }
 
-/// Simulates one (profile, slot) work item, through the warm pool when
-/// `opts.pool` is set and from scratch otherwise. Both paths produce
-/// byte-identical measurements (`rev-bench/tests/equivalence.rs`).
+/// Simulates one (profile, slot) work item through the warm pool.
+/// `rev-bench/tests/equivalence.rs` pins its measurements to fresh
+/// `RevSimulator::new` runs.
 fn compute_item(
     opts: &BenchOptions,
     configs: &[SweepConfig],
@@ -515,34 +448,20 @@ fn compute_item(
     slot: usize,
 ) -> SweepItemOut {
     if slot == 0 {
-        let (base, cfg, table, audit) = if opts.pool {
-            let bundle = pool.program(profile);
-            let audit = rev_lint::audit_program(&bundle.0, &configs[0].config).metrics();
-            let sim = pool.cold_sim(profile, &configs[0].config);
-            let base = sim.run_baseline_with_warmup(opts.warmup, opts.instructions);
-            (base, bundle.1, sim.table_stats()[0], audit)
-        } else {
-            let program = program_for(profile);
-            let cfg = cfg_stats_for(&program);
-            let audit = rev_lint::audit_program(&program, &configs[0].config).metrics();
-            let sim = RevSimulator::new(program, configs[0].config).expect("workload builds");
-            let base = sim.run_baseline_with_warmup(opts.warmup, opts.instructions);
-            (base, cfg, sim.table_stats()[0], audit)
-        };
-        SweepItemOut::Base(Box::new((base, cfg, table, audit)))
-    } else if opts.pool {
-        let config = configs[slot - 1].config.with_superblocks(opts.superblocks);
-        let (mut sim, _fetch) = pool.warm_fork(profile, &config, opts.warmup);
-        // The fresh path preflights before warmup; forked simulators are
-        // already warmed, but preflight is read-only so the order cannot
-        // change a single counter.
-        if opts.preflight {
-            preflight(&sim);
-        }
-        SweepItemOut::Rev(Box::new(sim.run(opts.instructions)))
-    } else {
-        SweepItemOut::Rev(Box::new(run_rev_only(profile, opts, configs[slot - 1].config)))
+        let bundle = pool.program(profile);
+        let audit = rev_lint::audit_program(&bundle.0, &configs[0].config).metrics();
+        let sim = pool.cold_sim(profile, &configs[0].config);
+        let base = sim.run_baseline_with_warmup(opts.warmup, opts.instructions);
+        return SweepItemOut::Base(Box::new((base, bundle.1, sim.table_stats()[0], audit)));
     }
+    let config = configs[slot - 1].config.with_superblocks(opts.superblocks);
+    let (mut sim, _fetch) = pool.warm_fork(profile, &config, opts.warmup);
+    // A fresh run preflights before warmup; preflight is read-only, so
+    // running it on the warmed simulator cannot change a single counter.
+    if opts.preflight {
+        preflight(&sim);
+    }
+    SweepItemOut::Rev(Box::new(sim.run(opts.instructions)))
 }
 
 /// [`sweep_configs`] with an explicit warm pool and `--shard`/`--resume`
@@ -555,7 +474,7 @@ fn compute_item(
 /// is simulated (and sealed into `--shard-dir`); under `--resume` valid
 /// sealed items are loaded instead of recomputed. Results are ordered
 /// by profile then configuration — identical output for any `--jobs`
-/// value, any shard split, and with the pool on or off.
+/// value and any shard split.
 pub fn sweep_configs_pooled(
     opts: &BenchOptions,
     configs: &[SweepConfig],
@@ -650,10 +569,11 @@ pub fn sweep_configs_pooled(
 ///
 /// The baseline simulation runs **once per profile** and is shared across
 /// all configurations (the seed harness re-ran it per config pair), and
-/// the config-independent prefix (program, CFG stats, table build, warmup
-/// per recipe) is shared through a per-call [`WarmPool`] when `opts.pool`
-/// is set. Results are deterministic and ordered by profile then
-/// configuration — identical output for any `--jobs` value.
+/// the config-independent prefix (program, CFG stats, table build) is
+/// built once per profile through a per-call [`WarmPool`], which also
+/// restores warmed simulators from `opts.ckpt_pool` when set. Results
+/// are deterministic and ordered by profile then configuration —
+/// identical output for any `--jobs` value.
 ///
 /// # Panics
 ///
@@ -866,15 +786,16 @@ pub struct PerfSample {
     /// Body hashes computed through the multi-lane CubeHash.
     pub chg_lanes: u64,
     /// Host nanoseconds materializing the program + CFG statistics
-    /// (`perf.phase.gen_ns`; ~0 on a warm-pool hit).
+    /// (`perf.phase.gen_ns`; ~0 once the pool's program shelf holds it).
     pub gen_ns: u64,
     /// Host nanoseconds building tables + assembling the simulator
-    /// (`perf.phase.table_ns`; ~0 on a warm-pool hit).
+    /// (`perf.phase.table_ns`; only the assembly remains once the pool's
+    /// table shelf holds the tables).
     pub table_ns: u64,
     /// Host nanoseconds warming up (or restoring a disk checkpoint on a
     /// disk hit; `perf.phase.warm_ns`).
     pub warm_ns: u64,
-    /// Warm-pool hits contributing to this sample (`pool.hits`).
+    /// Disk-pool hits contributing to this sample (`pool.hits`).
     pub pool_hits: u64,
     /// Warm-pool misses contributing to this sample (`pool.misses`).
     pub pool_misses: u64,
@@ -929,9 +850,22 @@ pub fn perf_registry(sample: &PerfSample) -> MetricRegistry {
     reg
 }
 
-/// The counters every perf path shares; phase/pool fields start at zero
-/// and are filled in by the caller.
-fn perf_sample_body(profile: &SpecProfile, rev: &RevReport, wall_ns: u64) -> PerfSample {
+/// Measures one profile: a warmed-up REV run under `config`, fetched
+/// from `pool`, with the wall clock taken around the measurement window
+/// only. Generation, table build and warmup (or disk restore) come from
+/// the pool fetch as `perf.phase.*`, and its hit/miss/corrupt outcome
+/// lands in the sample's `pool.*` counters.
+pub fn perf_sample(
+    profile: &SpecProfile,
+    opts: &BenchOptions,
+    config: RevConfig,
+    pool: &WarmPool,
+) -> PerfSample {
+    let config = config.with_superblocks(opts.superblocks);
+    let (mut sim, fetch) = pool.warm_fork(profile, &config, opts.warmup);
+    let start = std::time::Instant::now();
+    let rev = sim.run(opts.instructions);
+    let wall_ns = start.elapsed().as_nanos() as u64;
     PerfSample {
         name: profile.name.to_string(),
         committed_instrs: rev.cpu.committed_instrs,
@@ -943,62 +877,13 @@ fn perf_sample_body(profile: &SpecProfile, rev: &RevReport, wall_ns: u64) -> Per
         sb_hits: rev.rev.sb_hits,
         sb_flushes: rev.rev.sb_flushes,
         chg_lanes: rev.rev.chg_lanes,
-        gen_ns: 0,
-        table_ns: 0,
-        warm_ns: 0,
-        pool_hits: 0,
-        pool_misses: 0,
-        pool_corrupt: 0,
+        gen_ns: fetch.gen_ns,
+        table_ns: fetch.table_ns,
+        warm_ns: fetch.warm_ns,
+        pool_hits: u64::from(fetch.hit),
+        pool_misses: u64::from(!fetch.hit),
+        pool_corrupt: u64::from(fetch.corrupt),
     }
-}
-
-/// Measures one profile: a warmed-up REV run under `config` with the
-/// wall clock taken around the measurement window only (workload
-/// generation, table build, and warmup are timed separately as
-/// `perf.phase.*`; the `pool.*` counters stay zero on this fresh path).
-pub fn perf_sample(profile: &SpecProfile, opts: &BenchOptions, config: RevConfig) -> PerfSample {
-    let t = std::time::Instant::now();
-    let program = program_for(profile);
-    let gen_ns = t.elapsed().as_nanos() as u64;
-    let config = config.with_superblocks(opts.superblocks);
-    let t = std::time::Instant::now();
-    let mut sim = RevSimulator::new(program, config).expect("workload builds");
-    let table_ns = t.elapsed().as_nanos() as u64;
-    let t = std::time::Instant::now();
-    sim.warmup(opts.warmup);
-    let warm_ns = t.elapsed().as_nanos() as u64;
-    let start = std::time::Instant::now();
-    let rev = sim.run(opts.instructions);
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    let mut sample = perf_sample_body(profile, &rev, wall_ns);
-    sample.gen_ns = gen_ns;
-    sample.table_ns = table_ns;
-    sample.warm_ns = warm_ns;
-    sample
-}
-
-/// [`perf_sample`] through the warm pool: the prefix phases come from
-/// the pool fetch — collapsing to ~0 on a hit — and the hit/miss/corrupt
-/// outcome lands in the sample's `pool.*` counters.
-pub fn perf_sample_pooled(
-    profile: &SpecProfile,
-    opts: &BenchOptions,
-    config: RevConfig,
-    pool: &WarmPool,
-) -> PerfSample {
-    let config = config.with_superblocks(opts.superblocks);
-    let (mut sim, fetch) = pool.warm_fork(profile, &config, opts.warmup);
-    let start = std::time::Instant::now();
-    let rev = sim.run(opts.instructions);
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    let mut sample = perf_sample_body(profile, &rev, wall_ns);
-    sample.gen_ns = fetch.gen_ns;
-    sample.table_ns = fetch.table_ns;
-    sample.warm_ns = fetch.warm_ns;
-    sample.pool_hits = u64::from(fetch.hit);
-    sample.pool_misses = u64::from(!fetch.hit);
-    sample.pool_corrupt = u64::from(fetch.corrupt);
-    sample
 }
 
 /// Result of [`perf_soft_check`]: per-profile verdict lines plus whether
@@ -1100,8 +985,6 @@ mod tests {
             "--json",
             "out.json",
             "--quiet",
-            "--superblocks=off",
-            "--pool=off",
             "--ckpt-pool",
             "/tmp/pool",
             "--shard",
@@ -1118,7 +1001,6 @@ mod tests {
         assert!(opts.csv && opts.preflight && opts.quiet && opts.resume);
         assert_eq!(opts.jobs, 3);
         assert_eq!(opts.json.as_deref(), Some("out.json"));
-        assert!(!opts.superblocks && !opts.pool);
         assert_eq!(opts.ckpt_pool.as_deref(), Some("/tmp/pool"));
         assert_eq!(opts.shard, Some(ShardSpec { index: 2, total: 3 }));
         assert_eq!(opts.shard_dir.as_deref(), Some("/tmp/shards"));
@@ -1135,6 +1017,8 @@ mod tests {
         assert!(err(&["--shard", "3/2"]).message.contains("--shard"));
         assert!(err(&["--shard", "1/2"]).message.contains("--shard-dir"));
         assert!(err(&["--superblocks"]).message.contains("unknown argument"));
+        assert!(err(&["--superblocks=off"]).message.contains("unknown argument"));
+        assert!(err(&["--pool=off"]).message.contains("unknown argument"));
         assert!(err(&["--frobnicate"]).message.contains("unknown argument"));
     }
 

@@ -1,21 +1,22 @@
-//! The warm-start checkpoint pool: build once, fork per slot.
+//! The warm-start checkpoint pool: build once, store on disk.
 //!
 //! Every (profile × configuration) work item in a sweep pays the same
-//! config-independent prefix — program materialization, CFG statistics,
-//! the AES-heavy signature-table build — and, per full recipe, the same
-//! warmup run. [`WarmPool`] memoizes all three layers behind
-//! content-addressed keys so the prefix is computed once per process and
-//! every further item starts from a cheap [`RevSimulator::fork`] of the
-//! warmed simulator. Fork is proven byte-equivalent to a
-//! checkpoint → restore round-trip (`rev-core/tests/ckpt.rs`), so a
-//! pooled sweep renders measurement snapshots byte-identical to a fresh
-//! one — `rev-bench/tests/equivalence.rs` pins that across all 18
-//! profiles, and `scripts/check.sh` hard-gates it.
+//! config-independent prefix — program materialization, CFG statistics
+//! and the AES-heavy signature-table build — plus, per full recipe, a
+//! warmup run. [`WarmPool`] memoizes the prefix in memory behind
+//! content-addressed keys so it is computed once per process, and can
+//! persist each warmed simulator to disk (`--ckpt-pool DIR`) so a later
+//! process restores it instead of re-running the warmup. Warmed
+//! simulators are never kept in memory: a sweep asks for each full
+//! recipe once, so every fetch hands its simulator straight to the
+//! caller. A pooled sweep renders measurement snapshots byte-identical
+//! to fresh `RevSimulator::new` runs — `rev-bench/tests/equivalence.rs`
+//! pins that across all 18 profiles.
 //!
 //! ## Keying and invalidation (DESIGN.md §13)
 //!
-//! Three shelves, each keyed by an FNV-1a-64 digest of a versioned
-//! recipe string:
+//! Two in-memory shelves and one disk cache, each keyed by an
+//! FNV-1a-64 digest of a versioned recipe string:
 //!
 //! * **program** — `prog/1 | SpecProfile` → generated [`Program`] +
 //!   [`CfgStats`]. Workload generation is deterministic in the profile.
@@ -24,16 +25,16 @@
 //!   depends only on the program, the validation mode and the BB limits;
 //!   SC size, deferral depth etc. never reach the builder, so e.g.
 //!   standard-mode 32K and 64K slots share one AES schedule expansion.
-//! * **warm** — `rev-bench-pool/1 | rev-ckpt/1 | SpecProfile |
-//!   RevConfig | warmup` → a warmed [`RevSimulator`]. The full
-//!   `RevConfig` debug form (which includes the superblocks flag) and
-//!   the warmup budget are part of the key; the `rev-ckpt/1` schema
+//! * **warm** (disk only) — `rev-bench-pool/1 | rev-ckpt/1 |
+//!   SpecProfile | RevConfig | warmup` → a warmed [`RevSimulator`]. The
+//!   full `RevConfig` debug form (which includes the superblocks flag)
+//!   and the warmup budget are part of the key; the `rev-ckpt/1` schema
 //!   version is included so any codec bump invalidates disk entries.
 //!
-//! Warm entries optionally persist under `--ckpt-pool DIR` as sealed
-//! `rev-ckpt/1` envelopes (`Session::checkpoint` with the recipe string
-//! as the envelope's recipe section). A disk entry is trusted only if
-//! the trailing checksum verifies, the stored recipe string matches the
+//! Warm entries persist under `--ckpt-pool DIR` as sealed `rev-ckpt/1`
+//! envelopes (`Session::checkpoint` with the recipe string as the
+//! envelope's recipe section). A disk entry is trusted only if the
+//! trailing checksum verifies, the stored recipe string matches the
 //! requested one byte-for-byte (a digest collision or stale schema shows
 //! up here), and the structural fingerprint matches the freshly rebuilt
 //! simulator. Any failure counts as `pool.corrupt` and the entry is
@@ -56,9 +57,9 @@ use std::time::Instant;
 /// `docs/METRICS.md`, surfaced per profile by the `perf` binary).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Warm fetches served from the pool (memory or a valid disk entry).
+    /// Warm fetches restored from a valid `--ckpt-pool` disk entry.
     pub hits: u64,
-    /// Warm fetches that had to build (no entry anywhere).
+    /// Warm fetches that had to build (no valid disk entry).
     pub misses: u64,
     /// Disk entries rejected (checksum, recipe, or fingerprint) and
     /// rebuilt fail-open.
@@ -66,12 +67,13 @@ pub struct PoolStats {
 }
 
 /// What one [`WarmPool::warm_fork`] call did, with host-side phase
-/// timings for the config-independent prefix. On a pool hit all three
-/// phase costs collapse to ~0 — the `perf.phase.*` rows make the win
-/// visible in `BENCH_rev.json`.
+/// timings for the config-independent prefix (the `perf.phase.*` rows
+/// in `BENCH_rev.json`). Generation and table build are ~0 when the
+/// in-memory shelves already hold the profile; on a disk hit the warmup
+/// is replaced by a checkpoint restore.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolFetch {
-    /// Served from the pool (memory or disk) rather than built.
+    /// Restored from a valid disk entry rather than warmed up here.
     pub hit: bool,
     /// A disk entry existed but failed validation and was rebuilt.
     pub corrupt: bool,
@@ -120,17 +122,13 @@ impl<V> Shelf<V> {
 
 /// The warm-start pool: per-process memo shelves for the sweep's
 /// config-independent prefix plus an optional on-disk warm-checkpoint
-/// cache. Shared by reference across `parallel_map` workers.
+/// cache. Shared by reference across `parallel_map` workers; it holds no
+/// simulators.
 #[derive(Debug)]
 pub struct WarmPool {
     disk: Option<PathBuf>,
     programs: Shelf<(Program, CfgStats)>,
     tables: Shelf<(Vec<SignatureTable>, Vec<TableStats>)>,
-    /// Warmed simulators live *inside* their slot mutex (not behind a
-    /// shared `Arc<RevSimulator>`): a simulator is `Send` but not `Sync`
-    /// (the memory model keeps an interior-mutable segment-lookup
-    /// cache), so every fork happens under the slot lock.
-    warm: Mutex<HashMap<u64, Arc<Mutex<Option<RevSimulator>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
@@ -144,7 +142,6 @@ impl WarmPool {
             disk: disk_dir.map(PathBuf::from),
             programs: Shelf::default(),
             tables: Shelf::default(),
-            warm: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
@@ -212,11 +209,12 @@ impl WarmPool {
         format!("rev-bench-pool/1|{CKPT_SCHEMA}|{profile:?}|{config:?}|warmup={warmup}")
     }
 
-    /// A warmed simulator for `(profile, config, warmup)`, forked from
-    /// the pool: the first request per key builds (or restores from the
-    /// disk cache) and every request returns an independent fork. The
-    /// returned [`PoolFetch`] carries the phase timings and hit/miss
-    /// outcome for the `perf.phase.*` / `pool.*` metrics.
+    /// A warmed simulator for `(profile, config, warmup)`: restored from
+    /// a valid `--ckpt-pool` disk entry, or built from the memo shelves,
+    /// warmed up and stored on disk. The caller owns the returned
+    /// simulator; the pool keeps no copy. The returned [`PoolFetch`]
+    /// carries the phase timings and hit/miss outcome for the
+    /// `perf.phase.*` / `pool.*` metrics.
     pub fn warm_fork(
         &self,
         profile: &SpecProfile,
@@ -226,42 +224,25 @@ impl WarmPool {
         let recipe = Self::warm_recipe(profile, config, warmup);
         let key = fnv1a64(recipe.as_bytes());
         let mut fetch = PoolFetch::default();
-        let slot = self.warm.lock().unwrap().entry(key).or_default().clone();
-        let mut guard = slot.lock().unwrap();
-        if let Some(sim) = guard.as_ref() {
+        if let Some(sim) = self.disk_load(&recipe, key, profile, config, &mut fetch) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             fetch.hit = true;
-            let fork = sim.fork().expect("pooled simulators never arm injectors or traces");
-            return (fork, fetch);
+            return (sim, fetch);
         }
-        let sim = match self.disk_load(&recipe, key, profile, config, &mut fetch) {
-            Some(sim) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                fetch.hit = true;
-                sim
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let t = Instant::now();
-                self.program(profile);
-                fetch.gen_ns = t.elapsed().as_nanos() as u64;
-                let t = Instant::now();
-                let mut sim = self.cold_sim(profile, config);
-                fetch.table_ns = t.elapsed().as_nanos() as u64;
-                let t = Instant::now();
-                if warmup > 0 {
-                    sim.warmup(warmup);
-                }
-                fetch.warm_ns = t.elapsed().as_nanos() as u64;
-                if warmup > 0 {
-                    sim = self.disk_store(&recipe, key, sim);
-                }
-                sim
-            }
-        };
-        let fork = sim.fork().expect("pooled simulators never arm injectors or traces");
-        *guard = Some(sim);
-        (fork, fetch)
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let t = Instant::now();
+        self.program(profile);
+        fetch.gen_ns = t.elapsed().as_nanos() as u64;
+        let t = Instant::now();
+        let mut sim = self.cold_sim(profile, config);
+        fetch.table_ns = t.elapsed().as_nanos() as u64;
+        if warmup > 0 {
+            let t = Instant::now();
+            sim.warmup(warmup);
+            fetch.warm_ns = t.elapsed().as_nanos() as u64;
+            sim = self.disk_store(&recipe, key, sim);
+        }
+        (sim, fetch)
     }
 
     fn warm_path(&self, key: u64) -> Option<PathBuf> {
@@ -347,6 +328,8 @@ mod tests {
         assert_sync::<WarmPool>();
     }
 
+    /// Without a disk cache every fetch builds: two fetches of one
+    /// recipe are two independent, identical simulators.
     #[test]
     fn warm_forks_are_independent_and_counted() {
         let pool = WarmPool::new(None);
@@ -354,12 +337,12 @@ mod tests {
         let config = RevConfig::paper_default();
         let (mut a, fa) = pool.warm_fork(&p, &config, 2_000);
         let (mut b, fb) = pool.warm_fork(&p, &config, 2_000);
-        assert!(!fa.hit && fb.hit, "first builds, second hits");
-        assert!(fa.warm_ns > 0, "the build pays the warmup");
+        assert!(!fa.hit && !fb.hit, "no disk cache, so both fetches build");
+        assert!(fa.warm_ns > 0 && fb.warm_ns > 0, "each build pays the warmup");
         let ra = a.run(5_000);
         let rb = b.run(5_000);
-        assert_eq!(ra.cpu.cycles, rb.cpu.cycles, "forks must be indistinguishable");
-        assert_eq!(pool.stats(), PoolStats { hits: 1, misses: 1, corrupt: 0 });
+        assert_eq!(ra.cpu.cycles, rb.cpu.cycles, "both builds must be indistinguishable");
+        assert_eq!(pool.stats(), PoolStats { hits: 0, misses: 2, corrupt: 0 });
     }
 
     #[test]

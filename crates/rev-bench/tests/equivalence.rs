@@ -6,18 +6,19 @@
 //!   `--jobs` value, across **all 18** workload profiles;
 //! * a run with the TraceBus attached exports exactly the metrics of a
 //!   run without it;
-//! * the superblock memo layer (`--superblocks=off` escape hatch) never
-//!   changes a rendered snapshot byte across all 18 profiles.
+//! * the superblock memo layer (`RevConfig::superblocks`) never changes
+//!   a rendered snapshot byte across all 18 profiles;
+//! * the warm pool renders the bytes of fresh `RevSimulator::new` runs.
 //!
 //! (Campaign-JSON determinism across runs and jobs lives next to the
 //! engine in `crates/rev-chaos/tests/chaos.rs`; the self-modifying-code
 //! invalidation contract lives in `crates/rev-core/tests/smc.rs`.)
 
 use rev_bench::{
-    program_for, snapshot_from_runs, sweep_configs, sweep_configs_pooled, BenchOptions, ShardSpec,
-    SweepConfig, SweepOutcome, WarmPool,
+    cfg_stats_for, program_for, run_rev_only, snapshot_from_runs, sweep_configs,
+    sweep_configs_pooled, BenchOptions, ProfileRun, ShardSpec, SweepConfig, SweepOutcome, WarmPool,
 };
-use rev_core::{RevConfig, RevSimulator, Session, SessionStatus};
+use rev_core::{RevConfig, RevSimulator, Session, SessionStatus, ValidationMode};
 use rev_trace::{parallel_map, MetricRegistry, MetricSink, Snapshot};
 
 fn tiny_opts() -> BenchOptions {
@@ -220,28 +221,54 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// The warm-start checkpoint pool is a pure scheduling optimization:
-/// sweeping all 18 profiles through pooled forks renders exactly the
-/// snapshot bytes of a sweep that rebuilds every work item from scratch
-/// (`--pool=off`). Two SC sizes share one program generation and one
-/// table build per profile, and every REV slot runs on a fork of the
-/// same warmed simulator — none of which may move a byte.
+/// sweeping all 18 profiles through the pool renders exactly the
+/// snapshot bytes of a reference built here from fresh simulators
+/// (`RevSimulator::new` per item, `run_rev_only` per REV slot). Two SC
+/// sizes share one program generation and one table build per profile,
+/// none of which may move a byte. The table-sizes section of
+/// `reproduce_all` reads `WarmPool::table_stats`, so those must equal a
+/// fresh simulator's `table_stats()` in every validation mode.
 #[test]
 fn pooled_sweep_renders_identical_snapshot() {
     let configs = [
         SweepConfig::new("REV-32K", RevConfig::paper_default()),
         SweepConfig::new("REV-64K", RevConfig::paper_64k()),
     ];
-    let render = |pooled: bool| {
-        let mut opts = tiny_opts();
-        opts.pool = pooled;
-        let runs = sweep_configs(&opts, &configs);
+    let opts = tiny_opts();
+    let render = |runs: &[ProfileRun]| {
         assert_eq!(runs.len(), opts.profiles().len(), "every profile must be swept");
         let mut snap = Snapshot::new();
-        snapshot_from_runs(&mut snap, &opts, &configs, &runs);
+        snapshot_from_runs(&mut snap, &opts, &configs, runs);
         snap.render()
     };
-    assert_eq!(tiny_opts().profiles().len(), 18, "the paper's full profile set");
-    assert_eq!(render(true), render(false), "the warm pool must never move a rendered byte");
+    let pool = WarmPool::new(None);
+    let SweepOutcome::Complete(pooled) = sweep_configs_pooled(&opts, &configs, &pool) else {
+        panic!("a monolithic sweep assembles every item")
+    };
+    let profiles = opts.profiles();
+    assert_eq!(profiles.len(), 18, "the paper's full profile set");
+    let fresh = parallel_map(rev_bench::default_jobs(), &profiles, |_, profile| {
+        let program = program_for(profile);
+        let cfg = cfg_stats_for(&program);
+        let audit = rev_lint::audit_program(&program, &configs[0].config).metrics();
+        let sim = RevSimulator::new(program, configs[0].config).unwrap();
+        let base = sim.run_baseline_with_warmup(opts.warmup, opts.instructions);
+        let revs = configs.iter().map(|c| run_rev_only(profile, &opts, c.config)).collect();
+        for mode in [ValidationMode::Standard, ValidationMode::Aggressive, ValidationMode::CfiOnly]
+        {
+            let config = RevConfig::paper_default().with_mode(mode);
+            let fresh = RevSimulator::new(program_for(profile), config).unwrap();
+            assert_eq!(
+                pool.table_stats(profile, &config),
+                fresh.table_stats(),
+                "{} {mode:?}: pooled table stats must match a fresh build",
+                profile.name
+            );
+        }
+        let table = sim.table_stats()[0];
+        ProfileRun { name: profile.name.to_string(), base, revs, table, cfg, audit }
+    });
+    assert_eq!(render(&pooled), render(&fresh), "the warm pool must never move a rendered byte");
 }
 
 /// Sharded sweeps merge byte-identically: partitioning the 18-profile
@@ -334,7 +361,7 @@ fn sharded_sweep_merges_byte_identical() {
 
 /// A corrupted `--ckpt-pool` disk entry can cost time, never
 /// correctness: the pool detects it (checksum / recipe / fingerprint),
-/// counts `pool.corrupt`, rebuilds fail-open, and the rebuilt fork
+/// counts `pool.corrupt`, rebuilds fail-open, and the rebuilt simulator
 /// reproduces the same measurements as the original build and as a
 /// valid disk hit.
 #[test]
@@ -373,8 +400,8 @@ fn corrupt_disk_pool_entry_is_rebuilt_fail_open() {
 }
 
 /// The superblock replay layer is a pure simulator fast path: rendering
-/// the full 18-profile sweep with `--superblocks=off` produces exactly
-/// the bytes of the default run. (The SMC / DMA / retry invalidation
+/// the full 18-profile sweep with `superblocks` off produces exactly the
+/// bytes of the default run. (The SMC / DMA / retry invalidation
 /// contracts live in `crates/rev-core/tests/smc.rs` and
 /// `retry_bound.rs`.)
 #[test]

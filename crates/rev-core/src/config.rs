@@ -62,8 +62,8 @@ pub struct RevConfig {
     /// blocks as one cached check instead of the full per-BB gate
     /// sequence. A pure simulator-speed memo — every architectural
     /// counter and snapshot is byte-identical with it off (the
-    /// equivalence suite enforces this). Default on; `--superblocks=off`
-    /// in the harnesses isolates the legacy path for A/B runs.
+    /// equivalence suite enforces this). Default on; `rev-serve` job specs
+    /// and the equivalence tests turn it off to run the legacy path.
     pub superblocks: bool,
 }
 
