@@ -933,14 +933,15 @@ impl RevMonitor {
     }
 
     /// Serializes the complete REV state: SAG residency, SC contents, CHG
-    /// in-flight queue, committed memory, deferred stores, shadow pages,
-    /// statistics, the speculative BB tracker, pending blocks, the return
-    /// latch and the enable/resync machinery. Simulator-performance
+    /// in-flight queue, the committed-memory pages that differ from the
+    /// build image `base`, deferred stores, shadow pages, statistics, the
+    /// speculative BB tracker, pending blocks, the return latch and the
+    /// enable/resync machinery. Simulator-performance
     /// caches (decoded-BB memos, digest memos, superblock memos) are
     /// *not* state — they restore cold and refill, which is functionally
     /// invisible (the architectural `rev.*` counters are pinned identical
     /// with the caches on or off).
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
+    pub fn save_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter) {
         w.tag(TAG_REV);
         self.sag.save_state(w);
         self.sc.save_state(w);
@@ -952,7 +953,7 @@ impl RevMonitor {
         }
         w.u64(enqueued);
         w.u64(flushed);
-        self.committed.save_state(w);
+        self.committed.save_state(base, w);
         self.defer.save_state(w);
         self.shadow.save_state(w);
         self.stats.save_state(w);

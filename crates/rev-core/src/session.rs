@@ -196,11 +196,19 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`CkptError`] on any integrity failure, decode error, or
-    /// fingerprint/geometry mismatch. The passed simulator is consumed;
-    /// on error it is dropped (partially overwritten state must never be
-    /// run).
+    /// fingerprint/geometry mismatch, and [`CkptError::Malformed`] if
+    /// `sim` has already stepped: a checkpoint lists only the memory
+    /// pages that differ from the build image, so it restores exactly
+    /// only onto a simulator whose memory still *is* that image. The
+    /// passed simulator is consumed; on error it is dropped (partially
+    /// overwritten state must never be run).
     pub fn restore(mut sim: RevSimulator, envelope: &[u8]) -> Result<Self, CkptError> {
         let mut r = CkptReader::new(envelope)?;
+        if sim.pipeline().now() != 0 {
+            return Err(CkptError::Malformed(
+                "cannot restore into a simulator that has already run".to_string(),
+            ));
+        }
         let _recipe = r.bytes()?;
         let target = r.u64()?;
         let fingerprint = r.u64()?;

@@ -556,10 +556,12 @@ impl RevSimulator {
     /// REV monitor) into an open checkpoint envelope. The static build
     /// products — program image, tables, configurations — are *not*
     /// written; restore targets a simulator freshly rebuilt from the same
-    /// recipe, guarded by [`RevSimulator::fingerprint`].
+    /// recipe, guarded by [`RevSimulator::fingerprint`]. Both memory
+    /// views were cloned from the build image, and so is every restore
+    /// target's, so each view writes only the pages that differ from it.
     pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        self.pipeline.save_state(w);
-        self.monitor.save_state(w);
+        self.pipeline.save_state(&self.initial_memory, w);
+        self.monitor.save_state(&self.initial_memory, w);
     }
 
     /// Restores state saved by [`RevSimulator::save_state`].

@@ -98,12 +98,11 @@ fn recipe_round_trips() {
 
 #[test]
 fn single_bit_flips_are_rejected() {
-    // Single-bit flips across a real multi-megabyte envelope must all be
-    // rejected by the trailing FNV checksum — never silently restored.
-    // The per-bit *exhaustive* sweep lives in rev-trace's codec tests
-    // (`every_bit_flip_is_rejected`, small buffers); an envelope here is
-    // megabytes and each integrity check rehashes all of it, so this
-    // level samples: every bit of the 12-byte header and the 8-byte
+    // Single-bit flips across a real envelope must all be rejected by
+    // the trailing FNV checksum — never silently restored. The per-bit
+    // *exhaustive* sweep lives in rev-trace's codec tests
+    // (`every_bit_flip_is_rejected`, small buffers); each integrity
+    // check here rehashes the whole envelope, so this level samples: every bit of the 12-byte header and the 8-byte
     // checksum, plus strided positions through the body, each with a
     // position-dependent bit.
     let s = suspended_at(60);
@@ -313,4 +312,95 @@ fn halt_on_slice_boundary_is_cycle_transparent() {
         };
         assert_eq!(text, uninterrupted, "budget={budget}");
     }
+}
+
+/// A delta checkpoint restores exactly only onto a fresh build, so a
+/// simulator that has already stepped is refused before any state
+/// reaches it.
+#[test]
+fn restore_refuses_a_simulator_that_has_run() {
+    let env = suspended_at(60).checkpoint(b"r").unwrap();
+    let mut warmed = fresh_sim();
+    warmed.warmup(30);
+    match Session::restore(warmed, &env) {
+        Err(CkptError::Malformed(msg)) => {
+            assert!(msg.contains("already run"), "unexpected message: {msg}");
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+}
+
+/// A counting loop whose bound is loaded from the module's data section
+/// on every iteration.
+fn data_bound_program() -> Program {
+    let mut b = ModuleBuilder::new("bound", 0x1000);
+    let bound = b.data_u64s(&[400]);
+    let f = b.begin_function("main");
+    let top = b.new_label();
+    b.li_data(Reg::R3, bound);
+    b.bind(top);
+    b.push(Instruction::Load { rd: Reg::R2, rbase: Reg::R3, off: 0 });
+    b.push(Instruction::AddI { rd: Reg::R1, rs: Reg::R1, imm: 1 });
+    b.push(Instruction::Store { rs: Reg::R1, rbase: Reg::R0, off: 0x200 });
+    b.branch(BranchCond::Lt, Reg::R1, Reg::R2, top);
+    b.push(Instruction::Halt);
+    b.end_function(f);
+    let mut pb = Program::builder();
+    pb.module(b.finish().unwrap());
+    pb.build()
+}
+
+/// Finishes `s` and renders the report plus digests of both memory
+/// views, so a lost or stale page shows up even where no counter moves.
+fn finish_with_memory(mut s: Session) -> String {
+    let report = loop {
+        if let SessionStatus::Done(report) = s.run(u64::MAX) {
+            break report;
+        }
+    };
+    let sim = s.simulator();
+    format!(
+        "{}|live={:#x}|committed={:#x}",
+        report_text(&report),
+        sim.pipeline().oracle().mem().content_digest(u64::MAX),
+        sim.monitor().committed().content_digest(u64::MAX)
+    )
+}
+
+/// Build-image pages rewritten mid-run by `inject` — the loop bound in
+/// the data section and the final `halt` in the code — differ from the
+/// build image, so a checkpoint must carry them: the restored run
+/// finishes exactly like the uninterrupted one, and re-checkpointing the
+/// restored session reproduces the envelope byte for byte.
+#[test]
+fn injected_code_and_data_survive_delta_checkpoint() {
+    let (halt_at, bound_at) = {
+        let p = data_bound_program();
+        let m = &p.modules()[0];
+        assert_eq!(m.decode_at(m.code_end() - 1).unwrap().0, Instruction::Halt);
+        (m.code_end() - 1, m.data_base())
+    };
+    let warmed = |inject: bool| {
+        let mut sim = RevSimulator::new(data_bound_program(), RevConfig::paper_default()).unwrap();
+        sim.warmup(100);
+        if inject {
+            sim.inject(|mem| {
+                mem.write_u64(bound_at, 250);
+                mem.write_bytes(halt_at, &Instruction::Nop.encode());
+            });
+        }
+        Session::new(sim, u64::MAX)
+    };
+    let untouched = finish_with_memory(warmed(false));
+    let uninterrupted = finish_with_memory(warmed(true));
+    assert_ne!(uninterrupted, untouched, "the injection must change the run");
+
+    let mut s = warmed(true);
+    assert!(matches!(s.run(200), SessionStatus::Yielded { .. }), "must park mid-loop");
+    let env = s.checkpoint(b"inject").unwrap();
+    drop(s);
+    let fresh = RevSimulator::new(data_bound_program(), RevConfig::paper_default()).unwrap();
+    let restored = Session::restore(fresh, &env).unwrap();
+    assert_eq!(restored.checkpoint(b"inject").unwrap(), env, "re-checkpoint differs");
+    assert_eq!(finish_with_memory(restored), uninterrupted);
 }

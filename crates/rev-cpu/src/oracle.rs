@@ -201,11 +201,12 @@ impl Oracle {
         self.halted
     }
 
-    /// Serializes architectural state and the live memory image. The
-    /// decode memo is a simulator-performance cache and is *not* saved —
-    /// a restored oracle refills it cold, which is functionally
-    /// invisible (memoized replays are byte-identical to fresh fetches).
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
+    /// Serializes architectural state and the live memory pages that
+    /// differ from `base` (see [`MainMemory::save_state`]). The decode
+    /// memo is a simulator-performance cache and is *not* saved — a
+    /// restored oracle refills it cold, which is functionally invisible
+    /// (memoized replays are byte-identical to fresh fetches).
+    pub fn save_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter) {
         for &r in &self.state.regs {
             w.u64(r);
         }
@@ -215,7 +216,7 @@ impl Oracle {
         w.u64(self.state.pc);
         w.bool(self.halted);
         w.u64(self.executed);
-        self.mem.save_state(w);
+        self.mem.save_state(base, w);
     }
 
     /// Restores state saved by [`Oracle::save_state`]. The decode memo

@@ -31,7 +31,7 @@ use crate::monitor::{CommitGate, CommitQuery, ExecMonitor, FetchEvent, StoreComm
 use crate::oracle::Oracle;
 use crate::stats::CpuStats;
 use rev_isa::{decode, FReg, InstrClass, Instruction, Reg, MAX_INSTR_LEN, REG_SP};
-use rev_mem::{FlatMap, Hierarchy, MemConfig, Request, Requester};
+use rev_mem::{FlatMap, Hierarchy, MainMemory, MemConfig, Request, Requester};
 use rev_trace::{EventKind, TraceBus, TraceEvent};
 use std::collections::VecDeque;
 
@@ -717,16 +717,17 @@ impl Pipeline {
     }
 
     /// Serializes the complete mid-flight core state — oracle
-    /// (architectural registers + live memory), memory hierarchy, branch
-    /// predictor, fetch queue, ROB, every issue/disambiguation structure,
-    /// and stats — into a checkpoint section. Scratch buffers and the
+    /// (architectural registers + the live memory pages that differ from
+    /// the build image `base`), memory hierarchy, branch predictor, fetch
+    /// queue, ROB, every issue/disambiguation structure, and stats — into
+    /// a checkpoint section. Scratch buffers and the
     /// trace bus are not state (restored pipelines start with tracing
     /// disabled, matching the fresh-build default); slab-backed tables
     /// are written as canonical sorted logical content, so a restored
     /// pipeline re-serializes byte-identically.
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
+    pub fn save_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter) {
         w.tag(TAG_CPU);
-        self.oracle.save_state(w);
+        self.oracle.save_state(base, w);
         self.mem.save_state(w);
         self.bpred.save_state(w);
         w.len(self.fetch_queue.len());

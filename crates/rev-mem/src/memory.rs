@@ -106,8 +106,8 @@ impl PageTable {
         }
     }
 
-    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.slots.iter().flatten().map(|(k, _)| *k)
+    fn iter(&self) -> impl Iterator<Item = (u64, &[u8; PAGE_SIZE])> + '_ {
+        self.slots.iter().flatten().map(|(k, p)| (*k, &**p))
     }
 }
 
@@ -265,15 +265,15 @@ impl MainMemory {
     /// Chaos campaigns compare a faulted run's committed memory against a
     /// fault-free reference with the signature-table region masked off.
     pub fn content_digest(&self, limit: u64) -> u64 {
-        let mut idxs: Vec<u64> = self.pages.keys().filter(|&i| (i << PAGE_SHIFT) < limit).collect();
-        idxs.sort_unstable();
+        let mut pages: Vec<(u64, &[u8; PAGE_SIZE])> =
+            self.pages.iter().filter(|&(i, _)| (i << PAGE_SHIFT) < limit).collect();
+        pages.sort_unstable_by_key(|&(idx, _)| idx);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |b: u8| {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        for idx in idxs {
-            let (_, page) = self.pages.get(idx).expect("listed page is resident");
+        for (idx, page) in pages {
             if page.iter().all(|&b| b == 0) {
                 continue;
             }
@@ -306,30 +306,40 @@ impl MainMemory {
         self.pages.len
     }
 
-    /// Serializes every resident page, sorted by page index (canonical
-    /// order — re-serializing a restored memory is byte-identical).
-    /// All-zero pages are written too: a page that held data at build
-    /// time and was zeroed mid-run must restore as zero, not revert to
-    /// its build-time image.
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
+    /// Serializes the resident pages whose bytes differ from `base`,
+    /// sorted by page index (canonical order — re-serializing a restored
+    /// memory is byte-identical). `base` is the build image the restore
+    /// target starts from, so only what the run changed is written. A
+    /// page absent from `base` is compared against zeros: a build-time
+    /// page zeroed mid-run is written (it must restore as zero, not
+    /// revert to its build content), while a page materialized mid-run
+    /// and left all-zero is not (an absent page already reads zero).
+    pub fn save_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter) {
+        const ZERO: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
         w.tag(TAG_MEM);
-        let mut idxs: Vec<u64> = self.pages.keys().collect();
-        idxs.sort_unstable();
-        w.len(idxs.len());
-        for idx in idxs {
-            let (_, page) = self.pages.get(idx).expect("listed page is resident");
+        let mut changed: Vec<(u64, &[u8; PAGE_SIZE])> = self
+            .pages
+            .iter()
+            .filter(|&(idx, page)| page != base.pages.get(idx).map_or(&ZERO, |(_, p)| p))
+            .collect();
+        changed.sort_unstable_by_key(|&(idx, _)| idx);
+        w.len(changed.len());
+        for (idx, page) in changed {
             w.u64(idx);
-            w.raw(&page[..]);
+            w.raw(page);
         }
     }
 
     /// Restores pages saved by [`MainMemory::save_state`], overwriting
     /// this memory's contents page by page. Restore targets a memory
-    /// rebuilt from the same program image, whose resident set is a
-    /// subset of the checkpoint's (pages are never freed within a run),
-    /// so overwriting every checkpointed page reproduces the saved state
-    /// exactly. The fault injector and last-page accelerator are left
-    /// untouched.
+    /// equal to the `base` the checkpoint was taken against (a fresh
+    /// rebuild of the same build image): every page the run changed is
+    /// in the checkpoint, and every page it did not change already holds
+    /// the right bytes, so overlaying the listed pages reproduces the
+    /// saved contents exactly. A section that also lists pages equal to
+    /// the base (as full-image checkpoints do) restores identically. The
+    /// fault injector is left untouched; the last-page accelerator is
+    /// reset.
     ///
     /// # Errors
     ///
@@ -425,5 +435,111 @@ mod tests {
         b.write_u64(0x1000, 2);
         assert_eq!(a.read_u64(0x1000), 1);
         assert_eq!(b.read_u64(0x1000), 2);
+    }
+
+    /// A build image of three resident pages: two of code at 0x1000 and
+    /// one of data at 0x8000.
+    fn build_image() -> MainMemory {
+        let code: Vec<u8> = (0..2 * PAGE_SIZE).map(|i| (i % 251) as u8 + 1).collect();
+        MainMemory::with_segments(&[
+            Segment { addr: 0x1000, bytes: code, writable: false },
+            Segment { addr: 0x8000, bytes: vec![7; 64], writable: true },
+        ])
+    }
+
+    fn delta(mem: &MainMemory, base: &MainMemory) -> Vec<u8> {
+        let mut w = rev_trace::CkptWriter::new();
+        mem.save_state(base, &mut w);
+        w.finish()
+    }
+
+    /// The page indices a sealed memory section lists.
+    fn listed(env: &[u8]) -> Vec<u64> {
+        let mut r = rev_trace::CkptReader::new(env).unwrap();
+        r.tag(TAG_MEM).unwrap();
+        let n = r.len(8 + PAGE_SIZE).unwrap();
+        (0..n)
+            .map(|_| {
+                let idx = r.u64().unwrap();
+                r.raw(PAGE_SIZE).unwrap();
+                idx
+            })
+            .collect()
+    }
+
+    /// Overlays a sealed section onto a fresh copy of `base`.
+    fn restored(base: &MainMemory, env: &[u8]) -> MainMemory {
+        let mut mem = base.clone();
+        let mut r = rev_trace::CkptReader::new(env).unwrap();
+        mem.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        mem
+    }
+
+    #[test]
+    fn clone_of_base_writes_no_pages() {
+        let base = build_image();
+        assert_eq!(listed(&delta(&base.clone(), &base)), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn one_byte_write_writes_one_page() {
+        let base = build_image();
+        let mut mem = base.clone();
+        mem.write_u8(0x1abc, 0);
+        let env = delta(&mem, &base);
+        assert_eq!(listed(&env), vec![1]);
+        let back = restored(&base, &env);
+        assert_eq!(back.read_bytes(0x1000, 2 * PAGE_SIZE), mem.read_bytes(0x1000, 2 * PAGE_SIZE));
+        assert_eq!(delta(&back, &base), env, "re-save must be byte-identical");
+    }
+
+    #[test]
+    fn zeroed_build_page_is_written_and_restores_zero() {
+        let base = build_image();
+        let mut mem = base.clone();
+        mem.write_bytes(0x8000, &[0; 64]);
+        let env = delta(&mem, &base);
+        assert_eq!(listed(&env), vec![8]);
+        let back = restored(&base, &env);
+        assert_eq!(back.read_bytes(0x8000, 64), vec![0; 64], "must not revert to build content");
+    }
+
+    #[test]
+    fn new_all_zero_page_is_not_written_and_reads_zero() {
+        let base = build_image();
+        let mut mem = base.clone();
+        mem.write_u64(0x20_0000, 5);
+        mem.write_u64(0x20_0000, 0);
+        assert_eq!(mem.resident_pages(), base.resident_pages() + 1);
+        let env = delta(&mem, &base);
+        assert_eq!(listed(&env), Vec::<u64>::new());
+        assert_eq!(restored(&base, &env).read_u64(0x20_0000), 0);
+    }
+
+    #[test]
+    fn full_section_restores_like_delta() {
+        // Full-image checkpoints list every resident page, including the
+        // ones equal to the base; overlaying them must change nothing.
+        let base = build_image();
+        let mut mem = base.clone();
+        mem.write_u8(0x2010, 0xee);
+        mem.write_u64(0x40_0000, 9);
+        let mut pages: Vec<(u64, &[u8; PAGE_SIZE])> = mem.pages.iter().collect();
+        pages.sort_unstable_by_key(|&(idx, _)| idx);
+        let mut w = rev_trace::CkptWriter::new();
+        w.tag(TAG_MEM);
+        w.len(pages.len());
+        for (idx, page) in pages {
+            w.u64(idx);
+            w.raw(page);
+        }
+        let full = w.finish();
+        let env = delta(&mem, &base);
+        assert_eq!(listed(&env), vec![2, 0x400]);
+        let (from_full, from_delta) = (restored(&base, &full), restored(&base, &env));
+        assert_eq!(from_full.content_digest(u64::MAX), mem.content_digest(u64::MAX));
+        assert_eq!(from_delta.content_digest(u64::MAX), mem.content_digest(u64::MAX));
+        assert_eq!(delta(&from_full, &base), env);
     }
 }

@@ -25,87 +25,90 @@ use std::io::{BufReader, Write as _};
 use std::net::TcpListener;
 use std::time::Duration;
 
+/// The flag summary printed under a usage error.
+const USAGE: &str = "usage: rev-serve [--workers N] [--slice N] [--queue-cap N] [--retries N]
+                 [--backoff-ms N] [--ckpt-every N] [--listen ADDR]
+                 [--idle-timeout SECS] [--verbose]
+                 [--chaos-panic ID:SLICE] [--chaos-corrupt ID] [--chaos-stall ID:MS]";
+
+/// A parsed command line.
+struct Cli {
+    opts: ServeOptions,
+    listen: Option<String>,
+    idle_timeout: Option<Duration>,
+}
+
+/// Parses an integer flag value.
+fn int<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("{flag} must be an integer, got '{v}'"))
+}
+
 /// Splits `ID:VALUE` (last colon wins, so ids may contain colons).
-fn id_value(flag: &str, arg: &str) -> (String, u64) {
+fn id_value(flag: &str, arg: &str) -> Result<(String, u64), String> {
     let (id, value) =
-        arg.rsplit_once(':').unwrap_or_else(|| panic!("{flag} expects ID:VALUE, got '{arg}'"));
-    let value = value.parse().unwrap_or_else(|_| panic!("{flag}: '{value}' is not an integer"));
-    (id.to_string(), value)
+        arg.rsplit_once(':').ok_or_else(|| format!("{flag} expects ID:VALUE, got '{arg}'"))?;
+    Ok((id.to_string(), int(flag, value)?))
+}
+
+/// Parses the argument list (everything after the binary name).
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    let mut cli = Cli {
+        opts: ServeOptions { quiet: true, ..Default::default() },
+        listen: None,
+        idle_timeout: None,
+    };
+    let opts = &mut cli.opts;
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag {
+            "--workers" => opts.workers = int(flag, &value()?)?,
+            "--slice" => {
+                opts.slice = int(flag, &value()?)?;
+                if opts.slice == 0 {
+                    return Err("--slice must be at least 1".to_string());
+                }
+            }
+            "--queue-cap" => opts.queue_cap = int(flag, &value()?)?,
+            "--retries" => opts.max_retries = int(flag, &value()?)?,
+            "--backoff-ms" => opts.retry_backoff_ms = int(flag, &value()?)?,
+            "--ckpt-every" => opts.ckpt_every = int(flag, &value()?)?,
+            "--listen" => cli.listen = Some(value()?),
+            "--idle-timeout" => {
+                let secs: u64 = int(flag, &value()?)?;
+                if secs == 0 {
+                    return Err("--idle-timeout must be at least 1 second".to_string());
+                }
+                cli.idle_timeout = Some(Duration::from_secs(secs));
+            }
+            "--chaos-panic" => opts.chaos.panics.push(id_value(flag, &value()?)?),
+            "--chaos-corrupt" => opts.chaos.corrupt_ckpt.push(value()?),
+            "--chaos-stall" => opts.chaos.stall_ms.push(id_value(flag, &value()?)?),
+            "--verbose" => opts.quiet = false,
+            other => return Err(format!("unknown argument '{other}'")),
+        }
+    }
+    Ok(cli)
 }
 
 fn main() {
-    let mut opts = ServeOptions { quiet: true, ..Default::default() };
-    let mut listen: Option<String> = None;
-    let mut idle_timeout: Option<Duration> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--workers" => {
-                let v = args.next().expect("--workers needs a value");
-                opts.workers = v.parse().expect("--workers must be an integer");
-            }
-            "--slice" => {
-                let v = args.next().expect("--slice needs a value");
-                opts.slice = v.parse().expect("--slice must be an integer");
-                assert!(opts.slice >= 1, "--slice must be at least 1");
-            }
-            "--queue-cap" => {
-                let v = args.next().expect("--queue-cap needs a value");
-                opts.queue_cap = v.parse().expect("--queue-cap must be an integer");
-            }
-            "--retries" => {
-                let v = args.next().expect("--retries needs a value");
-                opts.max_retries = v.parse().expect("--retries must be an integer");
-            }
-            "--backoff-ms" => {
-                let v = args.next().expect("--backoff-ms needs a value");
-                opts.retry_backoff_ms = v.parse().expect("--backoff-ms must be an integer");
-            }
-            "--ckpt-every" => {
-                let v = args.next().expect("--ckpt-every needs a value");
-                opts.ckpt_every = v.parse().expect("--ckpt-every must be an integer");
-            }
-            "--listen" => {
-                listen = Some(args.next().expect("--listen needs an address (host:port)"));
-            }
-            "--idle-timeout" => {
-                let v = args.next().expect("--idle-timeout needs seconds");
-                let secs: u64 = v.parse().expect("--idle-timeout must be an integer");
-                assert!(secs >= 1, "--idle-timeout must be at least 1 second");
-                idle_timeout = Some(Duration::from_secs(secs));
-            }
-            "--chaos-panic" => {
-                let v = args.next().expect("--chaos-panic needs ID:SLICE");
-                opts.chaos.panics.push(id_value("--chaos-panic", &v));
-            }
-            "--chaos-corrupt" => {
-                let v = args.next().expect("--chaos-corrupt needs a job id");
-                opts.chaos.corrupt_ckpt.push(v);
-            }
-            "--chaos-stall" => {
-                let v = args.next().expect("--chaos-stall needs ID:MS");
-                opts.chaos.stall_ms.push(id_value("--chaos-stall", &v));
-            }
-            "--verbose" => opts.quiet = false,
-            other => {
-                eprintln!(
-                    "rev-serve: unknown argument '{other}' \
-                     (expected --workers, --slice, --queue-cap, --retries, --backoff-ms, \
-                     --ckpt-every, --listen, --idle-timeout, --verbose, \
-                     --chaos-panic, --chaos-corrupt, --chaos-stall)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let Cli { opts, listen, idle_timeout } =
+        parse(std::env::args().skip(1)).unwrap_or_else(|err| {
+            eprintln!("rev-serve: {err}");
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        });
     match listen {
         None => {
             let stdin = std::io::stdin();
             serve(stdin.lock(), std::io::stdout(), &opts);
         }
         Some(addr) => {
-            let listener = TcpListener::bind(&addr)
-                .unwrap_or_else(|e| panic!("rev-serve: cannot bind {addr}: {e}"));
+            let listener = TcpListener::bind(&addr).unwrap_or_else(|e| {
+                eprintln!("rev-serve: cannot bind {addr}: {e}");
+                std::process::exit(1);
+            });
             if !opts.quiet {
                 eprintln!("rev-serve: listening on {addr}");
             }

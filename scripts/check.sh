@@ -43,15 +43,53 @@ cargo run --release -q -p rev-lint -- --all --scale 0.05 --format json >/dev/nul
 # (the benchmark's sweep-quick workload requires the same bytes). Pooled
 # vs fresh-simulator identity is hard-gated by the equivalence suite
 # (crates/rev-bench/tests/equivalence.rs) — see DESIGN.md §13.
+# The same run's wall clock feeds the soft check against
+# baselines/quick.time (warn, never fail): >2% over the recorded
+# reference plus a 25% host-noise allowance.
 echo "==> quick sweep snapshot vs baselines/quick.json byte-diff (hard gate)"
 quick_dir="$(mktemp -d /tmp/quick_gate.XXXXXX)"
+t0=$(date +%s.%N)
 cargo run --release -q -p rev-bench --bin reproduce_all -- \
     --quick --quiet --json "$quick_dir/quick.json" >/dev/null
+t1=$(date +%s.%N)
 if ! diff -u baselines/quick.json "$quick_dir/quick.json"; then
     echo "FAIL: quick sweep snapshot differs from baselines/quick.json."
     exit 1
 fi
 rm -rf "$quick_dir"
+if [ -f baselines/quick.time ]; then
+    python3 - "$t0" "$t1" <<'EOF' || true
+import sys
+t0, t1 = float(sys.argv[1]), float(sys.argv[2])
+ref = float(open("baselines/quick.time").read())
+now = t1 - t0
+limit = ref * 1.02 * 1.25  # 2% overhead budget + host-noise allowance
+print(f"    quick sweep wall clock: {now:.1f}s (reference {ref:.1f}s)")
+if now > limit:
+    print(f"WARN: wall clock exceeds {limit:.1f}s — tracing taps may have grown a hot-path cost (soft gate).")
+EOF
+fi
+
+# Warm-pool disk round-trip gate (hard): the first run on a fresh
+# --ckpt-pool directory warms every simulator and seals it to disk; the
+# second restores each one from those delta checkpoints (build image
+# plus changed pages). Both stdout and JSON must be byte-identical.
+echo "==> --ckpt-pool disk round-trip (hard gate)"
+pool_dir="$(mktemp -d /tmp/pool_gate.XXXXXX)"
+for run in first second; do
+    cargo run --release -q -p rev-bench --bin reproduce_all -- \
+        --quick --quiet --bench mcf --ckpt-pool "$pool_dir/pool" \
+        --json "$pool_dir/$run.json" > "$pool_dir/$run.txt"
+done
+if ! diff -u "$pool_dir/first.txt" "$pool_dir/second.txt"; then
+    echo "FAIL: stdout after restoring from --ckpt-pool differs from the warming run."
+    exit 1
+fi
+if ! diff -u "$pool_dir/first.json" "$pool_dir/second.json"; then
+    echo "FAIL: snapshot after restoring from --ckpt-pool differs from the warming run."
+    exit 1
+fi
+rm -rf "$pool_dir"
 
 # Shard merge-identity gate (hard): split one benchmark's sweep grid
 # across two shard processes, merge the sealed items with --resume, and
@@ -161,35 +199,6 @@ if ! diff -q baselines/audit_quick.json "$audit" >/dev/null; then
     echo "      cargo run --release -p rev-lint -- --all --scale 0.05 --audit-json baselines/audit_quick.json"
 fi
 rm -f "$audit"
-
-# Soft gates (warn, never fail): regenerate the quick-mode measurement
-# snapshot, diff it against the committed baseline with rev-trace, and
-# sanity-check that the tracing-disabled sweep's wall clock has not
-# drifted (>2% over the recorded reference + 25% host-noise allowance).
-echo "==> rev-trace compare vs baselines/quick.json (soft gate)"
-snap="$(mktemp /tmp/bench_rev.XXXXXX.json)"
-t0=$(date +%s.%N)
-cargo run --release -q -p rev-bench --bin reproduce_all -- \
-    --quick --quiet --json "$snap" >/dev/null
-t1=$(date +%s.%N)
-if ! cargo run --release -q -p rev-trace -- compare baselines/quick.json "$snap"; then
-    echo "WARN: measurements drifted from baselines/quick.json (soft gate)."
-    echo "      If intentional, regenerate with:"
-    echo "      cargo run --release -p rev-bench --bin reproduce_all -- --quick --quiet --json baselines/quick.json"
-fi
-if [ -f baselines/quick.time ]; then
-    python3 - "$t0" "$t1" <<'EOF' || true
-import sys
-t0, t1 = float(sys.argv[1]), float(sys.argv[2])
-ref = float(open("baselines/quick.time").read())
-now = t1 - t0
-limit = ref * 1.02 * 1.25  # 2% overhead budget + host-noise allowance
-print(f"    quick sweep wall clock: {now:.1f}s (reference {ref:.1f}s)")
-if now > limit:
-    print(f"WARN: wall clock exceeds {limit:.1f}s — tracing taps may have grown a hot-path cost (soft gate).")
-EOF
-fi
-rm -f "$snap"
 
 # Perf soft gate (warn, never fail): simulator throughput per profile vs
 # the committed baseline with a ±15% band. The perf binary exits 2 on
