@@ -5,25 +5,31 @@
 //! ## Hot-loop layout
 //!
 //! The per-cycle stages are the simulator's innermost loop, so the ROB is
-//! engineered for scan cost, not elegance:
+//! engineered for lookup cost, not elegance:
 //!
-//! * [`Slot`] is `#[repr(C)]` with the scan-hot fields (stage, flags,
-//!   seq, sources, completion cycle) packed into the leading bytes, and
-//!   everything an instruction only needs once (oracle results, predictor
-//!   checkpoint) behind them. Per-slot facts that used to be recomputed
-//!   per probe (`InstrClass`, load/store-ness, the oracle's effective
-//!   address) are resolved once at fetch into plain fields and flag bits.
+//! * The [`Rob`] is a fixed ring of `rob_size.next_power_of_two()`
+//!   slots. An instruction keeps its slot index (its [`Handle`]) from
+//!   dispatch to commit or squash, so every cross-reference — the rename
+//!   map, the ready/waiting-store/executing lists, the wakeup lists — is
+//!   a direct index, never a search by seq. Seq stays the age order and
+//!   the guard against stale handles (a squashed slot's seq is cleared).
+//! * [`Slot`] is `#[repr(C)]` with the hot fields (stage, flags, seq,
+//!   completion cycle) packed into the leading bytes, and everything an
+//!   instruction only needs once (oracle results, predictor checkpoint)
+//!   behind them. Per-slot facts that used to be recomputed per probe
+//!   (`InstrClass`, load/store-ness, the oracle's effective address) are
+//!   resolved once at fetch into plain fields and flag bits.
 //! * Issue is event-driven and never rescans the ROB: dispatch registers
-//!   each slot's in-flight sources in a slab-backed [`WakeupTable`],
+//!   each slot's in-flight sources in a per-slot [`WakeupTable`],
 //!   completion wakes the subscribed consumers, and issue walks only the
-//!   sorted ready list (plus a sorted waiting-store list that preserves
-//!   the conservative disambiguation the old full scan derived from
-//!   not-yet-issued stores). Committed/in-flight store addresses live in
-//!   a slab-backed [`StoreTracker`] updated at issue/complete/commit/
-//!   squash.
-//! * Completion keeps a count of executing slots and the minimum
-//!   `complete_at` among them, so cycles with nothing to retire skip the
-//!   stage entirely.
+//!   age-ordered ready list (plus an age-ordered waiting-store list that
+//!   preserves the conservative disambiguation the old full scan derived
+//!   from not-yet-issued stores). Committed/in-flight store addresses
+//!   live in a slab-backed [`StoreTracker`] updated at issue/complete/
+//!   commit/squash.
+//! * Completion walks an age-ordered list of the executing slots and
+//!   their completion cycles, and keeps the minimum `complete_at` among
+//!   them, so cycles with nothing to retire skip the stage entirely.
 
 use crate::bpred::{BranchPredictor, PredictorCheckpoint};
 use crate::config::CpuConfig;
@@ -165,9 +171,9 @@ const F_HAS_MEM: u16 = 1 << 10; // `mem_addr` valid
 /// Checkpoint section marker for the pipeline.
 const TAG_CPU: u8 = 0x50; // 'P'
 
-/// One in-flight instruction. `#[repr(C)]` keeps the issue/complete scan
-/// fields in the leading bytes so a skipped slot touches one cache line.
-#[derive(Debug, Clone)]
+/// One in-flight instruction. `#[repr(C)]` keeps the fields the stages
+/// touch per cycle in the leading bytes.
+#[derive(Debug, Clone, Copy)]
 #[repr(C)]
 struct Slot {
     stage: Stage,
@@ -177,9 +183,12 @@ struct Slot {
     /// enters the ready list when this reaches zero.
     unready: u8,
     flags: u16,
+    /// Fetch order; 0 marks a vacant (never filled or squashed) ROB slot.
     seq: u64,
     mem_addr: u64, // valid iff F_HAS_MEM
     complete_at: u64,
+    /// Producer seqs as renamed at dispatch (checkpoint content only:
+    /// the wakeup lists carry the live dependences).
     srcs: [u64; 2],
     addr: u64,
     next_pc: u64,     // oracle next PC, valid iff F_HAS_DYN
@@ -191,6 +200,25 @@ struct Slot {
 }
 
 impl Slot {
+    const VACANT: Slot = Slot {
+        stage: Stage::Done,
+        class: InstrClass::Other,
+        src_count: 0,
+        unready: 0,
+        flags: 0,
+        seq: 0,
+        mem_addr: 0,
+        complete_at: 0,
+        srcs: [0; 2],
+        addr: 0,
+        next_pc: 0,
+        store_value: 0,
+        dispatch_ready: 0,
+        history_at_predict: 0,
+        insn: Instruction::Nop,
+        checkpoint: None,
+    };
+
     #[inline]
     fn is_load(&self) -> bool {
         self.flags & F_LOAD != 0
@@ -285,49 +313,187 @@ impl Slot {
 
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Copy)]
-struct WakeNode {
-    consumer: u64,
-    next: u32,
+/// A ROB slot index. An instruction keeps its handle from dispatch until
+/// it commits or is squashed; its seq tells a live handle from a stale one.
+type Handle = u32;
+
+/// The reorder buffer: a fixed ring of `rob_size.next_power_of_two()`
+/// slots, oldest at `head`. Handles index `slots` directly, and a live
+/// handle's distance from the head is its age rank, so nothing ever
+/// searches the window by seq.
+#[derive(Debug, Clone)]
+struct Rob {
+    slots: Vec<Slot>,
+    head: usize,
+    len: usize,
+    mask: usize,
 }
 
-/// Producer-seq → waiting-consumer-seq lists for event-driven issue: a
-/// consumer whose source is still executing registers here at dispatch and
-/// is woken (its `unready` count dropped) when the producer completes.
-/// Nodes live in a slab with a free list, so steady state allocates
-/// nothing. Entries for squashed consumers are skipped lazily at wake time
-/// (seqs are never reused); entries keyed by a squashed producer are
-/// dropped eagerly during the squash walk.
-#[derive(Debug, Clone, Default)]
+impl Rob {
+    fn new(rob_size: usize) -> Rob {
+        let cap = rob_size.next_power_of_two();
+        Rob { slots: vec![Slot::VACANT; cap], head: 0, len: 0, mask: cap - 1 }
+    }
+
+    fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Age rank of a live handle (0 = head).
+    #[inline]
+    fn age(&self, h: Handle) -> usize {
+        (h as usize).wrapping_sub(self.head) & self.mask
+    }
+
+    /// The handle at age rank `age`.
+    #[inline]
+    fn handle(&self, age: usize) -> Handle {
+        ((self.head + age) & self.mask) as Handle
+    }
+
+    fn front(&self) -> Option<&Slot> {
+        (self.len > 0).then(|| &self.slots[self.head])
+    }
+
+    fn push_back(&mut self, slot: Slot) -> Handle {
+        debug_assert!(self.len < self.capacity(), "ROB ring overflow");
+        let h = self.handle(self.len);
+        self.slots[h as usize] = slot;
+        self.len += 1;
+        h
+    }
+
+    fn pop_front(&mut self) -> Slot {
+        debug_assert!(self.len > 0, "pop from an empty ROB");
+        let s = self.slots[self.head];
+        self.head = (self.head + 1) & self.mask;
+        self.len -= 1;
+        s
+    }
+
+    /// Drops every slot younger than the first `len` (squash).
+    fn truncate(&mut self, len: usize) {
+        debug_assert!(len <= self.len);
+        self.len = len;
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(Slot::VACANT);
+        self.head = 0;
+        self.len = 0;
+    }
+
+    /// Live handles, oldest first.
+    fn handles(&self) -> impl Iterator<Item = Handle> + '_ {
+        (0..self.len).map(|a| self.handle(a))
+    }
+
+    /// Live slots, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &Slot> + '_ {
+        self.handles().map(|h| &self.slots[h as usize])
+    }
+
+    /// Where an entry for live handle `h` goes in an age-ordered list.
+    #[inline]
+    fn age_pos<T>(&self, list: &[T], h: Handle, key: impl Fn(&T) -> Handle) -> usize {
+        let age = self.age(h);
+        match list.last() {
+            Some(last) if self.age(key(last)) < age => list.len(),
+            None => 0,
+            _ => list.partition_point(|e| self.age(key(e)) < age),
+        }
+    }
+
+    /// Removes `h` from an age-ordered handle list, if present.
+    #[inline]
+    fn age_remove(&self, list: &mut Vec<Handle>, h: Handle) {
+        let i = self.age_pos(list, h, |&e| e);
+        if list.get(i) == Some(&h) {
+            list.remove(i);
+        }
+    }
+
+    /// Drops the entries of an age-ordered list that are no longer live
+    /// (the squashed tail).
+    fn truncate_dead<T>(&self, list: &mut Vec<T>, key: impl Fn(&T) -> Handle) {
+        let keep = list.partition_point(|e| self.age(key(e)) < self.len);
+        list.truncate(keep);
+    }
+}
+
+impl std::ops::Index<Handle> for Rob {
+    type Output = Slot;
+    #[inline]
+    fn index(&self, h: Handle) -> &Slot {
+        &self.slots[h as usize]
+    }
+}
+
+impl std::ops::IndexMut<Handle> for Rob {
+    #[inline]
+    fn index_mut(&mut self, h: Handle) -> &mut Slot {
+        &mut self.slots[h as usize]
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct WakeNode {
+    consumer: Handle,
+    next: u32,
+    seq: u64, // the consumer's seq at registration
+}
+
+/// Per-producer lists of waiting consumers for event-driven issue: a
+/// consumer whose source is still executing registers under the
+/// producer's handle at dispatch and is woken (its `unready` count
+/// dropped) when the producer completes. Nodes live in a slab with a free
+/// list, so steady state allocates nothing. Entries for squashed
+/// consumers are skipped lazily at wake time (their recorded seq no
+/// longer matches the slot); lists of a squashed producer are dropped
+/// eagerly during the squash walk.
+#[derive(Debug, Clone)]
 struct WakeupTable {
-    heads: FlatMap<u64, u32>,
+    heads: Vec<u32>, // per ROB slot
     slab: Vec<WakeNode>,
     free: Vec<u32>,
 }
 
 impl WakeupTable {
-    fn register(&mut self, producer: u64, consumer: u64) {
-        let next = self.heads.get(&producer).copied().unwrap_or(NIL);
-        let node = match self.free.pop() {
+    fn new(slots: usize) -> WakeupTable {
+        WakeupTable { heads: vec![NIL; slots], slab: Vec::new(), free: Vec::new() }
+    }
+
+    fn register(&mut self, producer: Handle, consumer: Handle, seq: u64) {
+        let next = self.heads[producer as usize];
+        let node = WakeNode { consumer, next, seq };
+        let i = match self.free.pop() {
             Some(i) => {
-                self.slab[i as usize] = WakeNode { consumer, next };
+                self.slab[i as usize] = node;
                 i
             }
             None => {
-                self.slab.push(WakeNode { consumer, next });
+                self.slab.push(node);
                 (self.slab.len() - 1) as u32
             }
         };
-        self.heads.insert(producer, node);
+        self.heads[producer as usize] = i;
     }
 
-    /// Removes the producer's list, pushing its consumers into `out`.
-    fn drain(&mut self, producer: u64, out: &mut Vec<u64>) {
-        let Some(head) = self.heads.remove(&producer) else { return };
-        let mut cur = head;
+    /// Empties the producer's list, pushing its `(consumer, seq)` entries
+    /// into `out`.
+    fn drain(&mut self, producer: Handle, out: &mut Vec<(Handle, u64)>) {
+        let mut cur = std::mem::replace(&mut self.heads[producer as usize], NIL);
         while cur != NIL {
             let n = self.slab[cur as usize];
-            out.push(n.consumer);
+            out.push((n.consumer, n.seq));
             self.free.push(cur);
             cur = n.next;
         }
@@ -335,76 +501,28 @@ impl WakeupTable {
 
     /// Drops the producer's list without waking anyone (squash path: every
     /// registered consumer is younger and being squashed too).
-    fn remove_key(&mut self, producer: u64) {
-        let Some(head) = self.heads.remove(&producer) else { return };
-        let mut cur = head;
+    fn remove_key(&mut self, producer: Handle) {
+        let mut cur = std::mem::replace(&mut self.heads[producer as usize], NIL);
         while cur != NIL {
             self.free.push(cur);
             cur = self.slab[cur as usize].next;
         }
     }
 
-    /// Serializes the logical content (producer → sorted consumer list).
-    /// Slab layout and hash order never leak into the checkpoint; drain
-    /// order is commutative (each wake only decrements a counter and
-    /// sorted-inserts into the ready list), so rebuilding from sorted
-    /// lists is behavior-identical.
-    fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        let mut producers: Vec<u64> = self.heads.keys().copied().collect();
-        producers.sort_unstable();
-        w.len(producers.len());
-        let mut consumers = Vec::new();
-        for p in producers {
-            consumers.clear();
-            let mut cur = self.heads[&p];
-            while cur != NIL {
+    fn has_waiters(&self, producer: Handle) -> bool {
+        self.heads[producer as usize] != NIL
+    }
+
+    /// The producer's registered entries, newest registration first.
+    fn entries(&self, producer: Handle) -> impl Iterator<Item = WakeNode> + '_ {
+        let mut cur = self.heads[producer as usize];
+        std::iter::from_fn(move || {
+            (cur != NIL).then(|| {
                 let n = self.slab[cur as usize];
-                consumers.push(n.consumer);
                 cur = n.next;
-            }
-            consumers.sort_unstable();
-            w.u64(p);
-            w.u64_slice(&consumers);
-        }
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        *self = WakeupTable::default();
-        let n = r.len(8)?;
-        for _ in 0..n {
-            let p = r.u64()?;
-            for c in r.u64_slice()? {
-                self.register(p, c);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Inserts `seq` into an ascending sorted vec (no-op duplicate guard in
-/// debug builds only; callers never insert twice).
-#[inline]
-fn sorted_insert(v: &mut Vec<u64>, seq: u64) {
-    match v.last() {
-        Some(&last) if last < seq => v.push(seq),
-        None => v.push(seq),
-        _ => {
-            let i = v.partition_point(|&s| s < seq);
-            debug_assert!(v.get(i) != Some(&seq), "duplicate ready/store seq");
-            v.insert(i, seq);
-        }
-    }
-}
-
-/// Removes `seq` from an ascending sorted vec, if present.
-#[inline]
-fn sorted_remove(v: &mut Vec<u64>, seq: u64) {
-    let i = v.partition_point(|&s| s < seq);
-    if v.get(i) == Some(&seq) {
-        v.remove(i);
+                n
+            })
+        })
     }
 }
 
@@ -530,6 +648,21 @@ impl StoreTracker {
         best
     }
 
+    /// Every tracked store as `(addr, seq, data ready)`, each address's
+    /// stores in list order.
+    fn entries(&self) -> impl Iterator<Item = (u64, u64, bool)> + '_ {
+        self.heads.iter().flat_map(move |(&addr, &head)| {
+            let mut cur = head;
+            std::iter::from_fn(move || {
+                (cur != NIL).then(|| {
+                    let n = self.slab[cur as usize];
+                    cur = n.next;
+                    (addr, n.seq, n.done)
+                })
+            })
+        })
+    }
+
     /// Serializes the logical content: per address (sorted), the
     /// seq-ascending list of in-flight stores with their data-ready bits.
     fn save_state(&self, w: &mut rev_trace::CkptWriter) {
@@ -575,6 +708,35 @@ impl StoreTracker {
     }
 }
 
+/// Issue slots and memory ports claimed so far in one cycle.
+#[derive(Debug, Default)]
+struct IssuePorts {
+    issued: usize,
+    loads: usize,
+    stores: usize,
+}
+
+fn malformed(what: String) -> rev_trace::CkptError {
+    rev_trace::CkptError::Malformed(what)
+}
+
+/// The pipeline's cross-structure content keyed by seq, the form
+/// checkpoints carry: lists sorted by seq, wakeup lists as producer →
+/// sorted consumers, and the rename map's writer seqs.
+#[derive(Debug, Clone)]
+struct SeqLinks {
+    iq_occupancy: u64,
+    lsq_occupancy: u64,
+    first_executing_seq: u64,
+    executing_count: u64,
+    next_complete_at: u64,
+    ready: Vec<u64>,
+    waiting_stores: Vec<u64>,
+    wakeups: Vec<(u64, Vec<u64>)>,
+    last_writer: [Option<u64>; 64],
+    in_flight_writers: u64,
+}
+
 /// The out-of-order core.
 ///
 /// Construct with a loaded [`Oracle`] and run against an [`ExecMonitor`].
@@ -589,28 +751,28 @@ pub struct Pipeline {
     mem: Hierarchy,
     bpred: BranchPredictor,
     fetch_queue: VecDeque<Slot>,
-    rob: VecDeque<Slot>,
+    rob: Rob,
     // Incremental ROB occupancy by stage/kind, kept in sync by
     // dispatch/issue/commit/squash so dispatch doesn't rescan the ROB.
     iq_occupancy: usize,
     lsq_occupancy: usize,
-    // Complete scan bounds: conservative lower bound on the seq of the
-    // oldest Executing slot (u64::MAX = none), plus the executing
-    // population and its earliest completion cycle.
-    first_executing_seq: u64,
-    executing_count: usize,
+    // Executing slots in age order with their completion cycles, and the
+    // earliest of those cycles (u64::MAX = none).
+    executing: Vec<(Handle, u64)>,
     next_complete_at: u64,
-    // Event-driven issue: sorted seqs of Waiting slots whose sources are
-    // all complete (or committed), sorted seqs of Waiting store-class
-    // slots (conservative disambiguation), and the producer → consumer
-    // wakeup lists that maintain `ready` without rescanning the ROB.
-    ready: Vec<u64>,
-    waiting_stores: Vec<u64>,
+    // Event-driven issue: age-ordered Waiting slots whose sources are all
+    // complete (or committed), age-ordered Waiting store-class slots
+    // (conservative disambiguation), and the producer → consumer wakeup
+    // lists that maintain `ready` without rescanning the ROB.
+    ready: Vec<Handle>,
+    waiting_stores: Vec<Handle>,
     wakeups: WakeupTable,
-    ready_scratch: Vec<u64>,
-    wake_buf: Vec<u64>,
+    wake_buf: Vec<(Handle, u64)>,
     stores: StoreTracker,
-    last_writer: [Option<u64>; 64],
+    // Rename map: each register's last writer as (handle, seq). The
+    // handle is only valid while the writer is still in the ROB (its seq
+    // is at least the head's); a committed writer's slot may be reused.
+    last_writer: [Option<(Handle, u64)>; 64],
     in_flight_writers: usize,
     next_seq: u64,
     now: u64,
@@ -635,6 +797,8 @@ impl Pipeline {
     /// Creates a pipeline over a ready-to-run oracle.
     pub fn new(config: CpuConfig, mem_config: MemConfig, oracle: Oracle) -> Self {
         let entry = oracle.state().pc;
+        let rob = Rob::new(config.rob_size);
+        let wakeups = WakeupTable::new(rob.capacity());
         Pipeline {
             bpred: BranchPredictor::new(config.predictor),
             fpu_free: vec![0; config.fpu_units],
@@ -643,16 +807,14 @@ impl Pipeline {
             oracle,
             mem: Hierarchy::new(mem_config),
             fetch_queue: VecDeque::new(),
-            rob: VecDeque::new(),
+            rob,
             iq_occupancy: 0,
             lsq_occupancy: 0,
-            first_executing_seq: u64::MAX,
-            executing_count: 0,
+            executing: Vec::new(),
             next_complete_at: u64::MAX,
             ready: Vec::new(),
             waiting_stores: Vec::new(),
-            wakeups: WakeupTable::default(),
-            ready_scratch: Vec::new(),
+            wakeups,
             wake_buf: Vec::new(),
             stores: StoreTracker::default(),
             last_writer: [None; 64],
@@ -722,10 +884,39 @@ impl Pipeline {
     /// queue, ROB, every issue/disambiguation structure, and stats — into
     /// a checkpoint section. Scratch buffers and the
     /// trace bus are not state (restored pipelines start with tracing
-    /// disabled, matching the fresh-build default); slab-backed tables
-    /// are written as canonical sorted logical content, so a restored
-    /// pipeline re-serializes byte-identically.
+    /// disabled, matching the fresh-build default); slab-backed and
+    /// handle-keyed tables are written as canonical seq-sorted logical
+    /// content, so a restored pipeline re-serializes byte-identically.
     pub fn save_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter) {
+        self.write_state(base, w, &self.seq_links());
+    }
+
+    /// The seq-keyed form of every handle-keyed structure, as
+    /// checkpoints carry it (handles name ring positions of one process
+    /// and never leave it).
+    fn seq_links(&self) -> SeqLinks {
+        let seqs = |list: &[Handle]| list.iter().map(|&h| self.rob[h].seq).collect();
+        let mut wakeups = Vec::new();
+        for h in self.rob.handles().filter(|&h| self.wakeups.has_waiters(h)) {
+            let mut consumers: Vec<u64> = self.wakeups.entries(h).map(|n| n.seq).collect();
+            consumers.sort_unstable();
+            wakeups.push((self.rob[h].seq, consumers));
+        }
+        SeqLinks {
+            iq_occupancy: self.iq_occupancy as u64,
+            lsq_occupancy: self.lsq_occupancy as u64,
+            first_executing_seq: self.executing.first().map_or(u64::MAX, |&(h, _)| self.rob[h].seq),
+            executing_count: self.executing.len() as u64,
+            next_complete_at: self.next_complete_at,
+            ready: seqs(&self.ready),
+            waiting_stores: seqs(&self.waiting_stores),
+            wakeups,
+            last_writer: self.last_writer.map(|w| w.map(|(_, seq)| seq)),
+            in_flight_writers: self.in_flight_writers as u64,
+        }
+    }
+
+    fn write_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter, links: &SeqLinks) {
         w.tag(TAG_CPU);
         self.oracle.save_state(base, w);
         self.mem.save_state(w);
@@ -735,22 +926,26 @@ impl Pipeline {
             s.save_state(w);
         }
         w.len(self.rob.len());
-        for s in &self.rob {
+        for s in self.rob.iter() {
             s.save_state(w);
         }
-        w.u64(self.iq_occupancy as u64);
-        w.u64(self.lsq_occupancy as u64);
-        w.u64(self.first_executing_seq);
-        w.u64(self.executing_count as u64);
-        w.u64(self.next_complete_at);
-        w.u64_slice(&self.ready);
-        w.u64_slice(&self.waiting_stores);
-        self.wakeups.save_state(w);
+        w.u64(links.iq_occupancy);
+        w.u64(links.lsq_occupancy);
+        w.u64(links.first_executing_seq);
+        w.u64(links.executing_count);
+        w.u64(links.next_complete_at);
+        w.u64_slice(&links.ready);
+        w.u64_slice(&links.waiting_stores);
+        w.len(links.wakeups.len());
+        for (producer, consumers) in &links.wakeups {
+            w.u64(*producer);
+            w.u64_slice(consumers);
+        }
         self.stores.save_state(w);
-        for writer in self.last_writer {
+        for writer in links.last_writer {
             w.opt_u64(writer);
         }
-        w.u64(self.in_flight_writers as u64);
+        w.u64(links.in_flight_writers);
         w.u64(self.next_seq);
         w.u64(self.now);
         w.u64(self.fetch_pc);
@@ -778,8 +973,10 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Returns [`rev_trace::CkptError`] on decode failure or a
-    /// configuration mismatch.
+    /// Returns [`rev_trace::CkptError`] on decode failure, a
+    /// configuration mismatch, or cross-structure content no run could
+    /// have produced (a window larger than configured, a list entry
+    /// naming no matching slot, counters that disagree with the ROB).
     pub fn restore_state(
         &mut self,
         r: &mut rev_trace::CkptReader<'_>,
@@ -789,28 +986,56 @@ impl Pipeline {
         self.mem.restore_state(r)?;
         self.bpred.restore_state(r)?;
         let n = r.len(1)?;
+        if n > self.config.fetch_queue {
+            return Err(malformed(format!(
+                "fetch queue holds {n} slots, configured for {}",
+                self.config.fetch_queue
+            )));
+        }
         self.fetch_queue.clear();
         for _ in 0..n {
             self.fetch_queue.push_back(Slot::restore_state(r)?);
         }
         let n = r.len(1)?;
+        if n > self.config.rob_size {
+            return Err(malformed(format!(
+                "ROB holds {n} slots, configured for {}",
+                self.config.rob_size
+            )));
+        }
         self.rob.clear();
         for _ in 0..n {
             self.rob.push_back(Slot::restore_state(r)?);
         }
-        self.iq_occupancy = r.u64()? as usize;
-        self.lsq_occupancy = r.u64()? as usize;
-        self.first_executing_seq = r.u64()?;
-        self.executing_count = r.u64()? as usize;
-        self.next_complete_at = r.u64()?;
-        self.ready = r.u64_slice()?;
-        self.waiting_stores = r.u64_slice()?;
-        self.wakeups.restore_state(r)?;
+        let iq_occupancy = r.u64()?;
+        let lsq_occupancy = r.u64()?;
+        let first_executing_seq = r.u64()?;
+        let executing_count = r.u64()?;
+        let next_complete_at = r.u64()?;
+        let ready = r.u64_slice()?;
+        let waiting_stores = r.u64_slice()?;
+        let n = r.len(8)?;
+        let mut wakeups = Vec::with_capacity(n);
+        for _ in 0..n {
+            wakeups.push((r.u64()?, r.u64_slice()?));
+        }
         self.stores.restore_state(r)?;
-        for writer in &mut self.last_writer {
+        let mut last_writer = [None; 64];
+        for writer in &mut last_writer {
             *writer = r.opt_u64()?;
         }
-        self.in_flight_writers = r.u64()? as usize;
+        let links = SeqLinks {
+            iq_occupancy,
+            lsq_occupancy,
+            first_executing_seq,
+            executing_count,
+            next_complete_at,
+            ready,
+            waiting_stores,
+            wakeups,
+            last_writer,
+            in_flight_writers: r.u64()?,
+        };
         self.next_seq = r.u64()?;
         self.now = r.u64()?;
         self.fetch_pc = r.u64()?;
@@ -822,20 +1047,12 @@ impl Pipeline {
         self.cur_line = match (r.opt_u64()?, r.opt_u64()?) {
             (Some(l), Some(c)) => Some((l, c)),
             (None, None) => None,
-            _ => {
-                return Err(rev_trace::CkptError::Malformed(
-                    "half-present current fetch line".to_string(),
-                ))
-            }
+            _ => return Err(malformed("half-present current fetch line".to_string())),
         };
         self.prefetched_line = match (r.opt_u64()?, r.opt_u64()?) {
             (Some(l), Some(c)) => Some((l, c)),
             (None, None) => None,
-            _ => {
-                return Err(rev_trace::CkptError::Malformed(
-                    "half-present prefetched line".to_string(),
-                ))
-            }
+            _ => return Err(malformed("half-present prefetched line".to_string())),
         };
         self.head_retry_at = r.u64()?;
         self.stats.restore_state(r)?;
@@ -843,7 +1060,7 @@ impl Pipeline {
         let fpu_free = r.u64_slice()?;
         let alu_free = r.u64_slice()?;
         if fpu_free.len() != self.fpu_free.len() || alu_free.len() != self.alu_free.len() {
-            return Err(rev_trace::CkptError::Malformed(format!(
+            return Err(malformed(format!(
                 "functional-unit counts {}/{} do not match configuration {}/{}",
                 fpu_free.len(),
                 alu_free.len(),
@@ -853,10 +1070,146 @@ impl Pipeline {
         }
         self.fpu_free = fpu_free;
         self.alu_free = alu_free;
-        self.ready_scratch.clear();
         self.wake_buf.clear();
         self.reads_buf.clear();
+        self.relink(&links)
+    }
+
+    /// Rebuilds the handle-keyed structures from checkpointed seq-keyed
+    /// content (the ROB was just restored at ring position 0, so a live
+    /// slot's handle is its index). Content no run could have produced is
+    /// rejected: left in, it would index past the window, underflow an
+    /// occupancy counter or stall the core forever.
+    fn relink(&mut self, l: &SeqLinks) -> Result<(), rev_trace::CkptError> {
+        let mut prev = 0;
+        for s in self.rob.iter().chain(&self.fetch_queue) {
+            if s.seq <= prev || s.seq >= self.next_seq {
+                return Err(malformed(format!("slot seq {} out of fetch order", s.seq)));
+            }
+            prev = s.seq;
+        }
+        for s in self.rob.iter() {
+            if s.src_count > 2 || s.unready > s.src_count {
+                return Err(malformed(format!("slot seq {} has bad source counts", s.seq)));
+            }
+        }
+        let count = |f: fn(&Slot) -> bool| self.rob.iter().filter(|&s| f(s)).count() as u64;
+        let writers =
+            self.rob.iter().chain(&self.fetch_queue).filter(|s| s.flag(F_WRITES_REG)).count();
+        if l.iq_occupancy != count(|s| s.stage == Stage::Waiting)
+            || l.lsq_occupancy != count(|s| s.is_load() || s.is_store())
+            || l.in_flight_writers != writers as u64
+        {
+            return Err(malformed("occupancy counters disagree with the ROB".to_string()));
+        }
+
+        let live = &self.rob.slots[..self.rob.len()];
+        let find = |seq: u64| live.binary_search_by_key(&seq, |s| s.seq).ok().map(|i| i as Handle);
+        // Seqs below this were dispatched (ROB, committed or squashed).
+        let undispatched = self.fetch_queue.front().map_or(self.next_seq, |s| s.seq);
+
+        let executing = self.handles_where(|s| s.stage == Stage::Executing);
+        let first = executing.first().map_or(u64::MAX, |&h| self.rob[h].seq);
+        let next = executing.iter().map(|&h| self.rob[h].complete_at).min().unwrap_or(u64::MAX);
+        if l.executing_count != executing.len() as u64
+            || l.first_executing_seq != first
+            || l.next_complete_at != next
+        {
+            return Err(malformed("executing summary disagrees with the ROB".to_string()));
+        }
+        let ready = self.handles_where(|s| s.stage == Stage::Waiting && s.unready == 0);
+        let waiting_stores = self.handles_where(|s| s.stage == Stage::Waiting && s.is_store());
+        for (list, seqs, what) in
+            [(&ready, &l.ready, "ready"), (&waiting_stores, &l.waiting_stores, "waiting-store")]
+        {
+            if !list.iter().map(|&h| self.rob[h].seq).eq(seqs.iter().copied()) {
+                return Err(malformed(format!("{what} list does not match the ROB")));
+            }
+        }
+
+        let mut wakeups = WakeupTable::new(self.rob.capacity());
+        let mut pending = vec![0u32; live.len()];
+        let mut prev = 0;
+        for &(p, ref consumers) in &l.wakeups {
+            let producer = find(p).filter(|&h| p > prev && live[h as usize].stage != Stage::Done);
+            let Some(ph) = producer else {
+                return Err(malformed(format!("wakeup list of seq {p} has no in-flight producer")));
+            };
+            prev = p;
+            for &c in consumers {
+                let ch = match find(c) {
+                    Some(h) if c > p && live[h as usize].stage == Stage::Waiting => {
+                        pending[h as usize] += 1;
+                        h
+                    }
+                    // A squashed consumer: its seq never matches a slot again.
+                    None if c > p && c < undispatched => 0,
+                    _ => {
+                        return Err(malformed(format!(
+                            "wakeup entry {p} -> {c} names no younger waiting slot"
+                        )))
+                    }
+                };
+                wakeups.register(ph, ch, c);
+            }
+        }
+        if live
+            .iter()
+            .zip(&pending)
+            .any(|(s, &n)| s.stage == Stage::Waiting && n != s.unready as u32)
+        {
+            return Err(malformed("pending-source counts disagree with the wakeup lists".into()));
+        }
+
+        // The store tracker holds exactly the issued correct-path stores,
+        // each address's list in ascending seq order.
+        let tracked = |s: &Slot| {
+            s.stage != Stage::Waiting && s.flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM)
+        };
+        let (mut entries, mut last) = (0, (u64::MAX, 0));
+        for (addr, seq, done) in self.stores.entries() {
+            let slot = find(seq).map(|h| &live[h as usize]);
+            let matches = slot.is_some_and(|s| {
+                tracked(s) && s.mem_addr == addr && done == (s.stage == Stage::Done)
+            });
+            if !matches || (addr == last.0 && seq <= last.1) {
+                return Err(malformed(format!("store tracker entry {seq} names no issued store")));
+            }
+            (entries, last) = (entries + 1, (addr, seq));
+        }
+        if entries != live.iter().filter(|s| tracked(s)).count() {
+            return Err(malformed("store tracker misses an issued store".to_string()));
+        }
+
+        let committed_below = self.rob.front().map_or(undispatched, |s| s.seq);
+        let mut last_writer = [None; 64];
+        for (dst, &writer) in last_writer.iter_mut().zip(&l.last_writer) {
+            *dst = match writer {
+                None => None,
+                Some(p) => match find(p) {
+                    Some(h) => Some((h, p)),
+                    // Committed: the handle is never dereferenced.
+                    None if p < committed_below => Some((0, p)),
+                    None => return Err(malformed(format!("rename map names unknown seq {p}"))),
+                },
+            };
+        }
+
+        self.iq_occupancy = l.iq_occupancy as usize;
+        self.lsq_occupancy = l.lsq_occupancy as usize;
+        self.in_flight_writers = l.in_flight_writers as usize;
+        self.executing = executing.iter().map(|&h| (h, self.rob[h].complete_at)).collect();
+        self.next_complete_at = next;
+        self.ready = ready;
+        self.waiting_stores = waiting_stores;
+        self.wakeups = wakeups;
+        self.last_writer = last_writer;
         Ok(())
+    }
+
+    /// Live handles whose slot satisfies `want`, oldest first.
+    fn handles_where(&self, want: impl Fn(&Slot) -> bool) -> Vec<Handle> {
+        self.rob.handles().filter(|&h| want(&self.rob[h])).collect()
     }
 
     /// Runs until `max_instrs` correct-path instructions commit, the
@@ -974,7 +1327,7 @@ impl Pipeline {
             }
         }
         // Complete.
-        if self.executing_count > 0 {
+        if !self.executing.is_empty() {
             if t < self.next_complete_at {
                 next_event = next_event.min(self.next_complete_at);
             } else {
@@ -1042,45 +1395,6 @@ impl Pipeline {
         None
     }
 
-    /// Index of the first ROB slot whose seq is `>= bound` (scan starting
-    /// point for the hint-bounded stages; the ROB is seq-ascending).
-    ///
-    /// Seqs grow by at least one per slot (monotonic fetch numbering,
-    /// head/tail-only removal), so slot `i` holds seq `>= head.seq + i`:
-    /// `bound - head.seq` is *exact* while the window holds no squash gap
-    /// (the overwhelmingly common case) and an upper bound otherwise, where
-    /// a binary search over the tightened prefix finishes the job.
-    #[inline]
-    fn rob_idx_of(&self, bound: u64) -> usize {
-        if bound == u64::MAX {
-            return self.rob.len();
-        }
-        let Some(front) = self.rob.front() else { return 0 };
-        if bound <= front.seq {
-            return 0;
-        }
-        let cand = (bound - front.seq) as usize;
-        if cand < self.rob.len() {
-            if self.rob[cand].seq == bound {
-                return cand; // dense window — O(1) probe hit
-            }
-        } else if self.rob.back().map(|s| s.seq < bound).unwrap_or(true) {
-            return self.rob.len();
-        }
-        // A squash gap sits between the head and `bound`: the answer is
-        // somewhere in `[0, cand]`.
-        let (mut lo, mut hi) = (0usize, cand.min(self.rob.len()));
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.rob[mid].seq < bound {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
     // ----- commit ---------------------------------------------------------
 
     fn commit_stage<M: ExecMonitor>(&mut self, monitor: &mut M) -> Option<Violation> {
@@ -1117,7 +1431,7 @@ impl Pipeline {
                     CommitGate::Violation(v) => return Some(v),
                 }
             }
-            let slot = self.rob.pop_front().expect("head exists");
+            let slot = self.rob.pop_front();
             self.trace.emit_with(|| TraceEvent {
                 cycle: self.now,
                 kind: EventKind::Commit { seq: slot.seq, addr: slot.addr },
@@ -1173,130 +1487,115 @@ impl Pipeline {
     // ----- complete / branch resolution -----------------------------------
 
     fn complete_stage<M: ExecMonitor>(&mut self, monitor: &mut M) {
-        if self.executing_count == 0 || self.now < self.next_complete_at {
+        if self.executing.is_empty() || self.now < self.next_complete_at {
             return;
         }
-        let start = self.rob_idx_of(self.first_executing_seq);
-        let mut recover_from: Option<usize> = None;
-        let mut remaining = self.executing_count;
-        let mut new_first = u64::MAX;
+        let mut recover_from: Option<Handle> = None;
         let mut new_next = u64::MAX;
         let mut woken = std::mem::take(&mut self.wake_buf);
         woken.clear();
-        for i in start..self.rob.len() {
-            if remaining == 0 {
-                break;
-            }
-            let (seq, complete_at, flags, mem_addr) = {
-                let s = &self.rob[i];
-                if s.stage != Stage::Executing {
-                    continue;
-                }
-                (s.seq, s.complete_at, s.flags, s.mem_addr)
-            };
-            remaining -= 1;
-            if self.now >= complete_at {
-                let s = &mut self.rob[i];
-                s.stage = Stage::Done;
-                self.executing_count -= 1;
-                self.wakeups.drain(seq, &mut woken);
-                if flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM) {
-                    self.stores.mark_done(mem_addr, seq);
-                }
-                if flags & F_MISPREDICTED != 0
-                    && flags & F_WRONG_PATH == 0
-                    && flags & F_RECOVERY_DONE == 0
-                {
-                    self.rob[i].flags |= F_RECOVERY_DONE;
-                    recover_from = Some(i);
-                    break; // the oldest resolving mispredict wins
-                }
-            } else {
-                if new_first == u64::MAX {
-                    new_first = seq;
-                }
+        // Compact the still-executing entries to the front, oldest first.
+        let mut kept = 0;
+        let mut i = 0;
+        while i < self.executing.len() {
+            let (h, complete_at) = self.executing[i];
+            i += 1;
+            if self.now < complete_at {
+                self.executing[kept] = (h, complete_at);
+                kept += 1;
                 new_next = new_next.min(complete_at);
+                continue;
+            }
+            let s = &mut self.rob[h];
+            s.stage = Stage::Done;
+            let (seq, flags, mem_addr) = (s.seq, s.flags, s.mem_addr);
+            self.wakeups.drain(h, &mut woken);
+            if flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM) {
+                self.stores.mark_done(mem_addr, seq);
+            }
+            if flags & F_MISPREDICTED != 0
+                && flags & F_WRONG_PATH == 0
+                && flags & F_RECOVERY_DONE == 0
+            {
+                self.rob[h].flags |= F_RECOVERY_DONE;
+                recover_from = Some(h);
+                break; // the oldest resolving mispredict wins
             }
         }
-        self.first_executing_seq = new_first;
+        // Entries past a resolving mispredict are younger than it: the
+        // squash below truncates them.
+        self.executing.drain(kept..i);
         self.next_complete_at = new_next;
         // Wake consumers of the newly completed producers. Registrations
         // for consumers that were squashed since dispatch are skipped (the
-        // seq no longer resolves to a slot).
-        for &consumer in &woken {
-            let idx = self.rob_idx_of(consumer);
-            let Some(s) = self.rob.get_mut(idx) else { continue };
-            if s.seq != consumer || s.stage != Stage::Waiting {
+        // slot no longer carries their seq).
+        for &(h, seq) in &woken {
+            let s = &mut self.rob[h];
+            if s.seq != seq {
                 continue;
             }
-            debug_assert!(s.unready > 0, "woken slot has no pending sources");
+            debug_assert!(s.stage == Stage::Waiting && s.unready > 0, "woken slot not pending");
             s.unready -= 1;
             if s.unready == 0 {
-                sorted_insert(&mut self.ready, consumer);
+                let at = self.rob.age_pos(&self.ready, h, |&e| e);
+                self.ready.insert(at, h);
             }
         }
         woken.clear();
         self.wake_buf = woken;
-        if let Some(i) = recover_from {
-            self.recover_from_mispredict(i, monitor);
+        if let Some(h) = recover_from {
+            self.recover_from_mispredict(h, monitor);
         }
     }
 
-    fn recover_from_mispredict<M: ExecMonitor>(&mut self, rob_idx: usize, monitor: &mut M) {
-        let branch_seq = self.rob[rob_idx].seq;
-        debug_assert!(self.rob[rob_idx].flag(F_HAS_DYN), "correct path");
-        let actual = self.rob[rob_idx].next_pc;
-        let taken = self.rob[rob_idx].flag(F_TAKEN);
-        let cp = self.rob[rob_idx].checkpoint;
-        let is_cond = matches!(self.rob[rob_idx].class, InstrClass::CondBranch);
+    fn recover_from_mispredict<M: ExecMonitor>(&mut self, branch: Handle, monitor: &mut M) {
+        let b = self.rob[branch];
+        debug_assert!(b.flag(F_HAS_DYN), "correct path");
 
         // Squash everything younger than the branch.
-        self.squash_after(branch_seq);
-        monitor.on_flush(branch_seq + 1);
+        self.squash_after(branch);
+        monitor.on_flush(b.seq + 1);
 
-        if let Some(cp) = cp {
-            self.bpred.restore(cp, is_cond.then_some(taken));
+        if let Some(cp) = b.checkpoint {
+            let is_cond = matches!(b.class, InstrClass::CondBranch);
+            self.bpred.restore(cp, is_cond.then_some(b.flag(F_TAKEN)));
         }
-        self.fetch_pc = actual;
+        self.fetch_pc = b.next_pc;
         self.fetch_resume = self.now + 1;
         self.wrong_path_mode = false;
         self.wrong_path_stuck = false;
         self.cur_line = None;
     }
 
-    fn squash_after(&mut self, seq: u64) {
-        while self.rob.back().map(|s| s.seq > seq).unwrap_or(false) {
-            let s = self.rob.pop_back().expect("non-empty");
-            if s.flag(F_WRITES_REG) {
+    fn squash_after(&mut self, branch: Handle) {
+        let survivors = self.rob.age(branch) + 1;
+        for age in (survivors..self.rob.len()).rev() {
+            let h = self.rob.handle(age);
+            let s = &mut self.rob[h];
+            let (stage, flags, seq, mem_addr) = (s.stage, s.flags, s.seq, s.mem_addr);
+            s.seq = 0; // stale wakeup entries must never match this slot
+            if flags & F_WRITES_REG != 0 {
                 self.in_flight_writers -= 1;
             }
-            if s.flag(F_WRONG_PATH) {
+            if flags & F_WRONG_PATH != 0 {
                 self.stats.wrong_path_fetched += 1;
             }
-            match s.stage {
-                Stage::Waiting => {
-                    self.iq_occupancy -= 1;
-                    if s.unready == 0 {
-                        sorted_remove(&mut self.ready, s.seq);
-                    }
-                    if s.is_store() {
-                        sorted_remove(&mut self.waiting_stores, s.seq);
-                    }
-                }
-                Stage::Executing => self.executing_count -= 1,
-                Stage::Done => {}
+            if stage == Stage::Waiting {
+                self.iq_occupancy -= 1;
+            } else if flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM) {
+                self.stores.remove(mem_addr, seq);
             }
-            if s.stage != Stage::Waiting && s.flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM)
-            {
-                self.stores.remove(s.mem_addr, s.seq);
-            }
-            if s.is_load() || s.is_store() {
+            if flags & (F_LOAD | F_STORE) != 0 {
                 self.lsq_occupancy -= 1;
             }
             // Any wakeup list keyed by this producer only names younger
             // consumers, all squashed in this same walk: drop it whole.
-            self.wakeups.remove_key(s.seq);
+            self.wakeups.remove_key(h);
         }
+        self.rob.truncate(survivors);
+        self.rob.truncate_dead(&mut self.ready, |&h| h);
+        self.rob.truncate_dead(&mut self.waiting_stores, |&h| h);
+        self.rob.truncate_dead(&mut self.executing, |&(h, _)| h);
         for s in self.fetch_queue.drain(..) {
             if s.flag(F_WRITES_REG) {
                 self.in_flight_writers -= 1;
@@ -1306,11 +1605,11 @@ impl Pipeline {
             }
         }
         // Rebuild the rename map from the survivors.
-        self.last_writer = [None; 64];
         let mut rebuilt = [None; 64];
-        for s in &self.rob {
+        for h in self.rob.handles() {
+            let s = &self.rob[h];
             if let Some(w) = write_of(&s.insn) {
-                rebuilt[w as usize] = Some(s.seq);
+                rebuilt[w as usize] = Some((h, s.seq));
             }
         }
         self.last_writer = rebuilt;
@@ -1322,124 +1621,135 @@ impl Pipeline {
         if self.ready.is_empty() {
             return;
         }
-        let mut issued = 0usize;
-        let mut load_used = 0usize;
-        let mut store_used = 0usize;
-        // Walk this cycle's ready slots oldest-first (the list is sorted by
-        // seq). A slot that stays blocked — port-limited, disambiguation,
-        // waiting on a forwarding store's data — simply remains in the
-        // ready list for next cycle. Conservative disambiguation consults
-        // `waiting_stores` live: a store still listed when a younger load
-        // is considered either was not ready or did not claim a port, which
-        // is exactly the old scan's `older_store_addr_unknown` condition.
-        let mut candidates = std::mem::take(&mut self.ready_scratch);
-        candidates.clear();
-        candidates.extend_from_slice(&self.ready);
-        for &seq in &candidates {
-            if issued >= self.config.width {
-                break;
-            }
-            let idx = self.rob_idx_of(seq);
-            debug_assert!(
-                self.rob.get(idx).map(|s| s.seq == seq && s.stage == Stage::Waiting) == Some(true),
-                "ready list out of sync with ROB"
-            );
-            let (flags, mem_addr, class) = {
-                let s = &self.rob[idx];
-                (s.flags, s.mem_addr, s.class)
-            };
-
-            // Functional-unit availability.
-            let complete_at = match class {
-                InstrClass::IntAlu
-                | InstrClass::CondBranch
-                | InstrClass::Jump
-                | InstrClass::JumpIndirect
-                | InstrClass::Syscall
-                | InstrClass::Other => match self.claim_alu() {
-                    Some(()) => self.now + 1,
-                    None => continue,
-                },
-                InstrClass::IntMul => match self.claim_alu() {
-                    Some(()) => self.now + self.config.mul_latency,
-                    None => continue,
-                },
-                InstrClass::Fp => match self.claim_fpu(1) {
-                    Some(()) => self.now + self.config.fp_latency,
-                    None => continue,
-                },
-                InstrClass::FpDiv => match self.claim_fpu(self.config.fpdiv_latency) {
-                    Some(()) => self.now + self.config.fpdiv_latency,
-                    None => continue,
-                },
-                InstrClass::Load | InstrClass::Return => {
-                    if load_used >= self.config.load_units {
-                        continue;
-                    }
-                    if flags & F_WRONG_PATH != 0 {
-                        load_used += 1;
-                        self.now + 3 // wrong-path load: no oracle address
-                    } else {
-                        if self.waiting_stores.first().map(|&s| s < seq).unwrap_or(false) {
-                            continue; // conservative disambiguation
-                        }
-                        debug_assert!(flags & F_HAS_MEM != 0, "correct-path loads have addresses");
-                        let addr = mem_addr;
-                        match self.stores.youngest_older(addr, seq) {
-                            Some((_, false)) => {
-                                continue; // wait for the forwarding store's data
-                            }
-                            Some((_, true)) => {
-                                load_used += 1;
-                                self.now + 2 // store-to-load forward
-                            }
-                            None => {
-                                if monitor.forwards_store(addr) {
-                                    load_used += 1;
-                                    self.now + 2 // forward from the deferred buffer
-                                } else {
-                                    load_used += 1;
-                                    let out = self.mem.data_access(Request {
-                                        addr,
-                                        is_write: false,
-                                        requester: Requester::Data,
-                                        cycle: self.now,
-                                    });
-                                    out.complete_at
-                                }
-                            }
-                        }
-                    }
+        let mut ports = IssuePorts::default();
+        // Walk this cycle's ready slots oldest-first (the list is in age
+        // order), compacting the ones that stay in place. A slot that
+        // stays blocked — port-limited, disambiguation, waiting on a
+        // forwarding store's data — simply remains ready for next cycle.
+        // Nothing joins the list during issue (wakeups happen at
+        // completion), so compacting it in place is safe.
+        let mut ready = std::mem::take(&mut self.ready);
+        let mut kept = 0;
+        for i in 0..ready.len() {
+            let h = ready[i];
+            if ports.issued < self.config.width {
+                if let Some(complete_at) = self.issue_latency(h, &mut ports, monitor) {
+                    self.start_executing(h, complete_at);
+                    continue;
                 }
-                InstrClass::Store | InstrClass::CallDirect | InstrClass::CallIndirect => {
-                    if store_used >= self.config.store_units {
-                        // Ready but port-limited: its address stays unknown
-                        // to younger loads this cycle (it remains listed in
-                        // `waiting_stores`).
-                        continue;
-                    }
-                    store_used += 1;
-                    self.now + 1 // address generation; data written post-commit
-                }
-            };
-
-            let s = &mut self.rob[idx];
-            s.stage = Stage::Executing;
-            s.complete_at = complete_at;
-            issued += 1;
-            self.iq_occupancy -= 1;
-            self.executing_count += 1;
-            self.first_executing_seq = self.first_executing_seq.min(seq);
-            self.next_complete_at = self.next_complete_at.min(complete_at);
-            sorted_remove(&mut self.ready, seq);
-            if flags & F_STORE != 0 {
-                sorted_remove(&mut self.waiting_stores, seq);
             }
-            if flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM) {
-                self.stores.insert(mem_addr, seq);
-            }
+            ready[kept] = h;
+            kept += 1;
         }
-        self.ready_scratch = candidates;
+        ready.truncate(kept);
+        self.ready = ready;
+    }
+
+    /// The completion cycle of ready slot `h` if it can issue this cycle,
+    /// claiming its functional unit or port. Conservative disambiguation
+    /// consults `waiting_stores` live: a store still listed when a younger
+    /// load is considered either was not ready or did not claim a port,
+    /// which is exactly the old scan's `older_store_addr_unknown`
+    /// condition.
+    fn issue_latency<M: ExecMonitor>(
+        &mut self,
+        h: Handle,
+        ports: &mut IssuePorts,
+        monitor: &mut M,
+    ) -> Option<u64> {
+        let s = &self.rob[h];
+        debug_assert!(s.stage == Stage::Waiting, "ready list out of sync with ROB");
+        let (seq, flags, mem_addr) = (s.seq, s.flags, s.mem_addr);
+        let complete_at = match s.class {
+            InstrClass::IntAlu
+            | InstrClass::CondBranch
+            | InstrClass::Jump
+            | InstrClass::JumpIndirect
+            | InstrClass::Syscall
+            | InstrClass::Other => {
+                self.claim_alu()?;
+                self.now + 1
+            }
+            InstrClass::IntMul => {
+                self.claim_alu()?;
+                self.now + self.config.mul_latency
+            }
+            InstrClass::Fp => {
+                self.claim_fpu(1)?;
+                self.now + self.config.fp_latency
+            }
+            InstrClass::FpDiv => {
+                self.claim_fpu(self.config.fpdiv_latency)?;
+                self.now + self.config.fpdiv_latency
+            }
+            InstrClass::Load | InstrClass::Return => {
+                if ports.loads >= self.config.load_units {
+                    return None;
+                }
+                if flags & F_WRONG_PATH != 0 {
+                    ports.loads += 1;
+                    self.now + 3 // wrong-path load: no oracle address
+                } else {
+                    let age = self.rob.age(h);
+                    if self.waiting_stores.first().is_some_and(|&st| self.rob.age(st) < age) {
+                        return None; // conservative disambiguation
+                    }
+                    debug_assert!(flags & F_HAS_MEM != 0, "correct-path loads have addresses");
+                    let addr = mem_addr;
+                    match self.stores.youngest_older(addr, seq) {
+                        Some((_, false)) => return None, // wait for the forwarding store's data
+                        Some((_, true)) => {
+                            ports.loads += 1;
+                            self.now + 2 // store-to-load forward
+                        }
+                        None => {
+                            ports.loads += 1;
+                            if monitor.forwards_store(addr) {
+                                self.now + 2 // forward from the deferred buffer
+                            } else {
+                                let out = self.mem.data_access(Request {
+                                    addr,
+                                    is_write: false,
+                                    requester: Requester::Data,
+                                    cycle: self.now,
+                                });
+                                out.complete_at
+                            }
+                        }
+                    }
+                }
+            }
+            InstrClass::Store | InstrClass::CallDirect | InstrClass::CallIndirect => {
+                if ports.stores >= self.config.store_units {
+                    // Ready but port-limited: its address stays unknown to
+                    // younger loads this cycle (it remains listed in
+                    // `waiting_stores`).
+                    return None;
+                }
+                ports.stores += 1;
+                self.now + 1 // address generation; data written post-commit
+            }
+        };
+        ports.issued += 1;
+        Some(complete_at)
+    }
+
+    /// Moves an issuing slot from the ready state to executing.
+    fn start_executing(&mut self, h: Handle, complete_at: u64) {
+        let s = &mut self.rob[h];
+        s.stage = Stage::Executing;
+        s.complete_at = complete_at;
+        let (seq, flags, mem_addr) = (s.seq, s.flags, s.mem_addr);
+        self.iq_occupancy -= 1;
+        let at = self.rob.age_pos(&self.executing, h, |&(e, _)| e);
+        self.executing.insert(at, (h, complete_at));
+        self.next_complete_at = self.next_complete_at.min(complete_at);
+        if flags & F_STORE != 0 {
+            self.rob.age_remove(&mut self.waiting_stores, h);
+        }
+        if flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM) {
+            self.stores.insert(mem_addr, seq);
+        }
     }
 
     fn claim_alu(&mut self) -> Option<()> {
@@ -1458,32 +1768,67 @@ impl Pipeline {
 
     // ----- dispatch --------------------------------------------------------
 
+    /// Debug-build check that every incremental structure agrees with the
+    /// ROB it summarizes.
+    #[cfg(debug_assertions)]
+    fn assert_in_sync(&self) {
+        let count = |f: fn(&Slot) -> bool| self.rob.iter().filter(|&s| f(s)).count();
+        assert_eq!(self.iq_occupancy, count(|s| s.stage == Stage::Waiting), "iq occupancy");
+        assert_eq!(self.lsq_occupancy, count(|s| s.is_load() || s.is_store()), "lsq occupancy");
+        // Every list handle resolves to the live slot of the right kind,
+        // and each list is exactly its slot set in age (= seq) order.
+        let exec: Vec<(Handle, u64)> = self
+            .handles_where(|s| s.stage == Stage::Executing)
+            .into_iter()
+            .map(|h| (h, self.rob[h].complete_at))
+            .collect();
+        assert_eq!(self.executing, exec, "executing list out of sync");
+        let next = exec.iter().map(|&(_, c)| c).min().unwrap_or(u64::MAX);
+        assert_eq!(self.next_complete_at, next, "next completion cycle out of sync");
+        let ready = self.handles_where(|s| s.stage == Stage::Waiting && s.unready == 0);
+        assert_eq!(self.ready, ready, "ready list out of sync");
+        let stores = self.handles_where(|s| s.stage == Stage::Waiting && s.is_store());
+        assert_eq!(self.waiting_stores, stores, "waiting-store list out of sync");
+        // The rename map's in-window writers resolve to their slots.
+        let head_seq = self.rob.front().map_or(u64::MAX, |s| s.seq);
+        for &(h, seq) in self.last_writer.iter().flatten() {
+            if seq >= head_seq {
+                assert_eq!(self.rob[h].seq, seq, "rename map handle is stale");
+                assert!(self.rob.age(h) < self.rob.len(), "rename map handle not live");
+            }
+        }
+        // Wakeup lists hang only off in-flight producers and name younger
+        // Waiting consumers; a squashed consumer's entry no longer matches
+        // any live slot. Each Waiting slot has one entry per pending source.
+        let mut pending = vec![0u8; self.rob.capacity()];
+        for h in 0..self.rob.capacity() as Handle {
+            if !self.wakeups.has_waiters(h) {
+                continue;
+            }
+            let p = &self.rob[h];
+            assert!(self.rob.age(h) < self.rob.len(), "wakeup list on a dead slot");
+            assert!(p.stage != Stage::Done, "wakeup list on a completed producer");
+            for n in self.wakeups.entries(h) {
+                assert!(n.seq > p.seq, "wakeup entry names an older slot");
+                let c = &self.rob[n.consumer];
+                if c.seq == n.seq {
+                    assert!(self.rob.age(n.consumer) < self.rob.len(), "stale consumer matched");
+                    assert_eq!(c.stage, Stage::Waiting, "woken consumer is not waiting");
+                    pending[n.consumer as usize] += 1;
+                }
+            }
+        }
+        for h in self.rob.handles() {
+            let s = &self.rob[h];
+            if s.stage == Stage::Waiting {
+                assert_eq!(pending[h as usize], s.unready, "pending sources out of sync");
+            }
+        }
+    }
+
     fn dispatch_stage(&mut self) {
-        debug_assert_eq!(
-            self.iq_occupancy,
-            self.rob.iter().filter(|s| s.stage == Stage::Waiting).count(),
-            "iq occupancy counter out of sync"
-        );
-        debug_assert_eq!(
-            self.lsq_occupancy,
-            self.rob.iter().filter(|s| s.is_load() || s.is_store()).count(),
-            "lsq occupancy counter out of sync"
-        );
-        debug_assert_eq!(
-            self.executing_count,
-            self.rob.iter().filter(|s| s.stage == Stage::Executing).count(),
-            "executing counter out of sync"
-        );
-        debug_assert_eq!(
-            self.ready.len(),
-            self.rob.iter().filter(|s| s.stage == Stage::Waiting && s.unready == 0).count(),
-            "ready list out of sync"
-        );
-        debug_assert_eq!(
-            self.waiting_stores.len(),
-            self.rob.iter().filter(|s| s.stage == Stage::Waiting && s.is_store()).count(),
-            "waiting-store list out of sync"
-        );
+        #[cfg(debug_assertions)]
+        self.assert_in_sync();
         let mut dispatched = 0;
         while dispatched < self.config.width {
             let Some(front) = self.fetch_queue.front() else { break };
@@ -1506,50 +1851,48 @@ impl Pipeline {
             let mut slot = self.fetch_queue.pop_front().expect("front exists");
             // Rename: resolve source producers.
             reads_of(&slot.insn, &mut self.reads_buf);
+            let mut producers = [(0, 0); 2];
             let mut n = 0usize;
             for &r in &self.reads_buf {
                 if let Some(p) = self.last_writer[r as usize] {
-                    slot.srcs[n] = p;
+                    producers[n] = p;
+                    slot.srcs[n] = p.1;
                     n += 1;
                 }
             }
             slot.src_count = n as u8;
-            if let Some(w) = write_of(&slot.insn) {
-                self.last_writer[w as usize] = Some(slot.seq);
-            }
             slot.stage = Stage::Waiting;
+            let (seq, is_store) = (slot.seq, slot.is_store());
             // Wakeup scheduling: count the sources still in flight and
             // subscribe to their completions; a slot with none is ready
             // now. (A source older than the ROB head has committed.)
-            let head_seq = self.rob.front().map(|s| s.seq).unwrap_or(u64::MAX);
+            let head_seq = self.rob.front().map_or(u64::MAX, |s| s.seq);
+            let h = self.rob.push_back(slot);
+            if let Some(w) = write_of(&self.rob[h].insn) {
+                self.last_writer[w as usize] = Some((h, seq));
+            }
             let mut unready = 0u8;
-            for k in 0..n {
-                let p = slot.srcs[k];
-                if p >= head_seq {
-                    // The producer is still in the ROB (renamed at dispatch,
-                    // rebuilt on squash, younger than the head): read its
-                    // stage directly instead of keeping a side done-set.
-                    let i = self.rob_idx_of(p);
-                    let done =
-                        self.rob.get(i).map(|s| s.seq == p && s.stage == Stage::Done) == Some(true);
-                    if !done {
-                        unready += 1;
-                        self.wakeups.register(p, slot.seq);
-                    }
+            for &(ph, p) in &producers[..n] {
+                // The producer is still in the ROB (renamed at dispatch,
+                // rebuilt on squash, younger than the head): read its stage
+                // directly instead of keeping a side done-set.
+                if p >= head_seq && self.rob[ph].stage != Stage::Done {
+                    unready += 1;
+                    self.wakeups.register(ph, h, seq);
                 }
             }
-            slot.unready = unready;
+            self.rob[h].unready = unready;
+            // The new slot is the youngest, so it goes at the lists' ends.
             if unready == 0 {
-                sorted_insert(&mut self.ready, slot.seq);
+                self.ready.push(h);
             }
-            if slot.is_store() {
-                sorted_insert(&mut self.waiting_stores, slot.seq);
+            if is_store {
+                self.waiting_stores.push(h);
             }
             self.iq_occupancy += 1;
             if front_mem {
                 self.lsq_occupancy += 1;
             }
-            self.rob.push_back(slot);
             dispatched += 1;
         }
     }
@@ -1781,6 +2124,15 @@ mod tests {
     use rev_prog::{ModuleBuilder, Program};
 
     fn build_pipeline<F: FnOnce(&mut ModuleBuilder)>(f: F) -> (Pipeline, NullMonitor) {
+        let (p, m, _) = build_with(CpuConfig::paper_default(), f);
+        (p, m)
+    }
+
+    /// A pipeline, its monitor and the build image (checkpoint base).
+    fn build_with<F: FnOnce(&mut ModuleBuilder)>(
+        config: CpuConfig,
+        f: F,
+    ) -> (Pipeline, NullMonitor, MainMemory) {
         let mut b = ModuleBuilder::new("t", 0x1000);
         f(&mut b);
         let m = b.finish().unwrap();
@@ -1789,8 +2141,8 @@ mod tests {
         let p = pb.build();
         let mem = MainMemory::with_segments(&p.segments());
         let monitor = NullMonitor::new(mem.clone());
-        let oracle = Oracle::new(mem, p.entry(), p.initial_sp());
-        (Pipeline::new(CpuConfig::paper_default(), MemConfig::paper_default(), oracle), monitor)
+        let oracle = Oracle::new(mem.clone(), p.entry(), p.initial_sp());
+        (Pipeline::new(config, MemConfig::paper_default(), oracle), monitor, mem)
     }
 
     #[test]
@@ -2022,5 +2374,209 @@ mod tests {
         assert_eq!(r.outcome, RunOutcome::Halted);
         assert!(r.stats.wrong_path_fetched > 0, "expected wrong-path fetches");
         assert_eq!(p.oracle().state().reg(Reg::R4), 32);
+    }
+
+    /// An LCG-driven loop whose branch direction is a pseudo-random bit,
+    /// so about half its branches mispredict. Each iteration also starts
+    /// a load that misses to DRAM: the branch resolves behind it, and
+    /// the refetched path dispatches while the load still holds the head,
+    /// so the ROB keeps seq gaps from squashed wrong-path runs, with
+    /// loads, stores and dependence chains in flight around them.
+    fn mispredict_heavy(b: &mut ModuleBuilder) {
+        let top = b.new_label();
+        let skip = b.new_label();
+        let buf = b.data_zeroed(300 * 520 + 64);
+        b.li_data(Reg::R5, buf);
+        b.push(Instruction::Li { rd: Reg::R2, imm: 300 });
+        b.push(Instruction::Li { rd: Reg::R10, imm: 12345 });
+        b.push(Instruction::Li { rd: Reg::R12, imm: 17 });
+        b.bind(top);
+        let alu = |op, rd, rs1, rs2| Instruction::Alu { op, rd, rs1, rs2 };
+        b.push(alu(rev_isa::AluOp::Add, Reg::R15, Reg::R5, Reg::R14));
+        b.push(Instruction::Load { rd: Reg::R13, rbase: Reg::R15, off: 0 });
+        b.push(alu(rev_isa::AluOp::Add, Reg::R16, Reg::R16, Reg::R13));
+        b.push(Instruction::AddI { rd: Reg::R14, rs: Reg::R14, imm: 520 });
+        b.push(Instruction::MulI { rd: Reg::R10, rs: Reg::R10, imm: 1103515245 });
+        b.push(Instruction::AddI { rd: Reg::R10, rs: Reg::R10, imm: 12345 });
+        b.push(alu(rev_isa::AluOp::Shr, Reg::R11, Reg::R10, Reg::R12));
+        b.push(Instruction::AndI { rd: Reg::R11, rs: Reg::R11, imm: 1 });
+        b.push(Instruction::Store { rs: Reg::R10, rbase: rev_isa::REG_SP, off: -64 });
+        b.push(Instruction::Load { rd: Reg::R17, rbase: rev_isa::REG_SP, off: -64 });
+        b.branch(BranchCond::Ne, Reg::R11, Reg::R0, skip);
+        b.push(Instruction::AddI { rd: Reg::R3, rs: Reg::R3, imm: 1 });
+        b.push(Instruction::Store { rs: Reg::R3, rbase: rev_isa::REG_SP, off: -72 });
+        b.bind(skip);
+        b.push(Instruction::AddI { rd: Reg::R1, rs: Reg::R1, imm: 1 });
+        b.branch(BranchCond::Lt, Reg::R1, Reg::R2, top);
+        b.push(Instruction::Halt);
+    }
+
+    fn has_seq_gap(p: &Pipeline) -> bool {
+        let seqs: Vec<u64> = p.rob.iter().map(|s| s.seq).collect();
+        seqs.windows(2).any(|w| w[1] > w[0] + 1)
+    }
+
+    fn envelope(p: &Pipeline, base: &MainMemory) -> Vec<u8> {
+        let mut w = rev_trace::CkptWriter::new();
+        p.save_state(base, &mut w);
+        w.finish()
+    }
+
+    fn stats_bytes(s: &CpuStats) -> Vec<u8> {
+        let mut w = rev_trace::CkptWriter::new();
+        s.save_state(&mut w);
+        w.finish()
+    }
+
+    fn commits(bus: &TraceBus) -> Vec<(u64, u64)> {
+        bus.drain()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Commit { seq, addr } => Some((seq, addr)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checkpoints_across_squash_gaps_restore_exactly() {
+        let (mut reference, mut m, _) = build_with(CpuConfig::paper_default(), mispredict_heavy);
+        let ref_bus = TraceBus::with_capacity(1 << 20);
+        reference.set_trace(ref_bus.clone());
+        let want = reference.run(&mut m, u64::MAX);
+        assert_eq!(want.outcome, RunOutcome::Halted);
+        assert!(want.stats.mispredicts > 50, "program must mispredict often");
+
+        let (mut p, mut m, base) = build_with(CpuConfig::paper_default(), mispredict_heavy);
+        let bus = TraceBus::with_capacity(1 << 20);
+        p.set_trace(bus.clone());
+        let (mut budget, mut restored) = (0, 0);
+        let got = loop {
+            budget += 7;
+            let r = p.run_slice(&mut m, budget);
+            if r.outcome != RunOutcome::BudgetReached {
+                break r;
+            }
+            if !has_seq_gap(&p) {
+                continue;
+            }
+            let bytes = envelope(&p, &base);
+            let (mut fresh, _, _) = build_with(CpuConfig::paper_default(), mispredict_heavy);
+            let mut rd = rev_trace::CkptReader::new(&bytes).unwrap();
+            fresh.restore_state(&mut rd).unwrap();
+            rd.finish().unwrap();
+            assert_eq!(envelope(&fresh, &base), bytes, "re-serialization at budget {budget}");
+            fresh.set_trace(bus.clone());
+            p = fresh;
+            restored += 1;
+        };
+        assert!(restored >= 20, "only {restored} slices ended with a seq gap in the ROB");
+        assert_eq!(got.outcome, want.outcome);
+        assert_eq!(stats_bytes(&got.stats), stats_bytes(&want.stats), "CpuStats differ");
+        assert_eq!(commits(&bus), commits(&ref_bus), "committed stream differs");
+    }
+
+    /// Steps the mispredict-heavy program until the ROB is deep and holds
+    /// waiting, executing and subscribed slots at once.
+    fn busy_pipeline() -> (Pipeline, MainMemory) {
+        let (mut p, mut m, base) = build_with(CpuConfig::paper_default(), mispredict_heavy);
+        for _ in 0..100_000 {
+            assert!(p.cycle(&mut m).is_none());
+            let subscribed = p.rob.handles().any(|h| p.wakeups.has_waiters(h));
+            if p.rob.len() >= 24
+                && p.fetch_queue.len() >= 4
+                && !p.executing.is_empty()
+                && !p.ready.is_empty()
+                && subscribed
+            {
+                return (p, base);
+            }
+        }
+        panic!("the program never filled the window");
+    }
+
+    fn restore_into(config: CpuConfig, bytes: &[u8]) -> Result<(), rev_trace::CkptError> {
+        let (mut fresh, _, _) = build_with(config, mispredict_heavy);
+        let mut r = rev_trace::CkptReader::new(bytes)?;
+        fresh.restore_state(&mut r)
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_cross_structure_content() {
+        let (p, base) = busy_pipeline();
+        let save = |links: &SeqLinks| {
+            let mut w = rev_trace::CkptWriter::new();
+            p.write_state(&base, &mut w, links);
+            w.finish()
+        };
+        let good = p.seq_links();
+        let cfg = CpuConfig::paper_default();
+        restore_into(cfg, &save(&good)).expect("untampered content restores");
+
+        let rob: Vec<Slot> = p.rob.iter().copied().collect();
+        let tail = rob.last().unwrap().seq;
+        let find = |f: fn(&Slot) -> bool| rob.iter().find(|&s| f(s)).expect("slot kind").seq;
+        let done = find(|s| s.stage == Stage::Done);
+        let executing = find(|s| s.stage == Stage::Executing);
+        let non_store = find(|s| s.stage == Stage::Waiting && !s.is_store());
+
+        let mut cases: Vec<(&str, SeqLinks)> = Vec::new();
+        let mut tamper = |what, f: &dyn Fn(&mut SeqLinks)| {
+            let mut l = good.clone();
+            f(&mut l);
+            cases.push((what, l));
+        };
+        tamper("ready entry past the ROB tail", &|l| l.ready.push(tail + 1));
+        tamper("ready entry naming an executing slot", &|l| {
+            l.ready.insert(0, executing);
+        });
+        tamper("ready list missing an entry", &|l| {
+            l.ready.pop();
+        });
+        tamper("waiting-store entry past the ROB tail", &|l| l.waiting_stores.push(tail + 1));
+        tamper("waiting-store entry naming a non-store", &|l| {
+            l.waiting_stores.push(non_store);
+            l.waiting_stores.sort_unstable();
+        });
+        tamper("wakeup producer past the ROB tail", &|l| {
+            l.wakeups.push((tail + 1, vec![tail + 2]))
+        });
+        tamper("wakeup producer already done", &|l| {
+            l.wakeups.push((done, vec![tail]));
+            l.wakeups.sort_unstable();
+        });
+        tamper("wakeup consumer older than its producer", &|l| {
+            let (p, c) = &mut l.wakeups[0];
+            c.insert(0, *p - 1);
+        });
+        tamper("wakeup consumer not yet dispatched", &|l| l.wakeups[0].1.push(u64::MAX - 1));
+        tamper("extra executing count", &|l| l.executing_count += 1);
+        tamper("executing head naming a waiting slot", &|l| l.first_executing_seq = tail + 1);
+        tamper("completion cycle ahead of every executing slot", &|l| l.next_complete_at += 1);
+        tamper("rename map naming a squashed-range seq", &|l| l.last_writer[1] = Some(tail + 1));
+        tamper("issue-queue count", &|l| l.iq_occupancy += 1);
+        tamper("in-flight writer count", &|l| l.in_flight_writers -= 1);
+        for (what, links) in cases {
+            let err = restore_into(cfg, &save(&links));
+            assert!(
+                matches!(err, Err(rev_trace::CkptError::Malformed(_))),
+                "{what}: expected Malformed, got {err:?}"
+            );
+        }
+
+        // A store-tracker entry for a slot that is not an issued store.
+        let mut q = p.clone();
+        q.stores.insert(0x40, tail + 1);
+        let mut w = rev_trace::CkptWriter::new();
+        q.save_state(&base, &mut w);
+        let err = restore_into(cfg, &w.finish());
+        assert!(matches!(err, Err(rev_trace::CkptError::Malformed(_))), "tracker: {err:?}");
+
+        // A window deeper than the restoring core's configuration.
+        let bytes = save(&good);
+        let small_rob = CpuConfig { rob_size: p.rob.len() - 1, ..cfg };
+        assert!(matches!(restore_into(small_rob, &bytes), Err(rev_trace::CkptError::Malformed(_))));
+        let small_fq = CpuConfig { fetch_queue: p.fetch_queue.len() - 1, ..cfg };
+        assert!(matches!(restore_into(small_fq, &bytes), Err(rev_trace::CkptError::Malformed(_))));
     }
 }
