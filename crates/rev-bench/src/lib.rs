@@ -414,7 +414,7 @@ fn item_recipe(
 ) -> String {
     let label = if slot == 0 { "base" } else { configs[slot - 1].label.as_str() };
     format!(
-        "sweep-item/1|{}|{profile:?}|slot={slot}|label={label}|instrs={}|warmup={}|scale={}|superblocks={}|preflight={}|configs={configs:?}",
+        "sweep-item/2|{}|{profile:?}|slot={slot}|label={label}|instrs={}|warmup={}|scale={}|superblocks={}|preflight={}|configs={configs:?}",
         rev_trace::CKPT_SCHEMA,
         opts.instructions,
         opts.warmup,

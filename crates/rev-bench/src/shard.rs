@@ -16,12 +16,7 @@
 //! and the item is recomputed fail-open.
 
 use crate::{SweepItemOut, UsageError};
-use rev_core::{BaselineReport, RevReport};
-use rev_cpu::{CpuStats, RunOutcome, Violation, ViolationKind};
-use rev_mem::MemStats;
-use rev_prog::CfgStats;
-use rev_sigtable::TableStats;
-use rev_trace::{fnv1a64, CkptError, CkptReader, CkptWriter, MetricRegistry};
+use rev_trace::{fnv1a64, Ckpt, CkptError, CkptReader, CkptWriter};
 
 /// One shard of a partitioned sweep: `--shard i/N` (1-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,125 +55,6 @@ impl ShardSpec {
 const TAG_BASE: u8 = 0xB0;
 const TAG_REV: u8 = 0xB1;
 
-fn save_outcome(w: &mut CkptWriter, outcome: &RunOutcome) {
-    match outcome {
-        RunOutcome::BudgetReached => w.u8(0),
-        RunOutcome::Halted => w.u8(1),
-        RunOutcome::Violation(v) => {
-            w.u8(2);
-            save_violation(w, v);
-        }
-        RunOutcome::OracleFault { pc } => {
-            w.u8(3);
-            w.u64(*pc);
-        }
-    }
-}
-
-fn restore_outcome(r: &mut CkptReader<'_>) -> Result<RunOutcome, CkptError> {
-    Ok(match r.u8()? {
-        0 => RunOutcome::BudgetReached,
-        1 => RunOutcome::Halted,
-        2 => RunOutcome::Violation(restore_violation(r)?),
-        3 => RunOutcome::OracleFault { pc: r.u64()? },
-        other => return Err(CkptError::Malformed(format!("unknown outcome tag {other}"))),
-    })
-}
-
-fn save_violation(w: &mut CkptWriter, v: &Violation) {
-    w.u8(match v.kind {
-        ViolationKind::HashMismatch => 0,
-        ViolationKind::IllegalTarget => 1,
-        ViolationKind::ReturnMismatch => 2,
-        ViolationKind::NoTable => 3,
-        ViolationKind::TableCorrupt => 4,
-        ViolationKind::ParityError => 5,
-    });
-    w.u64(v.bb_addr);
-    w.u64(v.actual_target);
-    w.u64(v.cycle);
-}
-
-fn restore_violation(r: &mut CkptReader<'_>) -> Result<Violation, CkptError> {
-    let kind = match r.u8()? {
-        0 => ViolationKind::HashMismatch,
-        1 => ViolationKind::IllegalTarget,
-        2 => ViolationKind::ReturnMismatch,
-        3 => ViolationKind::NoTable,
-        4 => ViolationKind::TableCorrupt,
-        5 => ViolationKind::ParityError,
-        other => return Err(CkptError::Malformed(format!("unknown violation kind {other}"))),
-    };
-    Ok(Violation { kind, bb_addr: r.u64()?, actual_target: r.u64()?, cycle: r.u64()? })
-}
-
-fn save_mem(w: &mut CkptWriter, m: &MemStats) {
-    for arr in
-        [&m.l1_accesses, &m.l1_misses, &m.l2_accesses, &m.l2_misses, &m.dram_accesses, &m.tlb_walks]
-    {
-        w.u64_slice(arr);
-    }
-}
-
-fn restore_mem(r: &mut CkptReader<'_>) -> Result<MemStats, CkptError> {
-    let mut m = MemStats::default();
-    for arr in [
-        &mut m.l1_accesses,
-        &mut m.l1_misses,
-        &mut m.l2_accesses,
-        &mut m.l2_misses,
-        &mut m.dram_accesses,
-        &mut m.tlb_walks,
-    ] {
-        let v = r.u64_slice()?;
-        if v.len() != arr.len() {
-            return Err(CkptError::Malformed(format!(
-                "memory stats arity {} != {}",
-                v.len(),
-                arr.len()
-            )));
-        }
-        arr.copy_from_slice(&v);
-    }
-    Ok(m)
-}
-
-fn save_cfg(w: &mut CkptWriter, c: &CfgStats) {
-    w.u64(c.blocks as u64);
-    w.f64(c.avg_instrs);
-    w.f64(c.avg_successors);
-    w.u64(c.computed_terminators as u64);
-    w.u64(c.code_bytes as u64);
-}
-
-fn restore_cfg(r: &mut CkptReader<'_>) -> Result<CfgStats, CkptError> {
-    Ok(CfgStats {
-        blocks: r.u64()? as usize,
-        avg_instrs: r.f64()?,
-        avg_successors: r.f64()?,
-        computed_terminators: r.u64()? as usize,
-        code_bytes: r.u64()? as usize,
-    })
-}
-
-fn save_table(w: &mut CkptWriter, t: &TableStats) {
-    w.u64(t.primaries as u64);
-    w.u64(t.spills as u64);
-    w.u64(t.slots as u64);
-    w.u64(t.image_bytes as u64);
-    w.u64(t.code_bytes as u64);
-}
-
-fn restore_table(r: &mut CkptReader<'_>) -> Result<TableStats, CkptError> {
-    Ok(TableStats {
-        primaries: r.u64()? as usize,
-        spills: r.u64()? as usize,
-        slots: r.u64()? as usize,
-        image_bytes: r.u64()? as usize,
-        code_bytes: r.u64()? as usize,
-    })
-}
-
 /// The deterministic sealed-item file name: profile, slot, and a digest
 /// of the full recipe — two option sets can never collide on a file.
 pub(crate) fn item_file_name(profile_name: &str, slot: usize, recipe: &str) -> String {
@@ -191,35 +67,12 @@ pub(crate) fn seal_item(recipe: &str, out: &SweepItemOut) -> Vec<u8> {
     w.bytes(recipe.as_bytes());
     match out {
         SweepItemOut::Base(b) => {
-            let (base, cfg, table, audit) = &**b;
             w.tag(TAG_BASE);
-            save_outcome(&mut w, &base.outcome);
-            base.cpu.save_state(&mut w);
-            save_mem(&mut w, &base.mem);
-            save_cfg(&mut w, cfg);
-            save_table(&mut w, table);
-            // The audit registry round-trips through its deterministic
-            // JSON form: `MetricRegistry::to_json` renders sorted keys
-            // and `from_json` reconstructs them losslessly, so a merged
-            // snapshot is byte-identical to a monolithic one.
-            w.bytes(audit.to_json().render().as_bytes());
+            b.save(&mut w);
         }
         SweepItemOut::Rev(rev) => {
             w.tag(TAG_REV);
-            save_outcome(&mut w, &rev.outcome);
-            rev.cpu.save_state(&mut w);
-            rev.rev.save_state(&mut w);
-            // `RevStats::save_state` deliberately omits the terminal
-            // violation (live-session checkpoints never carry one); a
-            // sealed *finished* run can, so it rides alongside.
-            match &rev.rev.violation {
-                Some(v) => {
-                    w.bool(true);
-                    save_violation(&mut w, v);
-                }
-                None => w.bool(false),
-            }
-            save_mem(&mut w, &rev.mem);
+            rev.save(&mut w);
         }
     }
     w.finish()
@@ -238,35 +91,9 @@ pub(crate) fn unseal_item(data: &[u8], recipe: &str) -> Result<SweepItemOut, Ckp
     if stored != recipe.as_bytes() {
         return Err(CkptError::Malformed("sealed item recipe mismatch".to_string()));
     }
-    let tag = r.u8()?;
-    let out = match tag {
-        TAG_BASE => {
-            let outcome = restore_outcome(&mut r)?;
-            let mut cpu = CpuStats::default();
-            cpu.restore_state(&mut r)?;
-            let mem = restore_mem(&mut r)?;
-            let cfg = restore_cfg(&mut r)?;
-            let table = restore_table(&mut r)?;
-            let audit_text = String::from_utf8(r.bytes()?.to_vec())
-                .map_err(|_| CkptError::Malformed("audit registry is not UTF-8".to_string()))?;
-            let audit_json = rev_trace::json::parse(&audit_text)
-                .map_err(|e| CkptError::Malformed(format!("audit registry: {e}")))?;
-            let audit = MetricRegistry::from_json(&audit_json)
-                .ok_or_else(|| CkptError::Malformed("audit registry shape mismatch".to_string()))?;
-            SweepItemOut::Base(Box::new((BaselineReport { outcome, cpu, mem }, cfg, table, audit)))
-        }
-        TAG_REV => {
-            let outcome = restore_outcome(&mut r)?;
-            let mut cpu = CpuStats::default();
-            cpu.restore_state(&mut r)?;
-            let mut rev = rev_core::RevStats::default();
-            rev.restore_state(&mut r)?;
-            if r.bool()? {
-                rev.violation = Some(restore_violation(&mut r)?);
-            }
-            let mem = restore_mem(&mut r)?;
-            SweepItemOut::Rev(Box::new(RevReport { outcome, cpu, rev, mem }))
-        }
+    let out = match r.u8()? {
+        TAG_BASE => SweepItemOut::Base(Box::new(Ckpt::load(&mut r)?)),
+        TAG_REV => SweepItemOut::Rev(Box::new(Ckpt::load(&mut r)?)),
         other => return Err(CkptError::Malformed(format!("unknown item tag {other:#x}"))),
     };
     r.finish()?;
@@ -276,6 +103,7 @@ pub(crate) fn unseal_item(data: &[u8], recipe: &str) -> Result<SweepItemOut, Ckp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rev_cpu::{RunOutcome, Violation, ViolationKind};
 
     #[test]
     fn shard_spec_parses_and_partitions() {
@@ -306,10 +134,10 @@ mod tests {
         ];
         for outcome in outcomes {
             let mut w = CkptWriter::new();
-            save_outcome(&mut w, &outcome);
+            outcome.save(&mut w);
             let sealed = w.finish();
             let mut r = CkptReader::new(&sealed).unwrap();
-            let back = restore_outcome(&mut r).unwrap();
+            let back = RunOutcome::load(&mut r).unwrap();
             r.finish().unwrap();
             assert_eq!(format!("{outcome:?}"), format!("{back:?}"));
         }

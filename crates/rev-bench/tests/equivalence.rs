@@ -19,7 +19,7 @@ use rev_bench::{
     sweep_configs_pooled, BenchOptions, ProfileRun, ShardSpec, SweepConfig, SweepOutcome, WarmPool,
 };
 use rev_core::{RevConfig, RevSimulator, Session, SessionStatus, ValidationMode};
-use rev_trace::{parallel_map, MetricRegistry, MetricSink, Snapshot};
+use rev_trace::{fnv1a64, parallel_map, MetricRegistry, MetricSink, Snapshot};
 
 fn tiny_opts() -> BenchOptions {
     BenchOptions {
@@ -151,6 +151,10 @@ fn session_slicing_matches_monolithic_across_all_profiles() {
 /// Re-checkpointing the restored session reproduces the envelope byte
 /// for byte. This is the property that lets `rev-serve` resume a
 /// crashed job from its last checkpoint without moving a verdict byte.
+/// Each envelope's `(len, fnv1a64)` must also match [`GOLDEN_ENVELOPES`],
+/// which pins the `rev-ckpt/1` bytes themselves: a layout change made the
+/// same way on the save and restore sides passes every round trip above
+/// but fails here.
 #[test]
 fn checkpoint_restore_matches_monolithic_across_all_profiles() {
     let opts = tiny_opts();
@@ -173,10 +177,12 @@ fn checkpoint_restore_matches_monolithic_across_all_profiles() {
         let monolithic = fingerprint(&warmed().run(opts.instructions));
         // Suspend a third of the way in, seal, restore cold, finish.
         let mut session = Session::new(warmed(), opts.instructions);
+        let mut sealed = None;
         let report = match session.run(opts.instructions / 3) {
             SessionStatus::Done(report) => report, // profile ended early: nothing to suspend
             SessionStatus::Yielded { .. } => {
                 let envelope = session.checkpoint(profile.name.as_bytes()).unwrap();
+                sealed = Some((envelope.len(), fnv1a64(&envelope)));
                 assert_eq!(
                     Session::recipe(&envelope).unwrap(),
                     profile.name.as_bytes(),
@@ -201,15 +207,42 @@ fn checkpoint_restore_matches_monolithic_across_all_profiles() {
                 }
             }
         };
-        (profile.name, monolithic, fingerprint(&report))
+        (profile.name, monolithic, fingerprint(&report), sealed)
     });
-    for (name, monolithic, restored) in reports {
+    let mut envelopes = Vec::new();
+    for (name, monolithic, restored, sealed) in reports {
         assert_eq!(
             restored, monolithic,
             "{name}: checkpoint/restore must not move a rendered metric byte"
         );
+        envelopes.push((name, sealed));
     }
+    assert_eq!(envelopes, GOLDEN_ENVELOPES, "rev-ckpt/1 envelope bytes moved");
 }
+
+/// `(len, fnv1a64)` of each profile's envelope in
+/// [`checkpoint_restore_matches_monolithic_across_all_profiles`]
+/// (`None`: the profile ended before the suspension point).
+const GOLDEN_ENVELOPES: [(&str, Option<(usize, u64)>); 18] = [
+    ("astar", Some((496_639, 0x07f725e65a38a239))),
+    ("bzip2", Some((352_797, 0x7104bc4b24584660))),
+    ("cactusADM", Some((337_822, 0xbd97ad00630dc481))),
+    ("calculix", Some((322_717, 0x4cd8f1aa1e7bfd42))),
+    ("dealII", Some((510_825, 0x0b671853dfb549bb))),
+    ("gamess", Some((422_483, 0x80928cbc745ebf53))),
+    ("gcc", Some((467_365, 0x602c77bc5c6f1f8d))),
+    ("gobmk", Some((583_462, 0x54bccdd9106f3559))),
+    ("h264ref", Some((361_295, 0xdced388267350357))),
+    ("hmmer", Some((318_613, 0x37c0eb64f278a884))),
+    ("lbm", Some((316_397, 0xb4e9c8f3a1784467))),
+    ("leslie3d", Some((307_698, 0x7c47d83c800497cd))),
+    ("libquantum", Some((326_915, 0x84419b1e2d3e80d2))),
+    ("mcf", Some((381_372, 0x4c02c29a1d748d37))),
+    ("milc", Some((577_265, 0x5a164ad12a7ef072))),
+    ("namd", Some((348_868, 0xdd6285247ec7374e))),
+    ("sjeng", Some((447_064, 0xca1f8132697957b7))),
+    ("soplex", Some((360_874, 0x1080e634c506d58d))),
+];
 
 /// A per-test scratch directory under the system temp dir, wiped on
 /// entry so a stale run never leaks state in.

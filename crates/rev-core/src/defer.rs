@@ -13,7 +13,7 @@
 //! counter and `rev.defer.occupancy` histogram (see `docs/METRICS.md`).
 
 use rev_mem::FlatMap;
-use rev_trace::{EventKind, FaultInjector, TraceBus, TraceEvent};
+use rev_trace::{CkptError, EventKind, FaultInjector, TraceBus, TraceEvent};
 use std::collections::VecDeque;
 
 /// One committed-but-unvalidated store.
@@ -214,54 +214,32 @@ impl DeferredStoreBuffer {
         self.total_discarded
     }
 
-    /// Serializes the buffer contents (each store with its latched parity
-    /// byte, in FIFO order) and lifetime counters. The address index is
-    /// derived state, rebuilt on restore.
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.len(self.entries.len());
-        for (s, p) in &self.entries {
-            w.u64(s.seq);
-            w.u64(s.addr);
-            w.u64(s.value);
-            w.u8(*p);
-        }
-        w.u64(self.peak as u64);
-        w.u64(self.total_released);
-        w.u64(self.total_discarded);
-    }
-
-    /// Restores state saved by [`DeferredStoreBuffer::save_state`] into a
-    /// buffer built with the same capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rev_trace::CkptError`] on decode failure or an occupancy
-    /// exceeding this buffer's capacity.
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        let n = r.len(25)?;
-        if n > self.capacity {
-            return Err(rev_trace::CkptError::Malformed(format!(
-                "deferred-store occupancy {n} exceeds capacity {}",
+    /// Rejects a restored occupancy beyond this buffer's capacity and
+    /// rebuilds the derived address index.
+    fn check_restored(&mut self) -> Result<(), CkptError> {
+        if self.entries.len() > self.capacity {
+            return Err(CkptError::Malformed(format!(
+                "deferred-store occupancy {} exceeds capacity {}",
+                self.entries.len(),
                 self.capacity
             )));
         }
-        self.entries.clear();
         self.addr_index.clear();
-        for _ in 0..n {
-            let s = DeferredStore { seq: r.u64()?, addr: r.u64()?, value: r.u64()? };
-            let p = r.u8()?;
+        for (s, _) in &self.entries {
             *self.addr_index.entry(s.addr).or_insert(0) += 1;
-            self.entries.push_back((s, p));
         }
-        self.peak = r.u64()? as usize;
-        self.total_released = r.u64()?;
-        self.total_discarded = r.u64()?;
         Ok(())
     }
 }
+
+rev_trace::ckpt_fields!(Ckpt for DeferredStore { seq, addr, value });
+
+// The buffer contents (each store with its latched parity byte, in FIFO
+// order) and lifetime counters. The address index is derived state,
+// rebuilt on restore.
+rev_trace::ckpt_fields!(CkptFields for DeferredStoreBuffer {
+    entries, peak, total_released, total_discarded,
+} then DeferredStoreBuffer::check_restored);
 
 #[cfg(test)]
 mod tests {

@@ -17,7 +17,10 @@ use rev_crypto::{
 use rev_isa::InstrClass;
 use rev_mem::{FlatMap, Hierarchy, MainMemory, Request, Requester};
 use rev_sigtable::{EntryKind, ValidationMode};
-use rev_trace::{EventKind, FaultInjector, FaultLayer, TraceBus, TraceEvent, Verdict};
+use rev_trace::{
+    Ckpt, CkptError, CkptFields, CkptReader, CkptWriter, EventKind, FaultInjector, FaultLayer,
+    TraceBus, TraceEvent, Verdict,
+};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Service number of the REV-disable system call (paper Sec. VII: "The
@@ -104,7 +107,19 @@ impl PendingQueue {
     fn clear(&mut self) {
         self.entries.clear();
     }
+
+    /// Rejects restored blocks that are not in strictly increasing fetch
+    /// order (lookups binary-search by seq).
+    fn check_order(&mut self) -> Result<(), CkptError> {
+        if self.entries.iter().zip(self.entries.iter().skip(1)).any(|(a, b)| a.0 >= b.0) {
+            return Err(CkptError::Malformed("pending blocks out of fetch order".to_string()));
+        }
+        Ok(())
+    }
 }
+
+rev_trace::ckpt_fields!(Ckpt for PendingBb { start, bb_addr, body, needs_hash, chg_ready });
+rev_trace::ckpt_fields!(Ckpt for PendingQueue { entries } then PendingQueue::check_order);
 
 /// One memoized digest-scan input, exactly as commit gate 3 reads it from
 /// an SC variant: the stored digest (`None` = unsigned variant, skipped
@@ -237,6 +252,15 @@ pub struct RevMonitor {
     resync: bool,
 }
 
+// The state after the committed-memory section (see
+// `RevMonitor::save_state`): deferred stores, shadow pages, statistics,
+// the speculative BB tracker, pending blocks, the return latch and the
+// enable/resync machinery.
+rev_trace::ckpt_fields!(CkptFields for RevMonitor {
+    defer, shadow, stats, cur_start, cur_bytes, cur_instrs, cur_stores, pending, ret_latch,
+    code_gen, unhashed, retry, violated, enabled, resync,
+} then RevMonitor::restart_caches);
+
 impl RevMonitor {
     /// Creates a monitor over the SAG (with all module tables registered)
     /// and the committed-memory image (program + tables as loaded).
@@ -332,6 +356,17 @@ impl RevMonitor {
     /// Current deferred-store occupancy (inspection).
     pub fn deferred_stores(&self) -> usize {
         self.defer.len()
+    }
+
+    /// Fetched blocks still awaiting validation (inspection).
+    pub fn pending_blocks(&self) -> usize {
+        self.pending.entries.len()
+    }
+
+    /// Live shadow pages (inspection; zero unless
+    /// `Containment::ShadowPages`).
+    pub fn shadow_pages(&self) -> usize {
+        self.shadow.live_pages()
     }
 
     /// Attaches an observability bus: CHG issues, SC probes, deferred
@@ -941,55 +976,13 @@ impl RevMonitor {
     /// *not* state — they restore cold and refill, which is functionally
     /// invisible (the architectural `rev.*` counters are pinned identical
     /// with the caches on or off).
-    pub fn save_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter) {
+    pub fn save_state(&self, base: &MainMemory, w: &mut CkptWriter) {
         w.tag(TAG_REV);
         self.sag.save_state(w);
-        self.sc.save_state(w);
-        let (in_flight, enqueued, flushed) = self.chg.snapshot();
-        w.len(in_flight.len());
-        for (tag, ready_at) in &in_flight {
-            w.u64(*tag);
-            w.u64(*ready_at);
-        }
-        w.u64(enqueued);
-        w.u64(flushed);
+        self.sc.save_fields(w);
+        self.chg.snapshot().save(w);
         self.committed.save_state(base, w);
-        self.defer.save_state(w);
-        self.shadow.save_state(w);
-        self.stats.save_state(w);
-        w.opt_u64(self.cur_start);
-        w.bytes(&self.cur_bytes);
-        w.u64(self.cur_instrs as u64);
-        w.u64(self.cur_stores as u64);
-        w.len(self.pending.entries.len());
-        for (seq, pb) in &self.pending.entries {
-            w.u64(*seq);
-            w.u64(pb.start);
-            w.u64(pb.bb_addr);
-            w.raw(&pb.body.0);
-            w.bool(pb.needs_hash);
-            w.u64(pb.chg_ready);
-        }
-        w.opt_u64(self.ret_latch);
-        w.u64(self.code_gen);
-        w.len(self.unhashed.len());
-        for (seq, start, end, bytes) in &self.unhashed {
-            w.u64(*seq);
-            w.u64(*start);
-            w.u64(*end);
-            w.bytes(bytes);
-        }
-        match self.retry {
-            Some((seq, attempts)) => {
-                w.bool(true);
-                w.u64(seq);
-                w.u32(attempts);
-            }
-            None => w.bool(false),
-        }
-        w.bool(self.violated);
-        w.bool(self.enabled);
-        w.bool(self.resync);
+        self.save_fields(w);
     }
 
     /// Restores state saved by [`RevMonitor::save_state`] into a monitor
@@ -1001,78 +994,31 @@ impl RevMonitor {
     ///
     /// Returns [`rev_trace::CkptError`] on decode failure or any
     /// configuration/geometry mismatch.
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
+    pub fn restore_state(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         r.tag(TAG_REV)?;
         self.sag.restore_state(r)?;
-        self.sc.restore_state(r)?;
-        let n = r.len(16)?;
-        let mut in_flight = Vec::with_capacity(n);
-        for _ in 0..n {
-            in_flight.push((r.u64()?, r.u64()?));
-        }
+        self.sc.load_fields(r)?;
+        let (in_flight, enqueued, flushed): (Vec<(u64, u64)>, u64, u64) = Ckpt::load(r)?;
         if in_flight.len() > self.config.chg.capacity
             || !in_flight.windows(2).all(|p| p[0].0 < p[1].0)
         {
-            return Err(rev_trace::CkptError::Malformed(
+            return Err(CkptError::Malformed(
                 "CHG in-flight queue over capacity or out of order".to_string(),
             ));
         }
-        let (enqueued, flushed) = (r.u64()?, r.u64()?);
         self.chg.restore(&in_flight, enqueued, flushed);
         self.committed.restore_state(r)?;
-        self.defer.restore_state(r)?;
-        self.shadow.restore_state(r)?;
-        self.stats.restore_state(r)?;
-        self.cur_start = r.opt_u64()?;
-        self.cur_bytes.clear();
-        self.cur_bytes.extend_from_slice(r.bytes()?);
-        self.cur_instrs = r.u64()? as usize;
-        self.cur_stores = r.u64()? as usize;
-        let n = r.len(58)?;
-        self.pending.clear();
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let seq = r.u64()?;
-            if prev.is_some_and(|p| p >= seq) {
-                return Err(rev_trace::CkptError::Malformed(
-                    "pending blocks out of fetch order".to_string(),
-                ));
-            }
-            prev = Some(seq);
-            let start = r.u64()?;
-            let bb_addr = r.u64()?;
-            let mut body = [0u8; 32];
-            body.copy_from_slice(r.raw(32)?);
-            let needs_hash = r.bool()?;
-            let chg_ready = r.u64()?;
-            self.pending.insert(
-                seq,
-                PendingBb { start, bb_addr, body: BodyHash(body), needs_hash, chg_ready },
-            );
-        }
-        self.ret_latch = r.opt_u64()?;
-        self.code_gen = r.u64()?;
-        let n = r.len(32)?;
-        self.unhashed.clear();
-        for _ in 0..n {
-            let (seq, start, end) = (r.u64()?, r.u64()?, r.u64()?);
-            self.unhashed.push_back((seq, start, end, r.bytes()?.to_vec()));
-        }
-        self.retry = if r.bool()? { Some((r.u64()?, r.u32()?)) } else { None };
-        self.violated = r.bool()?;
-        self.enabled = r.bool()?;
-        self.resync = r.bool()?;
-        // Performance caches restart cold: stale memos must never survive
-        // into a restored run whose code generation they cannot know.
+        self.load_fields(r)
+    }
+
+    /// Performance caches restart cold: stale memos must never survive
+    /// into a restored run whose code generation they cannot know.
+    fn restart_caches(&mut self) {
         self.body_cache.clear();
         self.digest_cache.clear();
         self.sb_cache.clear();
         self.candidates_buf.clear();
         self.code_bounds = Self::compute_code_bounds(&self.sag);
-        Ok(())
     }
 
     fn commit_standard(&mut self, mem: &mut Hierarchy, q: &CommitQuery) -> CommitGate {

@@ -8,7 +8,7 @@
 //! penalty.
 
 use rev_sigtable::SignatureTable;
-use rev_trace::{FaultInjector, FaultLayer};
+use rev_trace::{Ckpt, CkptError, CkptFields, CkptReader, CkptWriter, FaultInjector, FaultLayer};
 
 /// One resident SAG register triple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,23 +152,12 @@ impl Sag {
     /// Serializes the SAG's mutable state: the resident register window
     /// (physical order — deterministic model state), tick and miss
     /// counters. The registered tables are static build products; their
-    /// count and RAM bases are written as a drift guard so a checkpoint
+    /// RAM bases are written first as a drift guard so a checkpoint
     /// taken after a `dlopen`/re-key can never restore into a simulator
     /// rebuilt without it.
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.len(self.tables.len());
-        for t in &self.tables {
-            w.u64(t.base());
-        }
-        w.u64(self.tick);
-        w.u64(self.misses);
-        w.len(self.resident.len());
-        for (e, lru) in &self.resident {
-            w.u64(e.table_idx as u64);
-            w.u64(e.lo);
-            w.u64(e.hi);
-            w.u64(*lru);
-        }
+    pub fn save_state(&self, w: &mut CkptWriter) {
+        self.table_bases().save(w);
+        self.save_fields(w);
     }
 
     /// Restores state saved by [`Sag::save_state`] into a SAG with the
@@ -176,52 +165,57 @@ impl Sag {
     ///
     /// # Errors
     ///
-    /// Returns [`rev_trace::CkptError`] on decode failure or when the
-    /// registered tables differ from the checkpoint's (count or base).
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        let nt = r.len(8)?;
-        if nt != self.tables.len() {
-            return Err(rev_trace::CkptError::Malformed(format!(
-                "checkpoint has {nt} signature tables, simulator has {}",
+    /// Returns [`CkptError`] on decode failure, when the registered
+    /// tables differ from the checkpoint's (count or base), or when the
+    /// register window does not fit this SAG.
+    pub fn restore_state(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+        let bases: Vec<u64> = Ckpt::load(r)?;
+        if bases.len() != self.tables.len() {
+            return Err(CkptError::Malformed(format!(
+                "checkpoint has {} signature tables, simulator has {}",
+                bases.len(),
                 self.tables.len()
             )));
         }
-        for t in &self.tables {
-            let base = r.u64()?;
-            if base != t.base() {
-                return Err(rev_trace::CkptError::Malformed(format!(
-                    "signature table base {base:#x} differs from rebuilt {:#x}",
-                    t.base()
-                )));
-            }
+        if let Some((base, rebuilt)) =
+            bases.into_iter().zip(self.table_bases()).find(|(b, t)| b != t)
+        {
+            return Err(CkptError::Malformed(format!(
+                "signature table base {base:#x} differs from rebuilt {rebuilt:#x}"
+            )));
         }
-        self.tick = r.u64()?;
-        self.misses = r.u64()?;
-        let n = r.len(32)?;
-        if n > self.capacity {
-            return Err(rev_trace::CkptError::Malformed(format!(
-                "SAG residency {n} exceeds capacity {}",
+        self.load_fields(r)
+    }
+
+    fn table_bases(&self) -> Vec<u64> {
+        self.tables.iter().map(SignatureTable::base).collect()
+    }
+
+    /// Rejects a restored register window larger than this SAG or naming
+    /// an unregistered table.
+    fn check_restored(&mut self) -> Result<(), CkptError> {
+        if self.resident.len() > self.capacity {
+            return Err(CkptError::Malformed(format!(
+                "SAG residency {} exceeds capacity {}",
+                self.resident.len(),
                 self.capacity
             )));
         }
-        self.resident.clear();
-        for _ in 0..n {
-            let table_idx = r.u64()? as usize;
-            if table_idx >= self.tables.len() {
-                return Err(rev_trace::CkptError::Malformed(format!(
-                    "SAG register names table {table_idx}, only {} registered",
-                    self.tables.len()
-                )));
-            }
-            let (lo, hi, lru) = (r.u64()?, r.u64()?, r.u64()?);
-            self.resident.push((SagEntry { table_idx, lo, hi }, lru));
+        if let Some((e, _)) = self.resident.iter().find(|(e, _)| e.table_idx >= self.tables.len()) {
+            return Err(CkptError::Malformed(format!(
+                "SAG register names table {}, only {} registered",
+                e.table_idx,
+                self.tables.len()
+            )));
         }
         Ok(())
     }
 }
+
+rev_trace::ckpt_fields!(Ckpt for SagEntry { table_idx, lo, hi });
+
+// The fields after the table-base guard (see `Sag::save_state`).
+rev_trace::ckpt_fields!(CkptFields for Sag { tick, misses, resident } then Sag::check_restored);
 
 #[cfg(test)]
 mod tests {

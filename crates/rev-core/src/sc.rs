@@ -13,7 +13,9 @@
 //! `docs/METRICS.md`).
 
 use rev_sigtable::{EntryKind, SigVariant};
-use rev_trace::{EventKind, FaultInjector, FaultLayer, ProbeOutcome, TraceBus, TraceEvent};
+use rev_trace::{
+    CkptError, EventKind, FaultInjector, FaultLayer, ProbeOutcome, TraceBus, TraceEvent,
+};
 
 /// SC traffic counters (feeds the paper's Fig. 10).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -385,145 +387,43 @@ impl SignatureCache {
     }
 }
 
-impl ScVariant {
-    /// Serializes one cached variant into a checkpoint.
-    fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.u8(match self.kind {
-            EntryKind::Implicit => 0,
-            EntryKind::Computed => 1,
-            EntryKind::Return => 2,
-        });
-        match self.digest {
-            Some(d) => {
-                w.bool(true);
-                w.u32(d);
-            }
-            None => w.bool(false),
-        }
-        w.u64_slice(&self.bound_succs);
-        w.opt_u64(self.bound_pred);
-        w.u64_slice(&self.succs);
-        w.u64_slice(&self.preds);
-        match self.tag {
-            Some(t) => {
-                w.bool(true);
-                w.u16(t);
-            }
-            None => w.bool(false),
-        }
-        w.u64_slice(&self.spill_addrs);
-        w.u64_slice(&self.mru_succs);
-        w.u64_slice(&self.mru_preds);
-    }
+rev_trace::ckpt_fields!(Ckpt for ScStats { hits, partial_misses, complete_misses, evictions });
 
-    /// Decodes a variant saved by [`ScVariant::save_state`].
-    fn restore_state(r: &mut rev_trace::CkptReader<'_>) -> Result<Self, rev_trace::CkptError> {
-        let kind = match r.u8()? {
-            0 => EntryKind::Implicit,
-            1 => EntryKind::Computed,
-            2 => EntryKind::Return,
-            k => return Err(rev_trace::CkptError::Malformed(format!("SC variant kind {k}"))),
-        };
-        let digest = if r.bool()? { Some(r.u32()?) } else { None };
-        let bound_succs = r.u64_slice()?;
-        let bound_pred = r.opt_u64()?;
-        let succs = r.u64_slice()?;
-        let preds = r.u64_slice()?;
-        let tag = if r.bool()? { Some(r.u16()?) } else { None };
-        Ok(ScVariant {
-            kind,
-            digest,
-            bound_succs,
-            bound_pred,
-            succs,
-            preds,
-            tag,
-            spill_addrs: r.u64_slice()?,
-            mru_succs: r.u64_slice()?,
-            mru_preds: r.u64_slice()?,
-        })
-    }
-}
+rev_trace::ckpt_fields!(Ckpt for ScVariant {
+    kind, digest, bound_succs, bound_pred, succs, preds, tag, spill_addrs, mru_succs, mru_preds,
+});
+
+rev_trace::ckpt_fields!(Ckpt for ScEntry { bb_addr, ready_at, lru, variants });
+
+// The complete SC contents: every resident entry in its physical way
+// order (deterministic model state), LRU stamps, the tick counter and
+// traffic stats. The flattened tag array is derived state, rebuilt on
+// restore.
+rev_trace::ckpt_fields!(CkptFields for SignatureCache { tick, stats, sets }
+    then SignatureCache::check_restored);
 
 impl SignatureCache {
-    /// Serializes the complete SC contents — every resident entry in its
-    /// physical way order (deterministic model state), LRU stamps, the
-    /// tick counter and traffic stats. The flattened tag array is derived
-    /// state and is rebuilt on restore.
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.u64(self.tick);
-        for v in [
-            self.stats.hits,
-            self.stats.partial_misses,
-            self.stats.complete_misses,
-            self.stats.evictions,
-        ] {
-            w.u64(v);
-        }
-        w.len(self.sets.len());
-        for set in &self.sets {
-            w.len(set.len());
-            for e in set {
-                w.u64(e.bb_addr);
-                w.u64(e.ready_at);
-                w.u64(e.lru);
-                w.len(e.variants.len());
-                for v in &e.variants {
-                    v.save_state(w);
-                }
-            }
-        }
-    }
-
-    /// Restores state saved by [`SignatureCache::save_state`] into an SC
-    /// built with the same geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rev_trace::CkptError`] on decode failure or a geometry
-    /// mismatch (set count, over-full set).
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        self.tick = r.u64()?;
-        for v in [
-            &mut self.stats.hits,
-            &mut self.stats.partial_misses,
-            &mut self.stats.complete_misses,
-            &mut self.stats.evictions,
-        ] {
-            *v = r.u64()?;
-        }
-        let num_sets = r.len(8)?;
-        if num_sets != self.sets.len() {
-            return Err(rev_trace::CkptError::Malformed(format!(
-                "SC set count {num_sets}, expected {}",
-                self.sets.len()
+    /// Rejects restored sets that do not fit this SC's geometry and
+    /// rebuilds the tag array.
+    fn check_restored(&mut self) -> Result<(), CkptError> {
+        if self.sets.len() != self.tags.len() / self.assoc {
+            return Err(CkptError::Malformed(format!(
+                "SC set count {}, expected {}",
+                self.sets.len(),
+                self.tags.len() / self.assoc
             )));
         }
         self.tags.fill(EMPTY_TAG);
-        for set_idx in 0..num_sets {
-            let ways = r.len(24)?;
-            if ways > self.assoc {
-                return Err(rev_trace::CkptError::Malformed(format!(
-                    "SC set {set_idx} holds {ways} ways, associativity is {}",
+        for (set_idx, set) in self.sets.iter().enumerate() {
+            if set.len() > self.assoc {
+                return Err(CkptError::Malformed(format!(
+                    "SC set {set_idx} holds {} ways, associativity is {}",
+                    set.len(),
                     self.assoc
                 )));
             }
-            let set = &mut self.sets[set_idx];
-            set.clear();
-            for way in 0..ways {
-                let bb_addr = r.u64()?;
-                let ready_at = r.u64()?;
-                let lru = r.u64()?;
-                let nv = r.len(1)?;
-                let mut variants = Vec::with_capacity(nv);
-                for _ in 0..nv {
-                    variants.push(ScVariant::restore_state(r)?);
-                }
-                self.tags[set_idx * self.assoc + way] = bb_addr;
-                set.push(ScEntry { bb_addr, ready_at, variants, lru });
+            for (way, e) in set.iter().enumerate() {
+                self.tags[set_idx * self.assoc + way] = e.bb_addr;
             }
         }
         Ok(())

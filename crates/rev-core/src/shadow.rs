@@ -17,6 +17,7 @@
 //! ever made.
 
 use rev_mem::MainMemory;
+use rev_trace::{CkptError, CkptReader, CkptWriter};
 use std::collections::BTreeMap;
 
 const PAGE_SHIFT: u32 = 12;
@@ -114,66 +115,56 @@ impl ShadowMemory {
         promoted
     }
 
-    /// Serializes every live shadow page (ascending page number — the
-    /// `BTreeMap` order is already canonical) plus the counters.
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.len(self.pages.len());
-        for (vpn, page) in &self.pages {
-            w.u64(*vpn);
-            w.raw(&page[..]);
-        }
-        for v in [
-            self.stats.pages_created,
-            self.stats.stores_buffered,
-            self.stats.pages_promoted,
-            self.stats.pages_discarded,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Restores state saved by [`ShadowMemory::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rev_trace::CkptError`] on decode failure or out-of-order
-    /// page numbers.
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        let n = r.len(8 + PAGE_BYTES as usize)?;
-        self.pages.clear();
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let vpn = r.u64()?;
-            if prev.is_some_and(|p| p >= vpn) {
-                return Err(rev_trace::CkptError::Malformed(format!(
-                    "shadow pages out of order at vpn {vpn:#x}"
-                )));
-            }
-            prev = Some(vpn);
-            let mut page = Box::new([0u8; PAGE_BYTES as usize]);
-            page.copy_from_slice(r.raw(PAGE_BYTES as usize)?);
-            self.pages.insert(vpn, page);
-        }
-        for v in [
-            &mut self.stats.pages_created,
-            &mut self.stats.stores_buffered,
-            &mut self.stats.pages_promoted,
-            &mut self.stats.pages_discarded,
-        ] {
-            *v = r.u64()?;
-        }
-        Ok(())
-    }
-
     /// Validation failed: every update the execution made is discarded.
     pub fn discard(&mut self) -> u64 {
         let discarded = self.pages.len() as u64;
         self.pages.clear();
         self.stats.pages_discarded += discarded;
         discarded
+    }
+}
+
+rev_trace::ckpt_fields!(Ckpt for ShadowStats {
+    pages_created, stores_buffered, pages_promoted, pages_discarded,
+});
+
+rev_trace::ckpt_fields!(Ckpt for ShadowMemory { pages => ShadowPages, stats });
+
+/// Live shadow pages travel as `(page number, 4 KiB)` records in
+/// ascending page order (the `BTreeMap` order is already canonical); an
+/// out-of-order page number is rejected.
+struct ShadowPages;
+
+impl ShadowPages {
+    const MIN_BYTES: usize = 8;
+
+    fn save(pages: &BTreeMap<u64, Box<[u8; PAGE_BYTES as usize]>>, w: &mut CkptWriter) {
+        w.len(pages.len());
+        for (vpn, page) in pages {
+            w.u64(*vpn);
+            w.raw(&page[..]);
+        }
+    }
+
+    fn load(
+        r: &mut CkptReader<'_>,
+    ) -> Result<BTreeMap<u64, Box<[u8; PAGE_BYTES as usize]>>, CkptError> {
+        let n = r.len(8 + PAGE_BYTES as usize)?;
+        let mut pages = BTreeMap::new();
+        let mut prev: Option<u64> = None;
+        for _ in 0..n {
+            let vpn = r.u64()?;
+            if prev.is_some_and(|p| p >= vpn) {
+                return Err(CkptError::Malformed(format!(
+                    "shadow pages out of order at vpn {vpn:#x}"
+                )));
+            }
+            prev = Some(vpn);
+            let mut page = Box::new([0u8; PAGE_BYTES as usize]);
+            page.copy_from_slice(r.raw(PAGE_BYTES as usize)?);
+            pages.insert(vpn, page);
+        }
+        Ok(pages)
     }
 }
 

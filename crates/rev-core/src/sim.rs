@@ -16,7 +16,7 @@ use rev_crypto::{Aes128, SignatureKey};
 use rev_mem::{MainMemory, MemConfig, MemStats};
 use rev_prog::{Cfg, CfgError, Program};
 use rev_sigtable::{build_table, SignatureTable, TableBuildError, TableStats};
-use rev_trace::TraceBus;
+use rev_trace::{Ckpt, TraceBus};
 use std::fmt;
 
 /// The CPU-internal master key used to wrap per-module table keys (models
@@ -96,6 +96,28 @@ pub struct RevReport {
     pub mem: MemStats,
 }
 
+rev_trace::ckpt_fields!(Ckpt for RevReport { outcome, cpu, rev => FinishedRevStats, mem });
+
+/// A finished run's REV counters plus the terminal violation, which
+/// [`RevStats`]' own encoding leaves out (live-session checkpoints never
+/// carry one; a sealed finished run can).
+struct FinishedRevStats;
+
+impl FinishedRevStats {
+    const MIN_BYTES: usize = <RevStats as Ckpt>::MIN_BYTES + 1;
+
+    fn save(stats: &RevStats, w: &mut rev_trace::CkptWriter) {
+        stats.save(w);
+        stats.violation.save(w);
+    }
+
+    fn load(r: &mut rev_trace::CkptReader<'_>) -> Result<RevStats, rev_trace::CkptError> {
+        let mut stats = RevStats::load(r)?;
+        stats.violation = Ckpt::load(r)?;
+        Ok(stats)
+    }
+}
+
 impl fmt::Display for RevReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "outcome        : {:?}", self.outcome)?;
@@ -160,6 +182,8 @@ pub struct BaselineReport {
     /// Memory-hierarchy counters.
     pub mem: MemStats,
 }
+
+rev_trace::ckpt_fields!(Ckpt for BaselineReport { outcome, cpu, mem });
 
 /// The trusted toolchain's analysis front half: analyzes every module and
 /// stitches cross-module return linkage (paper Sec. IV.B). The returned

@@ -85,134 +85,25 @@ pub struct RevStats {
     pub violation: Option<Violation>,
 }
 
-fn save_hist(h: &Histogram, w: &mut rev_trace::CkptWriter) {
-    for &b in &h.buckets {
-        w.u64(b);
-    }
-    w.u64(h.count);
-    w.u64(h.sum);
-    w.u64(h.max);
-}
-
-fn restore_hist(
-    h: &mut Histogram,
-    r: &mut rev_trace::CkptReader<'_>,
-) -> Result<(), rev_trace::CkptError> {
-    for b in &mut h.buckets {
-        *b = r.u64()?;
-    }
-    h.count = r.u64()?;
-    h.sum = r.u64()?;
-    h.max = r.u64()?;
-    Ok(())
-}
-
 impl RevStats {
     /// Total SC misses (partial + complete).
     pub fn sc_misses(&self) -> u64 {
         self.sc.misses()
     }
-
-    /// Serializes every counter and both distributions exactly. The
-    /// terminal `violation` field is not written: checkpoints are only
-    /// taken from live (non-violated) sessions, so a restored run always
-    /// resumes with it unset — [`crate::Session::checkpoint`] enforces
-    /// the precondition.
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        for v in [
-            self.sc.hits,
-            self.sc.partial_misses,
-            self.sc.complete_misses,
-            self.sc.evictions,
-            self.validations,
-            self.digest_checks,
-            self.spill_fetches,
-            self.fill_touches,
-            self.commit_misses,
-            self.sag_refills,
-            self.stores_released,
-            self.stores_discarded,
-            self.defer_peak as u64,
-            self.artificial_splits,
-            self.return_checks,
-            self.stall_chg,
-            self.stall_fill,
-            self.stall_spill,
-            self.shadow.pages_created,
-            self.shadow.stores_buffered,
-            self.shadow.pages_promoted,
-            self.shadow.pages_discarded,
-            self.sigline_retries,
-            self.sigline_recoveries,
-            self.bb_cache_hits,
-            self.bb_cache_misses,
-            self.bb_cache_invalidations,
-            self.sb_formed,
-            self.sb_hits,
-            self.sb_flushes,
-            self.chg_lanes,
-        ] {
-            w.u64(v);
-        }
-        save_hist(&self.defer_occupancy, w);
-        save_hist(&self.fill_latency, w);
-    }
-
-    /// Restores counters saved by [`RevStats::save_state`]. `violation`
-    /// is reset to `None` (see the save-side contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rev_trace::CkptError`] on decode failure.
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        for v in [
-            &mut self.sc.hits,
-            &mut self.sc.partial_misses,
-            &mut self.sc.complete_misses,
-            &mut self.sc.evictions,
-            &mut self.validations,
-            &mut self.digest_checks,
-            &mut self.spill_fetches,
-            &mut self.fill_touches,
-            &mut self.commit_misses,
-            &mut self.sag_refills,
-            &mut self.stores_released,
-            &mut self.stores_discarded,
-        ] {
-            *v = r.u64()?;
-        }
-        self.defer_peak = r.u64()? as usize;
-        for v in [
-            &mut self.artificial_splits,
-            &mut self.return_checks,
-            &mut self.stall_chg,
-            &mut self.stall_fill,
-            &mut self.stall_spill,
-            &mut self.shadow.pages_created,
-            &mut self.shadow.stores_buffered,
-            &mut self.shadow.pages_promoted,
-            &mut self.shadow.pages_discarded,
-            &mut self.sigline_retries,
-            &mut self.sigline_recoveries,
-            &mut self.bb_cache_hits,
-            &mut self.bb_cache_misses,
-            &mut self.bb_cache_invalidations,
-            &mut self.sb_formed,
-            &mut self.sb_hits,
-            &mut self.sb_flushes,
-            &mut self.chg_lanes,
-        ] {
-            *v = r.u64()?;
-        }
-        restore_hist(&mut self.defer_occupancy, r)?;
-        restore_hist(&mut self.fill_latency, r)?;
-        self.violation = None;
-        Ok(())
-    }
 }
+
+// Every counter and both distributions, exactly. The terminal `violation`
+// is not written: checkpoints are only taken from live (non-violated)
+// sessions, so a restored run always resumes with it unset —
+// `Session::checkpoint` enforces the precondition.
+rev_trace::ckpt_fields!(Ckpt for RevStats {
+    sc, validations, digest_checks, spill_fetches, fill_touches, commit_misses, sag_refills,
+    stores_released, stores_discarded, defer_peak, artificial_splits, return_checks, stall_chg,
+    stall_fill, stall_spill, shadow, sigline_retries, sigline_recoveries, bb_cache_hits,
+    bb_cache_misses, bb_cache_invalidations, sb_formed, sb_hits, sb_flushes, chg_lanes,
+    defer_occupancy, fill_latency,
+    ..RevStats::default()
+});
 
 impl MetricSink for RevStats {
     fn export_metrics(&self, reg: &mut MetricRegistry) {

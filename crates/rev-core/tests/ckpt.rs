@@ -7,7 +7,7 @@
 //! the trailing checksum — never silently restored.
 
 use proptest::prelude::*;
-use rev_core::{RevConfig, RevSimulator, Session, SessionStatus, ValidationMode};
+use rev_core::{Containment, RevConfig, RevSimulator, Session, SessionStatus, ValidationMode};
 use rev_isa::{BranchCond, Instruction, Reg};
 use rev_prog::{ModuleBuilder, Program};
 use rev_trace::CkptError;
@@ -403,4 +403,78 @@ fn injected_code_and_data_survive_delta_checkpoint() {
     let restored = Session::restore(fresh, &env).unwrap();
     assert_eq!(restored.checkpoint(b"inject").unwrap(), env, "re-checkpoint differs");
     assert_eq!(finish_with_memory(restored), uninterrupted);
+}
+
+/// The `(len, fnv1a64)` of demo-program envelopes sealed at instruction
+/// 81 under three configurations that fill the REV structures a plain
+/// Standard run leaves empty. Re-checkpoint tests only prove the codec
+/// agrees with itself; this table pins the `rev-ckpt/1` bytes, so a
+/// layout change made the same way on both sides still fails here.
+const GOLDEN_ENVELOPES: [(&str, usize, u64); 3] = [
+    ("aggressive", 292_795, 0x60b8715417038596),
+    ("cfi-only", 297_296, 0x69968239cae6598e),
+    ("shadow-pages", 294_710, 0xd68012c588ffbfda),
+];
+
+/// The configurations of [`GOLDEN_ENVELOPES`], in order.
+fn golden_configs() -> [RevConfig; 3] {
+    [
+        RevConfig::paper_default().with_mode(ValidationMode::Aggressive),
+        RevConfig::paper_default().with_mode(ValidationMode::CfiOnly),
+        RevConfig { containment: Containment::ShadowPages, ..RevConfig::paper_default() },
+    ]
+}
+
+/// A demo-program session under `config`, parked at instruction 81.
+fn golden_session(config: RevConfig) -> Session {
+    let mut s = Session::new(RevSimulator::new(demo_program(), config).unwrap(), u64::MAX);
+    assert!(matches!(s.run(81), SessionStatus::Yielded { .. }), "must park mid-run");
+    s
+}
+
+#[test]
+fn envelope_bytes_match_the_golden_table() {
+    let (mut sc, mut deferred, mut pending, mut shadow) = (0, 0, 0, 0);
+    let mut got = Vec::new();
+    for (config, &(name, ..)) in golden_configs().into_iter().zip(&GOLDEN_ENVELOPES) {
+        let s = golden_session(config);
+        let monitor = s.simulator().monitor();
+        sc += monitor.sc().len();
+        deferred += monitor.deferred_stores();
+        pending += monitor.pending_blocks();
+        shadow += monitor.shadow_pages();
+        let env = s.checkpoint(b"golden").unwrap();
+        got.push((name, env.len(), rev_trace::fnv1a64(&env)));
+    }
+    assert!(
+        sc > 0 && deferred > 0 && pending > 0 && shadow > 0,
+        "{sc}/{deferred}/{pending}/{shadow}"
+    );
+    assert_eq!(got, GOLDEN_ENVELOPES, "rev-ckpt/1 envelope bytes moved");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The decoders never panic: one byte of a real envelope's state body
+    /// XORed, the trailing FNV-1a re-sealed so the checksum passes, and
+    /// the restore either succeeds or returns a structured error. Every
+    /// decoder the field lists generate sits behind this one entry point
+    /// (`random_corruption_never_restores` only ever reaches the checksum).
+    #[test]
+    fn resealed_corruption_never_panics(
+        config in 0usize..3,
+        pos_seed in any::<u64>(),
+        xor in 1u8..=255,
+    ) {
+        let config = golden_configs()[config];
+        let mut env = golden_session(config).checkpoint(b"prop").unwrap();
+        // Skip the header (magic, version) and the recipe section.
+        let body = 12 + 8 + b"prop".len()..env.len() - 8;
+        env[body.start + (pos_seed % body.len() as u64) as usize] ^= xor;
+        let sum = rev_trace::fnv1a64(&env[..body.end]);
+        env[body.end..].copy_from_slice(&sum.to_le_bytes());
+        let sim = RevSimulator::new(demo_program(), config).unwrap();
+        let _ = Session::restore(sim, &env);
+    }
 }

@@ -9,6 +9,8 @@
 //! [`CpuStats`](crate::stats::CpuStats) and export as the
 //! `cpu.branches.*` metrics (Figs. 8/9 — see `docs/METRICS.md`).
 
+use rev_trace::CkptError;
+
 /// Predictor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredictorConfig {
@@ -43,27 +45,24 @@ pub struct PredictorCheckpoint {
 }
 
 impl PredictorCheckpoint {
-    /// Serializes the checkpoint (per-slot payload in pipeline
-    /// checkpoints).
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.u64(self.history);
-        w.u64(self.ras_tos as u64);
-        w.u64(self.ras_count as u64);
-    }
-
-    /// Decodes a checkpoint saved by [`PredictorCheckpoint::save_state`].
+    /// Rejects a RAS position a predictor of depth `ras_depth` could never
+    /// hold (a restored one would index past the stack on the next push).
     ///
     /// # Errors
     ///
-    /// Returns [`rev_trace::CkptError`] on decode failure.
-    pub fn restore_state(r: &mut rev_trace::CkptReader<'_>) -> Result<Self, rev_trace::CkptError> {
-        Ok(PredictorCheckpoint {
-            history: r.u64()?,
-            ras_tos: r.u64()? as usize,
-            ras_count: r.u64()? as usize,
-        })
+    /// [`CkptError::Malformed`] when the position is out of range.
+    pub(crate) fn check_ras(&self, ras_depth: usize) -> Result<(), CkptError> {
+        if self.ras_tos >= ras_depth || self.ras_count > ras_depth {
+            return Err(CkptError::Malformed(format!(
+                "RAS position {}/{} out of range for depth {ras_depth}",
+                self.ras_tos, self.ras_count
+            )));
+        }
+        Ok(())
     }
 }
+
+rev_trace::ckpt_fields!(Ckpt for PredictorCheckpoint { history, ras_tos, ras_count });
 
 /// The front-end branch predictor.
 #[derive(Debug, Clone)]
@@ -177,72 +176,26 @@ impl BranchPredictor {
         }
     }
 
-    /// Serializes the full predictor state (gshare counters, global
-    /// history, BTB, RAS) into a checkpoint.
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.u64(self.history);
-        w.len(self.counters.len());
-        for &c in &self.counters {
-            w.u8(c);
-        }
-        w.len(self.btb.len());
-        for &(tag, target) in &self.btb {
-            w.u64(tag);
-            w.u64(target);
-        }
-        w.u64_slice(&self.ras);
-        w.u64(self.ras_tos as u64);
-        w.u64(self.ras_count as u64);
-    }
-
-    /// Restores state saved by [`BranchPredictor::save_state`] into a
-    /// predictor built with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rev_trace::CkptError`] on decode failure or any table
-    /// size mismatch against this predictor's configuration.
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
+    /// Checks restored tables against this predictor's configuration and
+    /// masks the history to its width.
+    fn check_restored(&mut self) -> Result<(), CkptError> {
         let mismatch = |what: &str, got: usize, want: usize| {
-            rev_trace::CkptError::Malformed(format!("predictor {what} size {got}, expected {want}"))
+            Err(CkptError::Malformed(format!("predictor {what} size {got}, expected {want}")))
         };
-        self.history = r.u64()? & self.history_mask;
-        let n = r.len(1)?;
-        if n != self.counters.len() {
-            return Err(mismatch("gshare", n, self.counters.len()));
+        self.history &= self.history_mask;
+        if self.counters.len() != self.config.gshare_entries {
+            return mismatch("gshare", self.counters.len(), self.config.gshare_entries);
         }
-        for c in &mut self.counters {
-            let v = r.u8()?;
-            if v > 3 {
-                return Err(rev_trace::CkptError::Malformed(format!("gshare counter {v}")));
-            }
-            *c = v;
+        if let Some(&v) = self.counters.iter().find(|&&c| c > 3) {
+            return Err(CkptError::Malformed(format!("gshare counter {v}")));
         }
-        let n = r.len(16)?;
-        if n != self.btb.len() {
-            return Err(mismatch("BTB", n, self.btb.len()));
+        if self.btb.len() != self.config.btb_entries {
+            return mismatch("BTB", self.btb.len(), self.config.btb_entries);
         }
-        for slot in &mut self.btb {
-            slot.0 = r.u64()?;
-            slot.1 = r.u64()?;
+        if self.ras.len() != self.config.ras_depth {
+            return mismatch("RAS", self.ras.len(), self.config.ras_depth);
         }
-        let ras = r.u64_slice()?;
-        if ras.len() != self.ras.len() {
-            return Err(mismatch("RAS", ras.len(), self.ras.len()));
-        }
-        self.ras = ras;
-        self.ras_tos = r.u64()? as usize;
-        self.ras_count = r.u64()? as usize;
-        if self.ras_tos >= self.config.ras_depth || self.ras_count > self.config.ras_depth {
-            return Err(rev_trace::CkptError::Malformed(format!(
-                "RAS position {}/{} out of range for depth {}",
-                self.ras_tos, self.ras_count, self.config.ras_depth
-            )));
-        }
-        Ok(())
+        self.checkpoint().check_ras(self.config.ras_depth)
     }
 
     /// Restores a snapshot after a squash, then folds in the actual
@@ -256,6 +209,11 @@ impl BranchPredictor {
         }
     }
 }
+
+// The full predictor state: global history, gshare counters, BTB, RAS.
+rev_trace::ckpt_fields!(CkptFields for BranchPredictor {
+    history, counters, btb, ras, ras_tos, ras_count,
+} then BranchPredictor::check_restored);
 
 #[cfg(test)]
 mod tests {

@@ -103,6 +103,15 @@ impl fmt::Display for ViolationKind {
     }
 }
 
+rev_trace::ckpt_enum!(ViolationKind {
+    HashMismatch = 0,
+    IllegalTarget = 1,
+    ReturnMismatch = 2,
+    NoTable = 3,
+    TableCorrupt = 4,
+    ParityError = 5,
+});
+
 /// A validation failure report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Violation {
@@ -115,6 +124,8 @@ pub struct Violation {
     /// Cycle of detection.
     pub cycle: u64,
 }
+
+rev_trace::ckpt_fields!(Ckpt for Violation { kind, bb_addr, actual_target, cycle });
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

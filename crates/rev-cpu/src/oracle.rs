@@ -11,6 +11,7 @@
 
 use rev_isa::{decode, Instruction, Reg, REG_SP};
 use rev_mem::MainMemory;
+use rev_trace::CkptFields;
 use std::fmt;
 
 /// Architectural register state.
@@ -207,15 +208,7 @@ impl Oracle {
     /// restored oracle refills it cold, which is functionally invisible
     /// (memoized replays are byte-identical to fresh fetches).
     pub fn save_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter) {
-        for &r in &self.state.regs {
-            w.u64(r);
-        }
-        for &f in &self.state.fregs {
-            w.f64(f);
-        }
-        w.u64(self.state.pc);
-        w.bool(self.halted);
-        w.u64(self.executed);
+        self.save_fields(w);
         self.mem.save_state(base, w);
     }
 
@@ -229,15 +222,7 @@ impl Oracle {
         &mut self,
         r: &mut rev_trace::CkptReader<'_>,
     ) -> Result<(), rev_trace::CkptError> {
-        for reg in &mut self.state.regs {
-            *reg = r.u64()?;
-        }
-        for freg in &mut self.state.fregs {
-            *freg = r.f64()?;
-        }
-        self.state.pc = r.u64()?;
-        self.halted = r.bool()?;
-        self.executed = r.u64()?;
+        self.load_fields(r)?;
         self.mem.restore_state(r)?;
         self.clear_dec_cache();
         Ok(())
@@ -424,6 +409,12 @@ impl Oracle {
         Ok(op)
     }
 }
+
+rev_trace::ckpt_fields!(Ckpt for ArchState { regs, fregs, pc });
+
+// The fields ahead of the memory section (which needs the build image,
+// see `Oracle::save_state`).
+rev_trace::ckpt_fields!(CkptFields for Oracle { state, halted, executed });
 
 #[cfg(test)]
 mod tests {

@@ -38,7 +38,9 @@ use crate::oracle::Oracle;
 use crate::stats::CpuStats;
 use rev_isa::{decode, FReg, InstrClass, Instruction, Reg, MAX_INSTR_LEN, REG_SP};
 use rev_mem::{FlatMap, Hierarchy, MainMemory, MemConfig, Request, Requester};
-use rev_trace::{EventKind, TraceBus, TraceEvent};
+use rev_trace::{
+    Ckpt, CkptError, CkptFields, CkptReader, CkptWriter, EventKind, TraceBus, TraceEvent,
+};
 use std::collections::VecDeque;
 
 /// Why a run ended.
@@ -56,6 +58,36 @@ pub enum RunOutcome {
         /// Faulting PC.
         pc: u64,
     },
+}
+
+/// An outcome travels as a one-byte variant code and its payload.
+impl Ckpt for RunOutcome {
+    const MIN_BYTES: usize = 1;
+
+    fn save(&self, w: &mut CkptWriter) {
+        match self {
+            RunOutcome::BudgetReached => w.u8(0),
+            RunOutcome::Halted => w.u8(1),
+            RunOutcome::Violation(v) => {
+                w.u8(2);
+                v.save(w);
+            }
+            RunOutcome::OracleFault { pc } => {
+                w.u8(3);
+                w.u64(*pc);
+            }
+        }
+    }
+
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        Ok(match r.u8()? {
+            0 => RunOutcome::BudgetReached,
+            1 => RunOutcome::Halted,
+            2 => RunOutcome::Violation(Violation::load(r)?),
+            3 => RunOutcome::OracleFault { pc: r.u64()? },
+            other => return Err(malformed(format!("unknown outcome tag {other}"))),
+        })
+    }
 }
 
 /// Result of [`Pipeline::run`].
@@ -234,80 +266,65 @@ impl Slot {
         self.flags & f != 0
     }
 
-    fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.u8(self.stage as u8);
-        w.u8(self.src_count);
-        w.u8(self.unready);
-        w.u16(self.flags);
-        w.u64(self.seq);
-        w.u64(self.mem_addr);
-        w.u64(self.complete_at);
-        w.u64(self.srcs[0]);
-        w.u64(self.srcs[1]);
-        w.u64(self.addr);
-        w.u64(self.next_pc);
-        w.u64(self.store_value);
-        w.u64(self.dispatch_ready);
-        w.u64(self.history_at_predict);
-        w.bytes(&self.insn.encode());
-        match self.checkpoint {
-            Some(cp) => {
-                w.bool(true);
-                cp.save_state(w);
-            }
-            None => w.bool(false),
-        }
+    /// The class is derived from the decoded instruction, never stored.
+    fn derive_class(&mut self) {
+        self.class = self.insn.class();
+    }
+}
+
+rev_trace::ckpt_enum!(Stage { Waiting = 0, Executing = 1, Done = 2 });
+
+rev_trace::ckpt_fields!(Ckpt for Slot {
+    stage, src_count, unready, flags, seq, mem_addr, complete_at, srcs, addr, next_pc, store_value,
+    dispatch_ready, history_at_predict, insn => InsnBytes, checkpoint,
+    ..Slot::VACANT
+} then Slot::derive_class);
+
+/// A slot's instruction travels as its length-prefixed `rev-isa`
+/// encoding and decodes back through `rev-isa`.
+struct InsnBytes;
+
+impl InsnBytes {
+    const MIN_BYTES: usize = 8;
+
+    fn save(insn: &Instruction, w: &mut CkptWriter) {
+        w.bytes(&insn.encode());
     }
 
-    fn restore_state(r: &mut rev_trace::CkptReader<'_>) -> Result<Slot, rev_trace::CkptError> {
-        let stage = match r.u8()? {
-            0 => Stage::Waiting,
-            1 => Stage::Executing,
-            2 => Stage::Done,
-            b => return Err(rev_trace::CkptError::Malformed(format!("slot stage byte {b:#04x}"))),
-        };
-        let src_count = r.u8()?;
-        let unready = r.u8()?;
-        let flags = r.u16()?;
-        let seq = r.u64()?;
-        let mem_addr = r.u64()?;
-        let complete_at = r.u64()?;
-        let srcs = [r.u64()?, r.u64()?];
-        let addr = r.u64()?;
-        let next_pc = r.u64()?;
-        let store_value = r.u64()?;
-        let dispatch_ready = r.u64()?;
-        let history_at_predict = r.u64()?;
+    fn load(r: &mut CkptReader<'_>) -> Result<Instruction, CkptError> {
         let enc = r.bytes()?;
-        let (insn, used) = decode(enc).map_err(|e| {
-            rev_trace::CkptError::Malformed(format!("slot instruction bytes: {e:?}"))
-        })?;
+        let (insn, used) =
+            decode(enc).map_err(|e| malformed(format!("slot instruction bytes: {e:?}")))?;
         if used != enc.len() {
-            return Err(rev_trace::CkptError::Malformed(format!(
+            return Err(malformed(format!(
                 "slot instruction encoding has {} trailing bytes",
                 enc.len() - used
             )));
         }
-        let checkpoint =
-            if r.bool()? { Some(PredictorCheckpoint::restore_state(r)?) } else { None };
-        Ok(Slot {
-            stage,
-            class: insn.class(),
-            src_count,
-            unready,
-            flags,
-            seq,
-            mem_addr,
-            complete_at,
-            srcs,
-            addr,
-            next_pc,
-            store_value,
-            dispatch_ready,
-            history_at_predict,
-            insn,
-            checkpoint,
-        })
+        Ok(insn)
+    }
+}
+
+/// A `(line address, cycle)` fetch-line register travels as two
+/// `Option<u64>`s; exactly one present is rejected. `PREFETCH` names the
+/// register in the error.
+struct SplitLine<const PREFETCH: bool>;
+
+impl<const PREFETCH: bool> SplitLine<PREFETCH> {
+    fn save(line: &Option<(u64, u64)>, w: &mut CkptWriter) {
+        line.map(|(l, _)| l).save(w);
+        line.map(|(_, c)| c).save(w);
+    }
+
+    fn load(r: &mut CkptReader<'_>) -> Result<Option<(u64, u64)>, CkptError> {
+        match (Option::load(r)?, Option::load(r)?) {
+            (Some(l), Some(c)) => Ok(Some((l, c))),
+            (None, None) => Ok(None),
+            _ => Err(malformed(format!(
+                "half-present {} line",
+                if PREFETCH { "prefetched" } else { "current fetch" }
+            ))),
+        }
     }
 }
 
@@ -663,48 +680,38 @@ impl StoreTracker {
         })
     }
 
-    /// Serializes the logical content: per address (sorted), the
+    /// The logical content checkpoints carry: per address (sorted), the
     /// seq-ascending list of in-flight stores with their data-ready bits.
-    fn save_state(&self, w: &mut rev_trace::CkptWriter) {
+    fn content(&self) -> Vec<(u64, Vec<(u64, bool)>)> {
         let mut addrs: Vec<u64> = self.heads.keys().copied().collect();
         addrs.sort_unstable();
-        w.len(addrs.len());
-        for a in addrs {
-            w.u64(a);
-            let mut entries = Vec::new();
-            let mut cur = self.heads[&a];
-            while cur != NIL {
-                let n = self.slab[cur as usize];
-                entries.push((n.seq, n.done));
-                cur = n.next;
-            }
-            w.len(entries.len());
-            for (seq, done) in entries {
-                w.u64(seq);
-                w.bool(done);
-            }
-        }
+        addrs
+            .into_iter()
+            .map(|a| {
+                let mut list = Vec::new();
+                let mut cur = self.heads[&a];
+                while cur != NIL {
+                    let n = self.slab[cur as usize];
+                    list.push((n.seq, n.done));
+                    cur = n.next;
+                }
+                (a, list)
+            })
+            .collect()
     }
 
-    fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        *self = StoreTracker::default();
-        let n = r.len(8)?;
-        for _ in 0..n {
-            let addr = r.u64()?;
-            let m = r.len(9)?;
-            for _ in 0..m {
-                let seq = r.u64()?;
-                let done = r.bool()?;
-                self.insert(addr, seq);
+    /// Rebuilds a tracker from [`StoreTracker::content`].
+    fn from_content(content: &[(u64, Vec<(u64, bool)>)]) -> Self {
+        let mut t = StoreTracker::default();
+        for &(addr, ref list) in content {
+            for &(seq, done) in list {
+                t.insert(addr, seq);
                 if done {
-                    self.mark_done(addr, seq);
+                    t.mark_done(addr, seq);
                 }
             }
         }
-        Ok(())
+        t
     }
 }
 
@@ -722,7 +729,8 @@ fn malformed(what: String) -> rev_trace::CkptError {
 
 /// The pipeline's cross-structure content keyed by seq, the form
 /// checkpoints carry: lists sorted by seq, wakeup lists as producer →
-/// sorted consumers, and the rename map's writer seqs.
+/// sorted consumers, the store tracker's content, and the rename map's
+/// writer seqs.
 #[derive(Debug, Clone)]
 struct SeqLinks {
     iq_occupancy: u64,
@@ -733,9 +741,15 @@ struct SeqLinks {
     ready: Vec<u64>,
     waiting_stores: Vec<u64>,
     wakeups: Vec<(u64, Vec<u64>)>,
+    stores: Vec<(u64, Vec<(u64, bool)>)>,
     last_writer: [Option<u64>; 64],
     in_flight_writers: u64,
 }
+
+rev_trace::ckpt_fields!(Ckpt for SeqLinks {
+    iq_occupancy, lsq_occupancy, first_executing_seq, executing_count, next_complete_at, ready,
+    waiting_stores, wakeups, stores, last_writer, in_flight_writers,
+});
 
 /// The out-of-order core.
 ///
@@ -792,6 +806,13 @@ pub struct Pipeline {
     alu_free: Vec<u64>,
     reads_buf: Vec<u8>,
 }
+
+// The fields after the seq-keyed links (see `Pipeline::save_state`).
+rev_trace::ckpt_fields!(CkptFields for Pipeline {
+    next_seq, now, fetch_pc, fetch_resume, wrong_path_mode, wrong_path_stuck, fetch_stopped,
+    oracle_fault, cur_line => SplitLine<false>, prefetched_line => SplitLine<true>, head_retry_at,
+    stats, stats_start_cycle, fpu_free, alu_free,
+} then Pipeline::check_units);
 
 impl Pipeline {
     /// Creates a pipeline over a ready-to-run oracle.
@@ -911,58 +932,24 @@ impl Pipeline {
             ready: seqs(&self.ready),
             waiting_stores: seqs(&self.waiting_stores),
             wakeups,
+            stores: self.stores.content(),
             last_writer: self.last_writer.map(|w| w.map(|(_, seq)| seq)),
             in_flight_writers: self.in_flight_writers as u64,
         }
     }
 
-    fn write_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter, links: &SeqLinks) {
+    fn write_state(&self, base: &MainMemory, w: &mut CkptWriter, links: &SeqLinks) {
         w.tag(TAG_CPU);
         self.oracle.save_state(base, w);
-        self.mem.save_state(w);
-        self.bpred.save_state(w);
-        w.len(self.fetch_queue.len());
-        for s in &self.fetch_queue {
-            s.save_state(w);
-        }
+        self.mem.save_fields(w);
+        self.bpred.save_fields(w);
+        self.fetch_queue.save(w);
         w.len(self.rob.len());
         for s in self.rob.iter() {
-            s.save_state(w);
+            s.save(w);
         }
-        w.u64(links.iq_occupancy);
-        w.u64(links.lsq_occupancy);
-        w.u64(links.first_executing_seq);
-        w.u64(links.executing_count);
-        w.u64(links.next_complete_at);
-        w.u64_slice(&links.ready);
-        w.u64_slice(&links.waiting_stores);
-        w.len(links.wakeups.len());
-        for (producer, consumers) in &links.wakeups {
-            w.u64(*producer);
-            w.u64_slice(consumers);
-        }
-        self.stores.save_state(w);
-        for writer in links.last_writer {
-            w.opt_u64(writer);
-        }
-        w.u64(links.in_flight_writers);
-        w.u64(self.next_seq);
-        w.u64(self.now);
-        w.u64(self.fetch_pc);
-        w.u64(self.fetch_resume);
-        w.bool(self.wrong_path_mode);
-        w.bool(self.wrong_path_stuck);
-        w.bool(self.fetch_stopped);
-        w.opt_u64(self.oracle_fault);
-        w.opt_u64(self.cur_line.map(|(l, _)| l));
-        w.opt_u64(self.cur_line.map(|(_, c)| c));
-        w.opt_u64(self.prefetched_line.map(|(l, _)| l));
-        w.opt_u64(self.prefetched_line.map(|(_, c)| c));
-        w.u64(self.head_retry_at);
-        self.stats.save_state(w);
-        w.u64(self.stats_start_cycle);
-        w.u64_slice(&self.fpu_free);
-        w.u64_slice(&self.alu_free);
+        links.save(w);
+        self.save_fields(w);
     }
 
     /// Restores state saved by [`Pipeline::save_state`] into a pipeline
@@ -977,102 +964,53 @@ impl Pipeline {
     /// configuration mismatch, or cross-structure content no run could
     /// have produced (a window larger than configured, a list entry
     /// naming no matching slot, counters that disagree with the ROB).
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
+    pub fn restore_state(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         r.tag(TAG_CPU)?;
         self.oracle.restore_state(r)?;
-        self.mem.restore_state(r)?;
-        self.bpred.restore_state(r)?;
-        let n = r.len(1)?;
-        if n > self.config.fetch_queue {
+        self.mem.load_fields(r)?;
+        self.bpred.load_fields(r)?;
+        self.fetch_queue = Ckpt::load(r)?;
+        if self.fetch_queue.len() > self.config.fetch_queue {
             return Err(malformed(format!(
-                "fetch queue holds {n} slots, configured for {}",
+                "fetch queue holds {} slots, configured for {}",
+                self.fetch_queue.len(),
                 self.config.fetch_queue
             )));
         }
-        self.fetch_queue.clear();
-        for _ in 0..n {
-            self.fetch_queue.push_back(Slot::restore_state(r)?);
-        }
-        let n = r.len(1)?;
-        if n > self.config.rob_size {
+        let rob: Vec<Slot> = Ckpt::load(r)?;
+        if rob.len() > self.config.rob_size {
             return Err(malformed(format!(
-                "ROB holds {n} slots, configured for {}",
+                "ROB holds {} slots, configured for {}",
+                rob.len(),
                 self.config.rob_size
             )));
         }
         self.rob.clear();
-        for _ in 0..n {
-            self.rob.push_back(Slot::restore_state(r)?);
+        for s in rob {
+            self.rob.push_back(s);
         }
-        let iq_occupancy = r.u64()?;
-        let lsq_occupancy = r.u64()?;
-        let first_executing_seq = r.u64()?;
-        let executing_count = r.u64()?;
-        let next_complete_at = r.u64()?;
-        let ready = r.u64_slice()?;
-        let waiting_stores = r.u64_slice()?;
-        let n = r.len(8)?;
-        let mut wakeups = Vec::with_capacity(n);
-        for _ in 0..n {
-            wakeups.push((r.u64()?, r.u64_slice()?));
-        }
-        self.stores.restore_state(r)?;
-        let mut last_writer = [None; 64];
-        for writer in &mut last_writer {
-            *writer = r.opt_u64()?;
-        }
-        let links = SeqLinks {
-            iq_occupancy,
-            lsq_occupancy,
-            first_executing_seq,
-            executing_count,
-            next_complete_at,
-            ready,
-            waiting_stores,
-            wakeups,
-            last_writer,
-            in_flight_writers: r.u64()?,
-        };
-        self.next_seq = r.u64()?;
-        self.now = r.u64()?;
-        self.fetch_pc = r.u64()?;
-        self.fetch_resume = r.u64()?;
-        self.wrong_path_mode = r.bool()?;
-        self.wrong_path_stuck = r.bool()?;
-        self.fetch_stopped = r.bool()?;
-        self.oracle_fault = r.opt_u64()?;
-        self.cur_line = match (r.opt_u64()?, r.opt_u64()?) {
-            (Some(l), Some(c)) => Some((l, c)),
-            (None, None) => None,
-            _ => return Err(malformed("half-present current fetch line".to_string())),
-        };
-        self.prefetched_line = match (r.opt_u64()?, r.opt_u64()?) {
-            (Some(l), Some(c)) => Some((l, c)),
-            (None, None) => None,
-            _ => return Err(malformed("half-present prefetched line".to_string())),
-        };
-        self.head_retry_at = r.u64()?;
-        self.stats.restore_state(r)?;
-        self.stats_start_cycle = r.u64()?;
-        let fpu_free = r.u64_slice()?;
-        let alu_free = r.u64_slice()?;
-        if fpu_free.len() != self.fpu_free.len() || alu_free.len() != self.alu_free.len() {
-            return Err(malformed(format!(
-                "functional-unit counts {}/{} do not match configuration {}/{}",
-                fpu_free.len(),
-                alu_free.len(),
-                self.fpu_free.len(),
-                self.alu_free.len()
-            )));
-        }
-        self.fpu_free = fpu_free;
-        self.alu_free = alu_free;
+        let links = SeqLinks::load(r)?;
+        self.load_fields(r)?;
         self.wake_buf.clear();
         self.reads_buf.clear();
         self.relink(&links)
+    }
+
+    /// Rejects restored functional-unit horizons whose counts differ from
+    /// this core's configuration.
+    fn check_units(&mut self) -> Result<(), CkptError> {
+        if self.fpu_free.len() != self.config.fpu_units
+            || self.alu_free.len() != self.config.alu_units
+        {
+            return Err(malformed(format!(
+                "functional-unit counts {}/{} do not match configuration {}/{}",
+                self.fpu_free.len(),
+                self.alu_free.len(),
+                self.config.fpu_units,
+                self.config.alu_units
+            )));
+        }
+        Ok(())
     }
 
     /// Rebuilds the handle-keyed structures from checkpointed seq-keyed
@@ -1092,6 +1030,9 @@ impl Pipeline {
             if s.src_count > 2 || s.unready > s.src_count {
                 return Err(malformed(format!("slot seq {} has bad source counts", s.seq)));
             }
+        }
+        for cp in self.rob.iter().chain(&self.fetch_queue).filter_map(|s| s.checkpoint.as_ref()) {
+            cp.check_ras(self.config.predictor.ras_depth)?;
         }
         let count = |f: fn(&Slot) -> bool| self.rob.iter().filter(|&s| f(s)).count() as u64;
         let writers =
@@ -1166,6 +1107,7 @@ impl Pipeline {
         let tracked = |s: &Slot| {
             s.stage != Stage::Waiting && s.flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM)
         };
+        self.stores = StoreTracker::from_content(&l.stores);
         let (mut entries, mut last) = (0, (u64::MAX, 0));
         for (addr, seq, done) in self.stores.entries() {
             let slot = find(seq).map(|h| &live[h as usize]);
@@ -2424,7 +2366,7 @@ mod tests {
 
     fn stats_bytes(s: &CpuStats) -> Vec<u8> {
         let mut w = rev_trace::CkptWriter::new();
-        s.save_state(&mut w);
+        s.save(&mut w);
         w.finish()
     }
 
@@ -2571,6 +2513,22 @@ mod tests {
         q.save_state(&base, &mut w);
         let err = restore_into(cfg, &w.finish());
         assert!(matches!(err, Err(rev_trace::CkptError::Malformed(_))), "tracker: {err:?}");
+
+        // A branch checkpoint whose RAS position is past the restoring
+        // core's stack: restored, the first squash through it followed by
+        // a call fetch would index past the RAS.
+        let deep = crate::PredictorConfig { ras_depth: 64, ..cfg.predictor };
+        let mut bp = BranchPredictor::new(deep);
+        for ret in 0..cfg.predictor.ras_depth as u64 {
+            bp.ras_push(ret);
+        }
+        let mut q = p.clone();
+        let h = q.rob.handles().find(|&h| q.rob[h].checkpoint.is_some()).expect("a branch slot");
+        q.rob[h].checkpoint = Some(bp.checkpoint());
+        let mut w = rev_trace::CkptWriter::new();
+        q.save_state(&base, &mut w);
+        let err = restore_into(cfg, &w.finish());
+        assert!(matches!(err, Err(rev_trace::CkptError::Malformed(_))), "RAS: {err:?}");
 
         // A window deeper than the restoring core's configuration.
         let bytes = save(&good);

@@ -97,68 +97,17 @@ impl CpuStats {
     pub fn unique_branches(&self) -> usize {
         self.unique_branch_addrs.len()
     }
-
-    /// Serializes all counters. The unique-branch set is written as
-    /// sorted logical content (hash iteration order never leaks into a
-    /// checkpoint), so re-serializing a restored stats struct is
-    /// byte-identical.
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        for v in [
-            self.cycles,
-            self.committed_instrs,
-            self.committed_branches,
-            self.committed_cond_branches,
-            self.mispredicts,
-            self.committed_computed,
-            self.wrong_path_fetched,
-            self.validation_stall_cycles,
-            self.defer_full_stall_cycles,
-            self.mix.int_alu,
-            self.mix.fp,
-            self.mix.loads,
-            self.mix.stores,
-            self.mix.branches,
-            self.mix.other,
-        ] {
-            w.u64(v);
-        }
-        let mut addrs: Vec<u64> = self.unique_branch_addrs.iter().copied().collect();
-        addrs.sort_unstable();
-        w.u64_slice(&addrs);
-    }
-
-    /// Restores counters saved by [`CpuStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rev_trace::CkptError`] on decode failure.
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        for v in [
-            &mut self.cycles,
-            &mut self.committed_instrs,
-            &mut self.committed_branches,
-            &mut self.committed_cond_branches,
-            &mut self.mispredicts,
-            &mut self.committed_computed,
-            &mut self.wrong_path_fetched,
-            &mut self.validation_stall_cycles,
-            &mut self.defer_full_stall_cycles,
-            &mut self.mix.int_alu,
-            &mut self.mix.fp,
-            &mut self.mix.loads,
-            &mut self.mix.stores,
-            &mut self.mix.branches,
-            &mut self.mix.other,
-        ] {
-            *v = r.u64()?;
-        }
-        self.unique_branch_addrs = r.u64_slice()?.into_iter().collect();
-        Ok(())
-    }
 }
+
+rev_trace::ckpt_fields!(Ckpt for InstrMix { int_alu, fp, loads, stores, branches, other });
+
+// The unique-branch set travels as sorted logical content, so hash
+// iteration order never leaks into a checkpoint.
+rev_trace::ckpt_fields!(Ckpt for CpuStats {
+    cycles, committed_instrs, committed_branches, committed_cond_branches, mispredicts,
+    committed_computed, wrong_path_fetched, validation_stall_cycles, defer_full_stall_cycles, mix,
+    unique_branch_addrs,
+});
 
 impl MetricSink for CpuStats {
     fn export_metrics(&self, reg: &mut MetricRegistry) {

@@ -18,6 +18,18 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BodyHash(pub [u8; 32]);
 
+impl rev_trace::Ckpt for BodyHash {
+    const MIN_BYTES: usize = 32;
+
+    fn save(&self, w: &mut rev_trace::CkptWriter) {
+        w.raw(&self.0);
+    }
+
+    fn load(r: &mut rev_trace::CkptReader<'_>) -> Result<Self, rev_trace::CkptError> {
+        rev_trace::Ckpt::load(r).map(BodyHash)
+    }
+}
+
 /// The truncated 4-byte reference digest stored in a signature-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct EntryDigest(pub u32);

@@ -1,6 +1,8 @@
 //! Set-associative, write-back, write-allocate tag-only cache model with
 //! true-LRU replacement.
 
+use rev_trace::{Ckpt, CkptError, CkptReader, CkptWriter};
+
 /// Static configuration of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -202,57 +204,55 @@ impl Cache {
         self.config.latency
     }
 
-    /// Serializes the mutable state (lines, LRU clock, stats) into a
-    /// checkpoint. Geometry comes from the constructor on restore, so
-    /// only per-line content is written; the flat line order is part of
-    /// the deterministic model state and round-trips byte-identically.
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.u64(self.tick);
-        w.u64(self.stats.accesses);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.writebacks);
-        w.len(self.lines.len());
-        for l in &self.lines {
-            w.u64(l.tag);
-            w.u8(u8::from(l.valid) | (u8::from(l.dirty) << 1));
-            w.u64(l.lru);
-        }
-    }
-
-    /// Restores state saved by [`Cache::save_state`] into a cache built
-    /// with the *same* geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rev_trace::CkptError`] on decode failure or if the
-    /// serialized line count does not match this cache's geometry.
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        self.tick = r.u64()?;
-        self.stats.accesses = r.u64()?;
-        self.stats.misses = r.u64()?;
-        self.stats.writebacks = r.u64()?;
-        let n = r.len(17)?;
-        if n != self.lines.len() {
-            return Err(rev_trace::CkptError::Malformed(format!(
-                "cache line count {n} does not match geometry ({} lines)",
+    /// Rejects a restored line array that does not fit this cache's
+    /// geometry (checkpoints carry content only; the constructor owns
+    /// the geometry).
+    fn check_restored(&mut self) -> Result<(), CkptError> {
+        let want = self.config.assoc * self.num_sets;
+        if self.lines.len() != want {
+            return Err(CkptError::Malformed(format!(
+                "cache line count {} does not match geometry ({want} lines)",
                 self.lines.len()
             )));
         }
-        for l in &mut self.lines {
-            l.tag = r.u64()?;
-            let flags = r.u8()?;
-            if flags > 0b11 {
-                return Err(rev_trace::CkptError::Malformed(format!(
-                    "cache line flag byte {flags:#04x}"
-                )));
-            }
-            l.valid = flags & 1 != 0;
-            l.dirty = flags & 2 != 0;
-            l.lru = r.u64()?;
+        Ok(())
+    }
+}
+
+// The flat line order is part of the deterministic model state and
+// round-trips byte-identically.
+rev_trace::ckpt_fields!(CkptFields for Cache { tick, stats, lines } then Cache::check_restored);
+rev_trace::ckpt_fields!(Ckpt for CacheStats { accesses, misses, writebacks });
+
+/// A line packs its valid and dirty bits into one flag byte (bit 0
+/// valid, bit 1 dirty); the golden envelope tests pin this layout.
+impl Ckpt for Line {
+    const MIN_BYTES: usize = 17;
+
+    fn save(&self, w: &mut CkptWriter) {
+        w.u64(self.tag);
+        w.u8(u8::from(self.valid) | (u8::from(self.dirty) << 1));
+        w.u64(self.lru);
+    }
+
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        let mut line = Line::default();
+        line.load_into(r)?;
+        Ok(line)
+    }
+
+    /// In place: a restore rewrites every line of a constructor-built
+    /// cache, and building each line as a returned value costs twice as
+    /// much.
+    fn load_into(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+        self.tag = r.u64()?;
+        let flags = r.u8()?;
+        if flags > 0b11 {
+            return Err(CkptError::Malformed(format!("cache line flag byte {flags:#04x}")));
         }
+        self.valid = flags & 1 != 0;
+        self.dirty = flags & 2 != 0;
+        self.lru = r.u64()?;
         Ok(())
     }
 }

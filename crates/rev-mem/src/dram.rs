@@ -3,6 +3,8 @@
 //! Matches the paper's Table 2: "100 cycles for first chunk, 8 banks,
 //! 64-byte bursts" with faster accesses to open DRAM pages.
 
+use rev_trace::CkptError;
+
 /// DRAM configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
@@ -121,47 +123,23 @@ impl Dram {
         done
     }
 
-    /// Serializes the mutable state (per-bank open rows and busy
-    /// horizons, plus stats).
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.u64(self.stats.accesses);
-        w.u64(self.stats.row_hits);
-        w.u64(self.stats.bank_conflict_cycles);
-        w.len(self.banks.len());
-        for b in &self.banks {
-            w.opt_u64(b.open_row);
-            w.u64(b.busy_until);
-        }
-    }
-
-    /// Restores state saved by [`Dram::save_state`] into a device built
-    /// with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rev_trace::CkptError`] on decode failure or a bank-count
-    /// mismatch.
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        self.stats.accesses = r.u64()?;
-        self.stats.row_hits = r.u64()?;
-        self.stats.bank_conflict_cycles = r.u64()?;
-        let n = r.len(9)?;
-        if n != self.banks.len() {
-            return Err(rev_trace::CkptError::Malformed(format!(
-                "DRAM bank count {n} does not match configuration ({})",
-                self.banks.len()
+    /// Rejects a restored bank array that does not match this device's
+    /// configuration.
+    fn check_restored(&mut self) -> Result<(), CkptError> {
+        if self.banks.len() != self.config.banks {
+            return Err(CkptError::Malformed(format!(
+                "DRAM bank count {} does not match configuration ({})",
+                self.banks.len(),
+                self.config.banks
             )));
-        }
-        for b in &mut self.banks {
-            b.open_row = r.opt_u64()?;
-            b.busy_until = r.u64()?;
         }
         Ok(())
     }
 }
+
+rev_trace::ckpt_fields!(CkptFields for Dram { stats, banks } then Dram::check_restored);
+rev_trace::ckpt_fields!(Ckpt for DramStats { accesses, row_hits, bank_conflict_cycles });
+rev_trace::ckpt_fields!(Ckpt for Bank { open_row, busy_until });
 
 #[cfg(test)]
 mod tests {

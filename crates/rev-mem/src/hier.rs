@@ -14,12 +14,13 @@
 use crate::cache::{Cache, CacheConfig};
 use crate::dram::{Dram, DramConfig};
 use crate::tlb::{Tlb, TlbConfig};
-use rev_trace::{
-    CkptReader, CkptWriter, EventKind, MetricRegistry, MetricSink, TraceBus, TraceEvent,
-};
+use rev_trace::{EventKind, MetricRegistry, MetricSink, TraceBus, TraceEvent};
 
 /// Checkpoint section marker for the memory hierarchy.
 const TAG_HIER: u8 = 0x4d; // 'M'
+
+/// The L1I has one fetch port.
+const L1I_PORTS: usize = 1;
 
 /// Who issued a memory request (in decreasing priority order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -311,27 +312,9 @@ impl Ports {
         self.free_at[idx] = start + hold;
         (start, start > cycle)
     }
-
-    fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.u64_slice(&self.free_at);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        let free_at = r.u64_slice()?;
-        if free_at.len() != self.free_at.len() {
-            return Err(rev_trace::CkptError::Malformed(format!(
-                "port count {} does not match configuration ({})",
-                free_at.len(),
-                self.free_at.len()
-            )));
-        }
-        self.free_at = free_at;
-        Ok(())
-    }
 }
+
+rev_trace::ckpt_fields!(Ckpt for Ports { free_at });
 
 /// The timing memory hierarchy.
 ///
@@ -375,7 +358,7 @@ impl Hierarchy {
             itlb: Tlb::new(config.itlb),
             dtlb: Tlb::new(config.dtlb),
             l2tlb: Tlb::new(config.l2tlb),
-            l1i_ports: Ports::new(1),
+            l1i_ports: Ports::new(L1I_PORTS),
             l1d_ports: Ports::new(config.l1d_ports),
             l2_ports: Ports::new(config.l2_ports),
             stats: MemStats::default(),
@@ -527,68 +510,19 @@ impl Hierarchy {
         cycle
     }
 
-    /// Serializes every piece of mutable hierarchy state — cache/TLB
-    /// contents and clocks, DRAM bank rows, port horizons, and all
-    /// per-requester counters — into a checkpoint section. Configuration
-    /// is *not* written: restore targets a hierarchy freshly built with
-    /// the identical [`MemConfig`] (the enclosing simulator checkpoint
-    /// carries a config fingerprint).
-    pub fn save_state(&self, w: &mut CkptWriter) {
-        w.tag(TAG_HIER);
-        self.l1i.save_state(w);
-        self.l1d.save_state(w);
-        self.l2.save_state(w);
-        self.dram.save_state(w);
-        self.itlb.save_state(w);
-        self.dtlb.save_state(w);
-        self.l2tlb.save_state(w);
-        self.l1i_ports.save_state(w);
-        self.l1d_ports.save_state(w);
-        self.l2_ports.save_state(w);
-        for arr in [
-            &self.stats.l1_accesses,
-            &self.stats.l1_misses,
-            &self.stats.l2_accesses,
-            &self.stats.l2_misses,
-            &self.stats.dram_accesses,
-            &self.stats.tlb_walks,
+    /// Rejects restored port banks whose sizes differ from this
+    /// hierarchy's configuration.
+    fn check_restored(&mut self) -> Result<(), rev_trace::CkptError> {
+        for (ports, want) in [
+            (&self.l1i_ports, L1I_PORTS),
+            (&self.l1d_ports, self.config.l1d_ports),
+            (&self.l2_ports, self.config.l2_ports),
         ] {
-            for &v in arr {
-                w.u64(v);
-            }
-        }
-    }
-
-    /// Restores state saved by [`Hierarchy::save_state`]. The trace bus
-    /// is untouched (a restored hierarchy starts with tracing disabled,
-    /// matching the fresh-build default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rev_trace::CkptError`] on decode failure or any
-    /// geometry mismatch against this hierarchy's configuration.
-    pub fn restore_state(&mut self, r: &mut CkptReader<'_>) -> Result<(), rev_trace::CkptError> {
-        r.tag(TAG_HIER)?;
-        self.l1i.restore_state(r)?;
-        self.l1d.restore_state(r)?;
-        self.l2.restore_state(r)?;
-        self.dram.restore_state(r)?;
-        self.itlb.restore_state(r)?;
-        self.dtlb.restore_state(r)?;
-        self.l2tlb.restore_state(r)?;
-        self.l1i_ports.restore_state(r)?;
-        self.l1d_ports.restore_state(r)?;
-        self.l2_ports.restore_state(r)?;
-        for arr in [
-            &mut self.stats.l1_accesses,
-            &mut self.stats.l1_misses,
-            &mut self.stats.l2_accesses,
-            &mut self.stats.l2_misses,
-            &mut self.stats.dram_accesses,
-            &mut self.stats.tlb_walks,
-        ] {
-            for v in arr {
-                *v = r.u64()?;
+            if ports.free_at.len() != want {
+                return Err(rev_trace::CkptError::Malformed(format!(
+                    "port count {} does not match configuration ({want})",
+                    ports.free_at.len()
+                )));
             }
         }
         Ok(())
@@ -622,6 +556,19 @@ impl Hierarchy {
         }
     }
 }
+
+// Every piece of mutable hierarchy state: cache/TLB contents and clocks,
+// DRAM bank rows, port horizons and the per-requester counters. The
+// configuration is *not* written: restore targets a hierarchy freshly
+// built with the identical `MemConfig` (the enclosing simulator
+// checkpoint carries a config fingerprint), and the trace bus stays as
+// constructed (disabled).
+rev_trace::ckpt_fields!(CkptFields for Hierarchy, tag TAG_HIER {
+    l1i, l1d, l2, dram, itlb, dtlb, l2tlb, l1i_ports, l1d_ports, l2_ports, stats,
+} then Hierarchy::check_restored);
+rev_trace::ckpt_fields!(Ckpt for MemStats {
+    l1_accesses, l1_misses, l2_accesses, l2_misses, dram_accesses, tlb_walks,
+});
 
 #[cfg(test)]
 mod tests {

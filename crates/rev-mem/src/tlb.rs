@@ -7,6 +7,8 @@
 //! timing: an L1 TLB miss probes the L2 TLB, and an L2 miss pays the page
 //! walk.
 
+use rev_trace::CkptError;
+
 /// TLB configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
@@ -123,58 +125,33 @@ impl Tlb {
         self.index.contains_key(&self.vpn(addr))
     }
 
-    /// Serializes the mutable state. The entry vector order is part of
-    /// the deterministic model (fills push, evictions `swap_remove`), so
-    /// it is written as-is; the hash index and last-hit accelerator are
-    /// derived state and rebuilt on restore.
-    pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
-        w.u64(self.tick);
-        w.u64(self.stats.accesses);
-        w.u64(self.stats.misses);
-        w.len(self.entries.len());
-        for &(vpn, t) in &self.entries {
-            w.u64(vpn);
-            w.u64(t);
-        }
-    }
-
-    /// Restores state saved by [`Tlb::save_state`] into a TLB built with
-    /// the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rev_trace::CkptError`] on decode failure or if the
-    /// entry count exceeds this TLB's capacity.
-    pub fn restore_state(
-        &mut self,
-        r: &mut rev_trace::CkptReader<'_>,
-    ) -> Result<(), rev_trace::CkptError> {
-        self.tick = r.u64()?;
-        self.stats.accesses = r.u64()?;
-        self.stats.misses = r.u64()?;
-        let n = r.len(16)?;
-        if n > self.config.entries {
-            return Err(rev_trace::CkptError::Malformed(format!(
-                "TLB entry count {n} exceeds capacity {}",
+    /// Rebuilds the derived hash index and last-hit slot from restored
+    /// entries, rejecting more entries than this TLB holds or a VPN
+    /// cached twice.
+    fn check_restored(&mut self) -> Result<(), CkptError> {
+        if self.entries.len() > self.config.entries {
+            return Err(CkptError::Malformed(format!(
+                "TLB entry count {} exceeds capacity {}",
+                self.entries.len(),
                 self.config.entries
             )));
         }
-        self.entries.clear();
         self.index = crate::FlatMap::default();
         self.last = None;
-        for slot in 0..n {
-            let vpn = r.u64()?;
-            let t = r.u64()?;
+        for (slot, &(vpn, _)) in self.entries.iter().enumerate() {
             if self.index.insert(vpn, slot).is_some() {
-                return Err(rev_trace::CkptError::Malformed(format!(
-                    "duplicate TLB entry for vpn {vpn:#x}"
-                )));
+                return Err(CkptError::Malformed(format!("duplicate TLB entry for vpn {vpn:#x}")));
             }
-            self.entries.push((vpn, t));
         }
         Ok(())
     }
 }
+
+// The entry vector order is part of the deterministic model (fills push,
+// evictions `swap_remove`), so it is written as-is; the hash index and
+// last-hit accelerator are derived state, rebuilt on restore.
+rev_trace::ckpt_fields!(CkptFields for Tlb { tick, stats, entries } then Tlb::check_restored);
+rev_trace::ckpt_fields!(Ckpt for TlbStats { accesses, misses });
 
 #[cfg(test)]
 mod tests {

@@ -176,6 +176,10 @@ pub struct CfgStats {
     pub code_bytes: usize,
 }
 
+rev_trace::ckpt_fields!(Ckpt for CfgStats {
+    blocks, avg_instrs, avg_successors, computed_terminators, code_bytes,
+});
+
 impl rev_trace::MetricSink for CfgStats {
     fn export_metrics(&self, reg: &mut rev_trace::MetricRegistry) {
         reg.counter("cfg.blocks", self.blocks as u64);

@@ -32,6 +32,8 @@ pub struct TableStats {
     pub code_bytes: usize,
 }
 
+rev_trace::ckpt_fields!(Ckpt for TableStats { primaries, spills, slots, image_bytes, code_bytes });
+
 impl TableStats {
     /// Table size as a fraction of the binary's code size.
     pub fn ratio_to_code(&self) -> f64 {

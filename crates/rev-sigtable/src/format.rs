@@ -67,6 +67,8 @@ pub enum EntryKind {
     Return,
 }
 
+rev_trace::ckpt_enum!(EntryKind { Implicit = 0, Computed = 1, Return = 2 });
+
 impl EntryKind {
     fn code(self) -> u8 {
         match self {

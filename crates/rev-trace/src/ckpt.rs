@@ -16,6 +16,10 @@
 //!   self-describing; the codec never interprets it.
 //! * **state** — the serialized mutable simulator state, written through
 //!   [`CkptWriter`]'s primitive encoders and tagged section markers.
+//!   Each struct describes its state once, as a field list given to
+//!   [`ckpt_fields!`](crate::ckpt_fields) (see [`Ckpt`] and
+//!   [`CkptFields`]); fieldless enums map to byte codes through
+//!   [`ckpt_enum!`](crate::ckpt_enum).
 //! * **checksum** — FNV-1a 64 over every preceding byte. Verified
 //!   *before* any field is parsed, so a corrupted checkpoint (any single
 //!   bit flip, anywhere) is rejected with
@@ -29,7 +33,10 @@
 //!
 //! `docs/CHECKPOINT.md` is the normative schema reference.
 
+use crate::metrics::{Histogram, MetricRegistry};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 /// The 8-byte envelope magic.
 pub const CKPT_MAGIC: [u8; 8] = *b"REVCKPT1";
@@ -138,79 +145,58 @@ impl CkptWriter {
     }
 
     /// Writes a section marker byte (checked by the reader).
+    #[inline]
     pub fn tag(&mut self, t: u8) {
         self.buf.push(t);
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a bool as one byte (0/1).
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
     /// Writes a little-endian u16.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a little-endian u32.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a little-endian u64.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a usize as a little-endian u64.
+    #[inline]
     pub fn len(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
-    /// Writes an f64 by bit pattern (exact round trip).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Writes an optional u64 (presence byte + value).
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
-        }
-    }
-
     /// Writes a length-prefixed byte slice.
+    #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
         self.len(b.len());
         self.buf.extend_from_slice(b);
     }
 
     /// Writes raw bytes with no length prefix (fixed-size payloads).
+    #[inline]
     pub fn raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
-    }
-
-    /// Writes a length-prefixed slice of u64s.
-    pub fn u64_slice(&mut self, v: &[u64]) {
-        self.len(v.len());
-        for &x in v {
-            self.u64(x);
-        }
-    }
-
-    /// Bytes written so far (header included, checksum not yet).
-    #[must_use]
-    pub fn position(&self) -> usize {
-        self.buf.len()
     }
 
     /// Seals the envelope: appends FNV-1a 64 over everything written.
@@ -263,12 +249,7 @@ impl<'a> CkptReader<'a> {
         Ok(CkptReader { data: body, pos: 12 })
     }
 
-    /// Current byte offset into the envelope.
-    #[must_use]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
         let end = self.pos.checked_add(n).ok_or(CkptError::Truncated { at: self.pos })?;
         if end > self.data.len() {
@@ -284,6 +265,7 @@ impl<'a> CkptReader<'a> {
     /// # Errors
     ///
     /// [`CkptError::BadTag`] if the marker differs from `expected`.
+    #[inline]
     pub fn tag(&mut self, expected: u8) -> Result<(), CkptError> {
         let offset = self.pos;
         let found = self.u8()?;
@@ -298,6 +280,7 @@ impl<'a> CkptReader<'a> {
     /// # Errors
     ///
     /// [`CkptError::Truncated`] past the end of the envelope.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CkptError> {
         Ok(self.take(1)?[0])
     }
@@ -307,6 +290,7 @@ impl<'a> CkptReader<'a> {
     /// # Errors
     ///
     /// [`CkptError::Malformed`] on a non-boolean byte.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, CkptError> {
         match self.u8()? {
             0 => Ok(false),
@@ -320,6 +304,7 @@ impl<'a> CkptReader<'a> {
     /// # Errors
     ///
     /// [`CkptError::Truncated`] past the end of the envelope.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, CkptError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
@@ -329,6 +314,7 @@ impl<'a> CkptReader<'a> {
     /// # Errors
     ///
     /// [`CkptError::Truncated`] past the end of the envelope.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CkptError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
@@ -338,6 +324,7 @@ impl<'a> CkptReader<'a> {
     /// # Errors
     ///
     /// [`CkptError::Truncated`] past the end of the envelope.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CkptError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
@@ -349,6 +336,7 @@ impl<'a> CkptReader<'a> {
     /// # Errors
     ///
     /// [`CkptError::Malformed`] if the announced length cannot fit.
+    #[inline]
     pub fn len(&mut self, per_item: usize) -> Result<usize, CkptError> {
         let raw = self.u64()?;
         let n = usize::try_from(raw)
@@ -362,33 +350,12 @@ impl<'a> CkptReader<'a> {
         Ok(n)
     }
 
-    /// Reads an f64 by bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Truncated`] past the end of the envelope.
-    pub fn f64(&mut self) -> Result<f64, CkptError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads an optional u64.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying bool/u64 decode failure.
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, CkptError> {
-        if self.bool()? {
-            Ok(Some(self.u64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Reads a length-prefixed byte slice (borrowed from the envelope).
     ///
     /// # Errors
     ///
     /// Propagates length/bounds failures.
+    #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8], CkptError> {
         let n = self.len(1)?;
         self.take(n)
@@ -399,22 +366,9 @@ impl<'a> CkptReader<'a> {
     /// # Errors
     ///
     /// [`CkptError::Truncated`] past the end of the envelope.
+    #[inline]
     pub fn raw(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
         self.take(n)
-    }
-
-    /// Reads a length-prefixed u64 slice.
-    ///
-    /// # Errors
-    ///
-    /// Propagates length/bounds failures.
-    pub fn u64_slice(&mut self) -> Result<Vec<u64>, CkptError> {
-        let n = self.len(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u64()?);
-        }
-        Ok(v)
     }
 
     /// Asserts the whole envelope was consumed (trailing garbage in a
@@ -434,6 +388,387 @@ impl<'a> CkptReader<'a> {
     }
 }
 
+/// A value with one checkpoint encoding, used in both directions.
+///
+/// Implemented here for the primitives (`usize` travels as a u64),
+/// `bool`, `f64`, `Option<T>` (presence byte, then the value), `[T; N]`
+/// (no prefix), `Vec<T>`/`VecDeque<T>` (u64 length prefix), hash sets
+/// (sorted, as a `Vec<T>`), tuples, [`Histogram`] and [`MetricRegistry`]; structs get theirs from [`ckpt_fields!`](crate::ckpt_fields),
+/// fieldless enums from [`ckpt_enum!`](crate::ckpt_enum).
+pub trait Ckpt: Sized {
+    /// The fewest bytes one encoded value occupies. `Vec<T>` passes it to
+    /// [`CkptReader::len`], so a corrupt length can never drive an
+    /// allocation larger than the envelope.
+    const MIN_BYTES: usize;
+
+    /// Appends the encoding of `self`.
+    fn save(&self, w: &mut CkptWriter);
+
+    /// Decodes one value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CkptError`] on truncation or malformed content.
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError>;
+
+    /// Decodes one value over `self`. Containers override it to reuse
+    /// their allocation (a restore overwrites tables the constructor
+    /// already sized).
+    ///
+    /// # Errors
+    ///
+    /// As [`Ckpt::load`].
+    fn load_into(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+        *self = Self::load(r)?;
+        Ok(())
+    }
+}
+
+/// State restored *in place*, into a value whose constructor already
+/// built what the checkpoint does not carry (geometry, configuration,
+/// static build products). Every [`Ckpt`] value is trivially one; a
+/// struct with constructor-owned fields gets its impl from
+/// [`ckpt_fields!`](crate::ckpt_fields)`(CkptFields for …)`.
+pub trait CkptFields {
+    /// Appends the checkpointed fields.
+    fn save_fields(&self, w: &mut CkptWriter);
+
+    /// Overwrites the checkpointed fields, leaving every other field as
+    /// the constructor built it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CkptError`] on decode failure or content that does
+    /// not fit this value's geometry.
+    fn load_fields(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError>;
+}
+
+impl<T: Ckpt> CkptFields for T {
+    fn save_fields(&self, w: &mut CkptWriter) {
+        self.save(w);
+    }
+
+    fn load_fields(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+        self.load_into(r)
+    }
+}
+
+/// [`Ckpt::MIN_BYTES`] of the field `get` projects (type inference for
+/// [`ckpt_fields!`](crate::ckpt_fields), which knows field names only).
+#[doc(hidden)]
+#[must_use]
+pub const fn field_min_bytes<S, T: Ckpt>(_get: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
+}
+
+/// What a [`ckpt_fields!`](crate::ckpt_fields) `then` hook may return:
+/// `()` for a hook that only rebuilds derived state, or a `Result` for
+/// one that can reject the restored fields.
+#[doc(hidden)]
+pub trait HookOutcome {
+    /// The hook's verdict as a `Result`.
+    ///
+    /// # Errors
+    ///
+    /// The hook's own rejection.
+    fn into_result(self) -> Result<(), CkptError>;
+}
+
+impl HookOutcome for () {
+    fn into_result(self) -> Result<(), CkptError> {
+        Ok(())
+    }
+}
+
+impl HookOutcome for Result<(), CkptError> {
+    fn into_result(self) -> Self {
+        self
+    }
+}
+
+macro_rules! ckpt_int {
+    ($($t:ident),*) => {$(
+        impl Ckpt for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn save(&self, w: &mut CkptWriter) {
+                w.$t(*self);
+            }
+            fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+                r.$t()
+            }
+        }
+    )*};
+}
+ckpt_int!(u8, u16, u32, u64);
+
+impl Ckpt for usize {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.len(*self);
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        let v = r.u64()?;
+        usize::try_from(v).map_err(|_| CkptError::Malformed(format!("{v} overflows usize")))
+    }
+}
+
+impl Ckpt for bool {
+    const MIN_BYTES: usize = 1;
+    fn save(&self, w: &mut CkptWriter) {
+        w.bool(*self);
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        r.bool()
+    }
+}
+
+/// By bit pattern (exact round trip).
+impl Ckpt for f64 {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.u64(self.to_bits());
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        r.u64().map(f64::from_bits)
+    }
+}
+
+impl<T: Ckpt> Ckpt for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn save(&self, w: &mut CkptWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.save(w);
+        }
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        if r.bool()? {
+            Ok(Some(T::load(r)?))
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+impl<T: Ckpt + Copy + Default, const N: usize> Ckpt for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn save(&self, w: &mut CkptWriter) {
+        for v in self {
+            v.save(w);
+        }
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        let mut items = [T::default(); N];
+        for v in &mut items {
+            *v = T::load(r)?;
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Ckpt> Ckpt for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.len(self.len());
+        for v in self {
+            v.save(w);
+        }
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        let mut items = Vec::new();
+        items.load_into(r)?;
+        Ok(items)
+    }
+    /// Decodes over the existing items first (nested containers keep
+    /// their allocations too), then appends or truncates.
+    fn load_into(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+        let n = r.len(T::MIN_BYTES)?;
+        self.truncate(n);
+        for v in self.iter_mut() {
+            v.load_into(r)?;
+        }
+        self.reserve(n - self.len());
+        for _ in self.len()..n {
+            self.push(T::load(r)?);
+        }
+        Ok(())
+    }
+}
+
+impl<T: Ckpt> Ckpt for VecDeque<T> {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.len(self.len());
+        for v in self {
+            v.save(w);
+        }
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        let mut items = VecDeque::new();
+        items.load_into(r)?;
+        Ok(items)
+    }
+    fn load_into(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+        let n = r.len(T::MIN_BYTES)?;
+        self.clear();
+        self.reserve(n);
+        for _ in 0..n {
+            self.push_back(T::load(r)?);
+        }
+        Ok(())
+    }
+}
+
+/// A hash set travels as its sorted content (the same bytes as a sorted
+/// `Vec<T>`), so hash iteration order never leaks into a checkpoint.
+impl<T: Ckpt + Ord + Hash, S: BuildHasher + Default> Ckpt for HashSet<T, S> {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        let mut items: Vec<&T> = self.iter().collect();
+        items.sort_unstable();
+        w.len(items.len());
+        for v in items {
+            v.save(w);
+        }
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        Ok(Vec::load(r)?.into_iter().collect())
+    }
+}
+
+macro_rules! ckpt_tuple {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: Ckpt),+> Ckpt for ($($t,)+) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)+;
+            fn save(&self, w: &mut CkptWriter) {
+                $(self.$i.save(w);)+
+            }
+            fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+                Ok(($($t::load(r)?,)+))
+            }
+        }
+    };
+}
+ckpt_tuple!(A.0, B.1);
+ckpt_tuple!(A.0, B.1, C.2);
+ckpt_tuple!(A.0, B.1, C.2, D.3);
+
+crate::ckpt_fields!(Ckpt for Histogram { buckets, count, sum, max });
+
+/// A registry travels as its deterministic JSON text:
+/// [`MetricRegistry::to_json`] renders sorted keys and
+/// [`MetricRegistry::from_json`] reconstructs them losslessly.
+impl Ckpt for MetricRegistry {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.bytes(self.to_json().render().as_bytes());
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        let text = std::str::from_utf8(r.bytes()?)
+            .map_err(|_| CkptError::Malformed("metric registry is not UTF-8".to_string()))?;
+        let json = crate::json::parse(text)
+            .map_err(|e| CkptError::Malformed(format!("metric registry: {e}")))?;
+        MetricRegistry::from_json(&json)
+            .ok_or_else(|| CkptError::Malformed("metric registry shape mismatch".to_string()))
+    }
+}
+
+/// Derives a struct's checkpoint encoding from one field list, in the
+/// order the fields travel.
+///
+/// * `ckpt_fields!(Ckpt for T { a, b, c })` implements [`Ckpt`]: `load`
+///   builds `T` with a struct literal, so the list must name every field
+///   (a forgotten one is a compile error), or end in `..BASE` to take the
+///   unlisted fields from the expression `BASE`.
+/// * `ckpt_fields!(CkptFields for T { a, b })` implements [`CkptFields`]:
+///   the loader overwrites only the listed fields, in place, so geometry
+///   and configuration fields built by the constructor stay untouched.
+///   `tag NAME` after the type writes and checks a section marker first.
+///
+/// A field spelled `f => C` travels through the codec type `C` instead
+/// of its own impl (`C::MIN_BYTES`, `C::save(&T, w)`, `C::load(r)`), for
+/// the few encodings a test pins or a safety check needs. `then HOOK`
+/// runs `HOOK(&mut value)` after the fields load: the place for a
+/// `Malformed` check against the geometry (returning a `Result`), or for
+/// rebuilding derived state (returning `()`).
+#[macro_export]
+macro_rules! ckpt_fields {
+    (Ckpt for $ty:ty { $($f:ident $(=> $codec:ty)?),+ $(, ..$rest:expr)? $(,)? }
+        $(then $hook:expr)?) => {
+        impl $crate::Ckpt for $ty {
+            const MIN_BYTES: usize = 0 $(+ $crate::ckpt_fields!(@min $ty, $f $(, $codec)?))+;
+            fn save(&self, w: &mut $crate::CkptWriter) {
+                $($crate::ckpt_fields!(@save self, w, $f $(, $codec)?);)+
+            }
+            fn load(r: &mut $crate::CkptReader<'_>) -> Result<Self, $crate::CkptError> {
+                let v = Self {
+                    $($f: $crate::ckpt_fields!(@load r, $f $(, $codec)?),)+
+                    $(..$rest)?
+                };
+                $(
+                    let mut v = v;
+                    $crate::ckpt::HookOutcome::into_result($hook(&mut v))?;
+                )?
+                Ok(v)
+            }
+        }
+    };
+    (CkptFields for $ty:ty $(, tag $tag:ident)? { $($f:ident $(=> $codec:ty)?),+ $(,)? }
+        $(then $hook:expr)?) => {
+        impl $crate::CkptFields for $ty {
+            fn save_fields(&self, w: &mut $crate::CkptWriter) {
+                $(w.tag($tag);)?
+                $($crate::ckpt_fields!(@save self, w, $f $(, $codec)?);)+
+            }
+            fn load_fields(
+                &mut self,
+                r: &mut $crate::CkptReader<'_>,
+            ) -> Result<(), $crate::CkptError> {
+                $(r.tag($tag)?;)?
+                $($crate::ckpt_fields!(@load_into self, r, $f $(, $codec)?);)+
+                $($crate::ckpt::HookOutcome::into_result($hook(self))?;)?
+                Ok(())
+            }
+        }
+    };
+    (@min $ty:ty, $f:ident) => { $crate::ckpt::field_min_bytes::<$ty, _>(|s| &s.$f) };
+    (@min $ty:ty, $f:ident, $codec:ty) => { <$codec>::MIN_BYTES };
+    (@save $s:ident, $w:ident, $f:ident) => { $crate::CkptFields::save_fields(&$s.$f, $w) };
+    (@save $s:ident, $w:ident, $f:ident, $codec:ty) => { <$codec>::save(&$s.$f, $w) };
+    (@load $r:ident, $f:ident) => { $crate::Ckpt::load($r)? };
+    (@load $r:ident, $f:ident, $codec:ty) => { <$codec>::load($r)? };
+    (@load_into $s:ident, $r:ident, $f:ident) => {
+        $crate::CkptFields::load_fields(&mut $s.$f, $r)?
+    };
+    (@load_into $s:ident, $r:ident, $f:ident, $codec:ty) => { $s.$f = <$codec>::load($r)? };
+}
+
+/// Maps a fieldless enum to one-byte codes:
+/// `ckpt_enum!(Stage { Waiting = 0, Executing = 1, Done = 2 })`. An
+/// unknown code loads as [`CkptError::Malformed`].
+#[macro_export]
+macro_rules! ckpt_enum {
+    ($ty:ty { $($variant:ident = $code:literal),+ $(,)? }) => {
+        impl $crate::Ckpt for $ty {
+            const MIN_BYTES: usize = 1;
+            fn save(&self, w: &mut $crate::CkptWriter) {
+                w.u8(match self {
+                    $(Self::$variant => $code,)+
+                });
+            }
+            fn load(r: &mut $crate::CkptReader<'_>) -> Result<Self, $crate::CkptError> {
+                match r.u8()? {
+                    $($code => Ok(Self::$variant),)+
+                    b => Err($crate::CkptError::Malformed(format!(
+                        "{} code {b:#04x}",
+                        stringify!($ty)
+                    ))),
+                }
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,11 +782,8 @@ mod tests {
         w.u16(0xbeef);
         w.u32(0xdead_beef);
         w.u64(u64::MAX - 1);
-        w.f64(-0.5);
-        w.opt_u64(None);
-        w.opt_u64(Some(42));
+        (-0.5f64).save(&mut w);
         w.bytes(b"hello");
-        w.u64_slice(&[1, 2, 3]);
         let data = w.finish();
 
         let mut r = CkptReader::new(&data).unwrap();
@@ -461,12 +793,107 @@ mod tests {
         assert_eq!(r.u16().unwrap(), 0xbeef);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.f64().unwrap(), -0.5);
-        assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_u64().unwrap(), Some(42));
+        assert_eq!(f64::load(&mut r).unwrap(), -0.5);
         assert_eq!(r.bytes().unwrap(), b"hello");
-        assert_eq!(r.u64_slice().unwrap(), vec![1, 2, 3]);
         r.finish().unwrap();
+    }
+
+    /// A struct described once, with an in-place sibling, an enum and a
+    /// codec field — the shapes the simulator crates use.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Sample {
+        count: u64,
+        mode: Mode,
+        flags: [bool; 3],
+        label: Option<u16>,
+        items: Vec<(u32, Vec<u8>)>,
+        packed: u8,
+        hist: Histogram,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Mode {
+        Off,
+        On,
+    }
+
+    crate::ckpt_enum!(Mode { Off = 0, On = 1 });
+
+    /// Writes a u8 as a u32, to show a codec owns its bytes.
+    struct Wide;
+
+    impl Wide {
+        const MIN_BYTES: usize = 4;
+        fn save(v: &u8, w: &mut CkptWriter) {
+            w.u32(u32::from(*v));
+        }
+        fn load(r: &mut CkptReader<'_>) -> Result<u8, CkptError> {
+            let v = r.u32()?;
+            u8::try_from(v).map_err(|_| CkptError::Malformed(format!("wide byte {v}")))
+        }
+    }
+
+    crate::ckpt_fields!(Ckpt for Sample { count, mode, flags, label, items, packed => Wide, hist });
+
+    /// Geometry (`size`) comes from the constructor; `then` checks it.
+    struct Grid {
+        size: usize,
+        cells: Vec<u64>,
+        hits: u64,
+    }
+
+    impl Grid {
+        fn check(&mut self) -> Result<(), CkptError> {
+            if self.cells.len() != self.size {
+                return Err(CkptError::Malformed(format!("{} cells", self.cells.len())));
+            }
+            Ok(())
+        }
+    }
+
+    crate::ckpt_fields!(CkptFields for Grid, tag TAG { cells, hits } then Grid::check);
+    const TAG: u8 = 0x42;
+
+    #[test]
+    fn derived_encodings_round_trip_byte_identically() {
+        let mut hist = Histogram::new();
+        hist.record(300);
+        let sample = Sample {
+            count: 7,
+            mode: Mode::On,
+            flags: [true, false, true],
+            label: Some(9),
+            items: vec![(1, vec![2, 3]), (4, vec![])],
+            packed: 200,
+            hist,
+        };
+        let mut w = CkptWriter::new();
+        sample.save(&mut w);
+        Grid { size: 2, cells: vec![5, 6], hits: 8 }.save_fields(&mut w);
+        let data = w.finish();
+
+        let mut r = CkptReader::new(&data).unwrap();
+        assert_eq!(Sample::load(&mut r).unwrap(), sample);
+        let mut sized = Grid { size: 2, cells: Vec::new(), hits: 0 };
+        sized.load_fields(&mut r).unwrap();
+        assert_eq!((sized.size, sized.cells, sized.hits), (2, vec![5, 6], 8));
+        r.finish().unwrap();
+        assert_eq!(Sample::MIN_BYTES, 8 + 1 + 3 + 1 + 8 + 4 + 8 * (crate::HISTOGRAM_BUCKETS + 3));
+
+        // The same bytes restored into the wrong geometry are rejected.
+        let mut r = CkptReader::new(&data).unwrap();
+        Sample::load(&mut r).unwrap();
+        let mut small = Grid { size: 1, cells: Vec::new(), hits: 0 };
+        assert_eq!(small.load_fields(&mut r), Err(CkptError::Malformed("2 cells".to_string())));
+    }
+
+    #[test]
+    fn unknown_enum_code_is_malformed() {
+        let mut w = CkptWriter::new();
+        w.u8(2);
+        let data = w.finish();
+        let mut r = CkptReader::new(&data).unwrap();
+        assert!(matches!(Mode::load(&mut r), Err(CkptError::Malformed(_))));
     }
 
     #[test]
@@ -515,7 +942,23 @@ mod tests {
         w.u64(u64::MAX); // an absurd length prefix, correctly checksummed
         let data = w.finish();
         let mut r = CkptReader::new(&data).unwrap();
-        assert!(matches!(r.u64_slice(), Err(CkptError::Malformed(_))));
+        assert!(matches!(r.bytes(), Err(CkptError::Malformed(_))));
+        // The generic `Vec<T>` path bounds by `T::MIN_BYTES`: eight u64s
+        // of payload can announce at most one 8-byte item.
+        let mut w = CkptWriter::new();
+        w.u64(u64::MAX);
+        let data = w.finish();
+        let mut r = CkptReader::new(&data).unwrap();
+        assert!(matches!(Vec::<u64>::load(&mut r), Err(CkptError::Malformed(_))));
+        let mut w = CkptWriter::new();
+        w.len(2);
+        w.u64(1);
+        w.u64(2);
+        let data = w.finish();
+        let mut r = CkptReader::new(&data).unwrap();
+        assert!(matches!(Vec::<(u64, u64)>::load(&mut r), Err(CkptError::Malformed(_))));
+        let mut r = CkptReader::new(&data).unwrap();
+        assert_eq!(Vec::<u64>::load(&mut r).unwrap(), vec![1, 2]);
     }
 
     #[test]

@@ -355,7 +355,10 @@ impl<'a> Parser<'a> {
                     while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xc0) == 0x80 {
                         self.pos += 1;
                     }
-                    s.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
+                    s.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .expect("invariant: one whole scalar of a &str is valid UTF-8"),
+                    );
                 }
             }
         }
@@ -377,7 +380,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .expect("invariant: a number token is ASCII digits and signs");
         if is_float {
             text.parse::<f64>().map(Json::Float).map_err(|_| self.err("bad number"))
         } else {

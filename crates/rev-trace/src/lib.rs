@@ -35,6 +35,10 @@
 //! import — the simulator's types.
 
 #![warn(missing_docs)]
+// Library code states its invariants with `expect("invariant: …")`
+// instead of a bare `unwrap`; unit tests may unwrap freely.
+#![deny(clippy::unwrap_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod ckpt;
 pub mod event;
@@ -44,7 +48,10 @@ pub mod metrics;
 pub mod pool;
 pub mod snapshot;
 
-pub use ckpt::{fnv1a64, CkptError, CkptReader, CkptWriter, CKPT_MAGIC, CKPT_SCHEMA, CKPT_VERSION};
+pub use ckpt::{
+    fnv1a64, Ckpt, CkptError, CkptFields, CkptReader, CkptWriter, CKPT_MAGIC, CKPT_SCHEMA,
+    CKPT_VERSION,
+};
 pub use event::{EventKind, ProbeOutcome, TraceBus, TraceEvent, Verdict};
 pub use fault::{FaultInjector, FaultKind, FaultLayer, FaultSpec, FAULT_LAYERS};
 pub use json::Json;

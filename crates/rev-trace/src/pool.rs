@@ -44,11 +44,17 @@ where
                     }
                     local.push((i, f(worker, &items[i])));
                 }
-                collected.lock().unwrap().extend(local);
+                // A worker that panics does so inside `f`, never while
+                // holding the lock, so the mutex cannot be poisoned.
+                collected
+                    .lock()
+                    .expect("invariant: no worker panics while holding the results lock")
+                    .extend(local);
             });
         }
     });
-    let mut merged = collected.into_inner().unwrap();
+    let mut merged =
+        collected.into_inner().expect("invariant: no worker panics while holding the results lock");
     merged.sort_by_key(|&(i, _)| i);
     merged.into_iter().map(|(_, r)| r).collect()
 }
