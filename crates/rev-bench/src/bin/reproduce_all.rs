@@ -211,7 +211,7 @@ fn main() {
     let profiles = opts.profiles();
     let size_rows = parallel_map(opts.jobs, &profiles, |worker, p| {
         narrator.note(&format!("[tables w{worker:02}] {} ...", p.name));
-        // All three modes are table-shelf hits: the sweep above already
+        // All three modes are build-cache hits: the sweep above already
         // built standard, aggressive and CFI-only tables for every profile.
         let ratio = |mode: ValidationMode| {
             let config = RevConfig::paper_default().with_mode(mode);

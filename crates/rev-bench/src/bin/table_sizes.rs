@@ -3,7 +3,7 @@
 //! 3–20 % (avg 9 %).
 
 use rev_bench::{mean, program_for, BenchOptions, TablePrinter};
-use rev_core::{RevConfig, RevSimulator, ValidationMode};
+use rev_core::{BuildCache, RevConfig, ValidationMode};
 
 fn main() {
     let opts = BenchOptions::from_args();
@@ -16,11 +16,11 @@ fn main() {
     let mut cfis = Vec::new();
     for p in opts.profiles() {
         eprintln!("[table_sizes] {} ...", p.name);
+        let program = program_for(&p);
         let ratio = |mode: ValidationMode| {
-            let program = program_for(&p);
-            let sim =
-                RevSimulator::new(program, RevConfig::paper_default().with_mode(mode)).unwrap();
-            sim.table_stats()[0].ratio_to_code() * 100.0
+            let config = RevConfig::paper_default().with_mode(mode);
+            let built = BuildCache::global().tables(&program, &config, 0).expect("workload builds");
+            built.stats[0].ratio_to_code() * 100.0
         };
         let s = ratio(ValidationMode::Standard);
         let a = ratio(ValidationMode::Aggressive);
@@ -28,7 +28,6 @@ fn main() {
         stds.push(s);
         aggs.push(a);
         cfis.push(c);
-        let program = program_for(&p);
         t.row(vec![
             p.name.to_string(),
             (program.total_code_len() >> 10).to_string(),

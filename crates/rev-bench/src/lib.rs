@@ -21,8 +21,8 @@
 pub mod pool;
 pub mod shard;
 
-use rev_core::{BaselineReport, RevConfig, RevReport, RevSimulator};
-use rev_prog::{BbLimits, Cfg, CfgStats, Program};
+use rev_core::{BaselineReport, BuildCache, RevConfig, RevReport, RevSimulator};
+use rev_prog::{BbLimits, CfgStats, Program};
 use rev_sigtable::TableStats;
 use rev_trace::{AttackRecord, Json, MetricRegistry, MetricSink, MetricValue, Snapshot};
 use rev_workloads::{generate, SpecProfile, ALL_PROFILES};
@@ -234,10 +234,12 @@ pub fn program_for(profile: &SpecProfile) -> Program {
     generate(profile)
 }
 
-/// Static CFG statistics for a generated program's first module.
+/// Static CFG statistics for a generated program's first module, read
+/// from the build cache's linked analysis under the default BB limits
+/// (the analysis the paper configurations' tables are built from).
 pub fn cfg_stats_for(program: &Program) -> CfgStats {
-    let module = &program.modules()[0];
-    Cfg::analyze(module, BbLimits::default()).expect("generated programs analyze").stats()
+    BuildCache::global().cfgs(program, BbLimits::default()).expect("generated programs analyze")[0]
+        .stats()
 }
 
 /// The `--preflight` gate: statically lints the tables a built simulator
@@ -789,8 +791,8 @@ pub struct PerfSample {
     /// (`perf.phase.gen_ns`; ~0 once the pool's program shelf holds it).
     pub gen_ns: u64,
     /// Host nanoseconds building tables + assembling the simulator
-    /// (`perf.phase.table_ns`; only the assembly remains once the pool's
-    /// table shelf holds the tables).
+    /// (`perf.phase.table_ns`; only the assembly remains once the build
+    /// cache holds the tables).
     pub table_ns: u64,
     /// Host nanoseconds warming up (or restoring a disk checkpoint on a
     /// disk hit; `perf.phase.warm_ns`).

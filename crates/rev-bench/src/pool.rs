@@ -3,10 +3,11 @@
 //! Every (profile × configuration) work item in a sweep pays the same
 //! config-independent prefix — program materialization, CFG statistics
 //! and the AES-heavy signature-table build — plus, per full recipe, a
-//! warmup run. [`WarmPool`] memoizes the prefix in memory behind
-//! content-addressed keys so it is computed once per process, and can
-//! persist each warmed simulator to disk (`--ckpt-pool DIR`) so a later
-//! process restores it instead of re-running the warmup. Warmed
+//! warmup run. [`WarmPool`] memoizes the generated programs in memory,
+//! takes analyses and tables from `rev-core`'s process-wide
+//! [`BuildCache`] (which the audit, the lint and `rev-serve` share), and
+//! can persist each warmed simulator to disk (`--ckpt-pool DIR`) so a
+//! later process restores it instead of re-running the warmup. Warmed
 //! simulators are never kept in memory: a sweep asks for each full
 //! recipe once, so every fetch hands its simulator straight to the
 //! caller. A pooled sweep renders measurement snapshots byte-identical
@@ -15,21 +16,21 @@
 //!
 //! ## Keying and invalidation (DESIGN.md §13)
 //!
-//! Two in-memory shelves and one disk cache, each keyed by an
-//! FNV-1a-64 digest of a versioned recipe string:
+//! One in-memory shelf and one disk cache, each keyed by an FNV-1a-64
+//! digest of a versioned recipe string:
 //!
 //! * **program** — `prog/1 | SpecProfile` → generated [`Program`] +
 //!   [`CfgStats`]. Workload generation is deterministic in the profile.
-//! * **tables** — `tables/1 | SpecProfile | mode | BbLimits` → built
-//!   (unplaced) [`SignatureTable`]s + [`TableStats`]. Table content
-//!   depends only on the program, the validation mode and the BB limits;
-//!   SC size, deferral depth etc. never reach the builder, so e.g.
-//!   standard-mode 32K and 64K slots share one AES schedule expansion.
 //! * **warm** (disk only) — `rev-bench-pool/1 | rev-ckpt/1 |
 //!   SpecProfile | RevConfig | warmup` → a warmed [`RevSimulator`]. The
 //!   full `RevConfig` debug form (which includes the superblocks flag)
 //!   and the warmup budget are part of the key; the `rev-ckpt/1` schema
 //!   version is included so any codec bump invalidates disk entries.
+//!
+//! Table content depends only on the program, the validation mode and the
+//! BB limits, which is how the [`BuildCache`] keys it: SC size, deferral
+//! depth etc. never reach the builder, so e.g. standard-mode 32K and 64K
+//! slots share one AES schedule expansion.
 //!
 //! Warm entries persist under `--ckpt-pool DIR` as sealed `rev-ckpt/1`
 //! envelopes (`Session::checkpoint` with the recipe string as the
@@ -41,11 +42,11 @@
 //! rebuilt fail-open — a corrupt cache can cost time, never correctness.
 
 use crate::cfg_stats_for;
-use rev_core::{linked_tables, RevConfig, RevSimulator, Session};
+use rev_core::{BuildCache, RevConfig, RevSimulator, Session};
 use rev_prog::CfgStats;
 use rev_prog::Program;
-use rev_sigtable::{SignatureTable, TableStats};
-use rev_trace::{fnv1a64, CKPT_SCHEMA};
+use rev_sigtable::TableStats;
+use rev_trace::{fnv1a64, lock_unpoisoned, CKPT_SCHEMA};
 use rev_workloads::{generate, SpecProfile};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -69,8 +70,8 @@ pub struct PoolStats {
 /// What one [`WarmPool::warm_fork`] call did, with host-side phase
 /// timings for the config-independent prefix (the `perf.phase.*` rows
 /// in `BENCH_rev.json`). Generation and table build are ~0 when the
-/// in-memory shelves already hold the profile; on a disk hit the warmup
-/// is replaced by a checkpoint restore.
+/// program shelf and the build cache already hold the profile; on a
+/// disk hit the warmup is replaced by a checkpoint restore.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolFetch {
     /// Restored from a valid disk entry rather than warmed up here.
@@ -86,49 +87,23 @@ pub struct PoolFetch {
     pub warm_ns: u64,
 }
 
-/// One single-flight memo shelf: key → slot, where the slot's inner
-/// mutex is held across the build so concurrent requesters for the same
-/// key block until the first build lands (requesters for other keys
+/// A generated program and its CFG statistics.
+type Generated = (Program, CfgStats);
+
+/// The program shelf: profile key → slot, where the slot's inner mutex
+/// is held across generation so concurrent requesters for the same
+/// profile block until the first one lands (requesters for other keys
 /// proceed — the outer map lock is only held for the slot lookup).
-type Slot<V> = Arc<Mutex<Option<Arc<V>>>>;
+type Slot = Arc<Mutex<Option<Arc<Generated>>>>;
 
-#[derive(Debug)]
-struct Shelf<V> {
-    slots: Mutex<HashMap<u64, Slot<V>>>,
-}
-
-impl<V> Default for Shelf<V> {
-    fn default() -> Self {
-        Shelf { slots: Mutex::new(HashMap::new()) }
-    }
-}
-
-impl<V> Shelf<V> {
-    fn slot(&self, key: u64) -> Arc<Mutex<Option<Arc<V>>>> {
-        self.slots.lock().unwrap().entry(key).or_default().clone()
-    }
-
-    fn get_or_build(&self, key: u64, build: impl FnOnce() -> V) -> Arc<V> {
-        let slot = self.slot(key);
-        let mut guard = slot.lock().unwrap();
-        if let Some(v) = guard.as_ref() {
-            return Arc::clone(v);
-        }
-        let v = Arc::new(build());
-        *guard = Some(Arc::clone(&v));
-        v
-    }
-}
-
-/// The warm-start pool: per-process memo shelves for the sweep's
-/// config-independent prefix plus an optional on-disk warm-checkpoint
-/// cache. Shared by reference across `parallel_map` workers; it holds no
-/// simulators.
+/// The warm-start pool: a per-process program shelf plus an optional
+/// on-disk warm-checkpoint cache, over the process-wide [`BuildCache`].
+/// Shared by reference across `parallel_map` workers; it holds no tables
+/// and no simulators.
 #[derive(Debug)]
 pub struct WarmPool {
     disk: Option<PathBuf>,
-    programs: Shelf<(Program, CfgStats)>,
-    tables: Shelf<(Vec<SignatureTable>, Vec<TableStats>)>,
+    programs: Mutex<HashMap<u64, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
@@ -140,8 +115,7 @@ impl WarmPool {
     pub fn new(disk_dir: Option<&str>) -> Self {
         WarmPool {
             disk: disk_dir.map(PathBuf::from),
-            programs: Shelf::default(),
-            tables: Shelf::default(),
+            programs: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
@@ -159,47 +133,34 @@ impl WarmPool {
 
     /// The profile's generated program and CFG statistics, built once
     /// per process.
-    pub fn program(&self, profile: &SpecProfile) -> Arc<(Program, CfgStats)> {
+    pub fn program(&self, profile: &SpecProfile) -> Arc<Generated> {
         let key = fnv1a64(format!("prog/1|{profile:?}").as_bytes());
-        self.programs.get_or_build(key, || {
-            let program = generate(profile);
-            let cfg = cfg_stats_for(&program);
-            (program, cfg)
-        })
-    }
-
-    /// The built (unplaced) signature tables for `(profile, mode,
-    /// bb_limits)` — everything [`RevConfig`] contributes to table
-    /// content — built once per process.
-    fn table_bundle(
-        &self,
-        profile: &SpecProfile,
-        config: &RevConfig,
-    ) -> Arc<(Vec<SignatureTable>, Vec<TableStats>)> {
-        let key = fnv1a64(
-            format!("tables/1|{profile:?}|mode={:?}|limits={:?}", config.mode, config.bb_limits)
-                .as_bytes(),
-        );
-        self.tables.get_or_build(key, || {
-            let program = self.program(profile);
-            linked_tables(&program.0, config).expect("workload builds")
-        })
+        let slot = Arc::clone(lock_unpoisoned(&self.programs).entry(key).or_default());
+        let mut guard = lock_unpoisoned(&slot);
+        if let Some(generated) = guard.as_ref() {
+            return Arc::clone(generated);
+        }
+        let program = generate(profile);
+        let cfg = cfg_stats_for(&program);
+        let generated = Arc::new((program, cfg));
+        *guard = Some(Arc::clone(&generated));
+        generated
     }
 
     /// Per-module table statistics for `(profile, config)` without
     /// assembling a simulator — what the table-sizes phase needs.
     pub fn table_stats(&self, profile: &SpecProfile, config: &RevConfig) -> Vec<TableStats> {
-        self.table_bundle(profile, config).1.clone()
+        let program = self.program(profile);
+        BuildCache::global().tables(&program.0, config, 0).expect("workload builds").stats.clone()
     }
 
     /// Assembles a cold (unwarmed) simulator from the memoized program
-    /// and tables — indistinguishable from `RevSimulator::new` on the
-    /// same inputs, minus the repeated analysis and AES work.
+    /// and the build cache's tables — indistinguishable from
+    /// `RevSimulator::new` on the same inputs, minus the repeated
+    /// analysis and AES work.
     pub fn cold_sim(&self, profile: &SpecProfile, config: &RevConfig) -> RevSimulator {
         let program = self.program(profile);
-        let bundle = self.table_bundle(profile, config);
-        RevSimulator::with_prebuilt(program.0.clone(), *config, bundle.0.clone(), bundle.1.clone())
-            .expect("workload builds")
+        RevSimulator::cached(program.0.clone(), *config).expect("workload builds")
     }
 
     /// The warm recipe string — the full content address of a pooled
@@ -210,7 +171,8 @@ impl WarmPool {
     }
 
     /// A warmed simulator for `(profile, config, warmup)`: restored from
-    /// a valid `--ckpt-pool` disk entry, or built from the memo shelves,
+    /// a valid `--ckpt-pool` disk entry, or built from the program shelf
+    /// and the build cache,
     /// warmed up and stored on disk. The caller owns the returned
     /// simulator; the pool keeps no copy. The returned [`PoolFetch`]
     /// carries the phase timings and hit/miss outcome for the
@@ -253,8 +215,8 @@ impl WarmPool {
     /// absent is silent, while a present-but-invalid entry (checksum,
     /// recipe, fingerprint, or decode failure) bumps `pool.corrupt` and
     /// falls through to a rebuild. A valid entry is restored into a
-    /// cold simulator rebuilt from the memo shelves, with the restore
-    /// cost attributed to the warm phase.
+    /// cold simulator rebuilt from the shelf and the build cache, with
+    /// the restore cost attributed to the warm phase.
     fn disk_load(
         &self,
         recipe: &str,
@@ -360,12 +322,14 @@ mod tests {
     }
 
     #[test]
-    fn table_shelf_is_shared_across_sc_sizes() {
+    fn tables_are_shared_across_sc_sizes() {
         let pool = WarmPool::new(None);
         let p = tiny_profile();
-        let s32 = pool.table_stats(&p, &RevConfig::paper_default());
-        let s64 = pool.table_stats(&p, &RevConfig::paper_64k());
-        assert_eq!(s32, s64, "table content is independent of SC size");
-        assert_eq!(pool.tables.slots.lock().unwrap().len(), 1, "one build serves both");
+        let program = pool.program(&p);
+        let cache = BuildCache::global();
+        let s32 = cache.tables(&program.0, &RevConfig::paper_default(), 0).unwrap();
+        let s64 = cache.tables(&program.0, &RevConfig::paper_64k(), 0).unwrap();
+        assert!(Arc::ptr_eq(&s32, &s64), "one build serves both SC sizes");
+        assert_eq!(pool.table_stats(&p, &RevConfig::paper_64k()), s32.stats);
     }
 }

@@ -8,18 +8,68 @@
 //!   run without it;
 //! * the superblock memo layer (`RevConfig::superblocks`) never changes
 //!   a rendered snapshot byte across all 18 profiles;
-//! * the warm pool renders the bytes of fresh `RevSimulator::new` runs.
+//! * the warm pool renders the bytes of fresh `RevSimulator::new` runs;
+//! * the audit over the shared build cache renders the bytes of an audit
+//!   over freshly analyzed CFGs and fresh `RevSimulator::new` tables.
 //!
 //! (Campaign-JSON determinism across runs and jobs lives next to the
 //! engine in `crates/rev-chaos/tests/chaos.rs`; the self-modifying-code
 //! invalidation contract lives in `crates/rev-core/tests/smc.rs`.)
 
 use rev_bench::{
-    cfg_stats_for, program_for, run_rev_only, snapshot_from_runs, sweep_configs,
-    sweep_configs_pooled, BenchOptions, ProfileRun, ShardSpec, SweepConfig, SweepOutcome, WarmPool,
+    program_for, run_rev_only, snapshot_from_runs, sweep_configs, sweep_configs_pooled,
+    BenchOptions, ProfileRun, ShardSpec, SweepConfig, SweepOutcome, WarmPool,
 };
 use rev_core::{RevConfig, RevSimulator, Session, SessionStatus, ValidationMode};
+use rev_lint::audit::{audit_tables, AuditOutcome, AUDIT_MODES};
+use rev_prog::{Cfg, Program};
 use rev_trace::{fnv1a64, parallel_map, MetricRegistry, MetricSink, Snapshot};
+
+/// The audit of `program` rebuilt from scratch, bypassing the build
+/// cache: each module analyzed anew (generated programs are one module,
+/// so there is no cross-module linkage to stitch) and each mode's tables
+/// read from a fresh `RevSimulator::new`.
+fn fresh_audit(program: &Program, base: &RevConfig) -> AuditOutcome {
+    assert_eq!(program.modules().len(), 1, "generated programs are one module");
+    let cfgs: Vec<Cfg> =
+        program.modules().iter().map(|m| Cfg::analyze(m, base.bb_limits).unwrap()).collect();
+    let sims: Vec<(ValidationMode, RevSimulator)> = AUDIT_MODES
+        .iter()
+        .map(|&mode| (mode, RevSimulator::new(program.clone(), base.with_mode(mode)).unwrap()))
+        .collect();
+    let tables: Vec<_> =
+        sims.iter().map(|(mode, sim)| (*mode, sim.monitor().sag().tables())).collect();
+    audit_tables(&cfgs, &tables, base)
+}
+
+/// The audit over the shared build cache — one analysis and three table
+/// builds per program, shared with the sweep — renders the `audit.*`
+/// metrics and the findings of a fresh build, for all 18 quick profiles
+/// under all three modes.
+#[test]
+fn cached_audit_matches_a_fresh_build() {
+    let profiles = BenchOptions { scale: 0.05, ..BenchOptions::default() }.profiles();
+    assert_eq!(profiles.len(), 18, "the paper's full profile set");
+    let base = RevConfig::paper_default();
+    parallel_map(rev_bench::default_jobs(), &profiles, |_, profile| {
+        let program = program_for(profile);
+        let fresh = fresh_audit(&program, &base);
+        let cached = rev_lint::audit_program(&program, &base);
+        assert_eq!(cached.modes.len(), 3, "{}: every mode audited", profile.name);
+        assert_eq!(
+            cached.metrics().to_json().render(),
+            fresh.metrics().to_json().render(),
+            "{}: audit metrics",
+            profile.name
+        );
+        assert_eq!(
+            cached.report.render_json(),
+            fresh.report.render_json(),
+            "{}: findings",
+            profile.name
+        );
+    });
+}
 
 fn tiny_opts() -> BenchOptions {
     BenchOptions {
@@ -282,8 +332,8 @@ fn pooled_sweep_renders_identical_snapshot() {
     assert_eq!(profiles.len(), 18, "the paper's full profile set");
     let fresh = parallel_map(rev_bench::default_jobs(), &profiles, |_, profile| {
         let program = program_for(profile);
-        let cfg = cfg_stats_for(&program);
-        let audit = rev_lint::audit_program(&program, &configs[0].config).metrics();
+        let cfg = Cfg::analyze(&program.modules()[0], configs[0].config.bb_limits).unwrap().stats();
+        let audit = fresh_audit(&program, &configs[0].config).metrics();
         let sim = RevSimulator::new(program, configs[0].config).unwrap();
         let base = sim.run_baseline_with_warmup(opts.warmup, opts.instructions);
         let revs = configs.iter().map(|c| run_rev_only(profile, &opts, c.config)).collect();

@@ -41,6 +41,7 @@
 //! # }
 //! ```
 
+mod build;
 mod config;
 mod cost;
 mod defer;
@@ -53,6 +54,7 @@ mod shadow;
 mod sim;
 mod stats;
 
+pub use build::{BuildCache, BuildCacheStats, BuiltTables, BUILD_CACHE_ENTRIES, CFG_ENTRIES};
 pub use config::{Containment, RevConfig, RevConfigError};
 pub use cost::{CostModel, CostReport};
 pub use defer::{DeferredStore, DeferredStoreBuffer};

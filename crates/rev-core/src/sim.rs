@@ -7,6 +7,7 @@
 //! monitor attached. A matching baseline (same program, same core, no
 //! REV) is available for overhead measurements.
 
+use crate::build::{BuildCache, BuiltTables};
 use crate::config::RevConfig;
 use crate::rev_monitor::RevMonitor;
 use crate::sag::Sag;
@@ -15,7 +16,7 @@ use rev_cpu::{CpuConfig, CpuStats, NullMonitor, Oracle, Pipeline, RunOutcome};
 use rev_crypto::{Aes128, SignatureKey};
 use rev_mem::{MainMemory, MemConfig, MemStats};
 use rev_prog::{Cfg, CfgError, Program};
-use rev_sigtable::{build_table, SignatureTable, TableBuildError, TableStats};
+use rev_sigtable::{build_table, SignatureTable, TableBuildError, TableStats, ValidationMode};
 use rev_trace::{Ckpt, TraceBus};
 use std::fmt;
 
@@ -188,13 +189,23 @@ rev_trace::ckpt_fields!(Ckpt for BaselineReport { outcome, cpu, mem });
 /// The trusted toolchain's analysis front half: analyzes every module and
 /// stitches cross-module return linkage (paper Sec. IV.B). The returned
 /// CFGs are exactly the ones table generation consumes — `rev-lint`'s
-/// static verifier calls this too, so linter and linker can never drift on
-/// block boundaries or return-site sets.
+/// static verifier reads them too, so linter and linker can never drift
+/// on block boundaries or return-site sets. Served by
+/// [`BuildCache::global`], so a program analyzed for a table build is not
+/// analyzed again; the result is a copy of the shared analysis.
 ///
 /// # Errors
 ///
 /// Returns [`SimBuildError`] if a module fails static analysis.
 pub fn analyze_and_link(
+    program: &Program,
+    limits: rev_prog::BbLimits,
+) -> Result<Vec<Cfg>, SimBuildError> {
+    BuildCache::global().cfgs(program, limits).map(|cfgs| cfgs.to_vec())
+}
+
+/// The analysis behind [`analyze_and_link`], uncached.
+pub(crate) fn link_cfgs(
     program: &Program,
     limits: rev_prog::BbLimits,
 ) -> Result<Vec<Cfg>, SimBuildError> {
@@ -229,12 +240,11 @@ pub fn analyze_and_link(
     Ok(cfgs)
 }
 
-/// The trusted toolchain's full build: [`analyze_and_link`] followed by
-/// table generation under the default key generation — exactly what
-/// [`RevSimulator::new`] runs internally. Exposed so build caches (the
-/// warm-start pool in `rev-bench`) can amortize the AES-heavy table
-/// encryption across simulators and hand the product to
-/// [`RevSimulator::with_prebuilt`].
+/// The trusted toolchain's full build under the default key generation:
+/// [`analyze_and_link`] followed by table generation, served by
+/// [`BuildCache::global`] and handed out as a copy for
+/// [`RevSimulator::with_prebuilt`] (which [`RevSimulator::cached`] does
+/// in one call).
 ///
 /// # Errors
 ///
@@ -244,30 +254,30 @@ pub fn linked_tables(
     program: &Program,
     config: &RevConfig,
 ) -> Result<(Vec<SignatureTable>, Vec<TableStats>), SimBuildError> {
-    link_modules(program, config, 0)
+    let built = BuildCache::global().tables(program, config, 0)?;
+    Ok((built.tables.clone(), built.stats.clone()))
 }
 
-/// The trusted toolchain: analyzes every module, stitches cross-module
-/// return linkage (paper Sec. IV.B), and builds each module's encrypted
-/// signature table.
-fn link_modules(
+/// Pass 3 of the trusted toolchain: builds each module's encrypted
+/// signature table from its linked CFG under `mode`, keyed for
+/// `key_generation`.
+pub(crate) fn build_tables(
     program: &Program,
-    config: &RevConfig,
+    cfgs: &[Cfg],
+    mode: ValidationMode,
     key_generation: u64,
-) -> Result<(Vec<SignatureTable>, Vec<TableStats>), SimBuildError> {
+) -> Result<BuiltTables, SimBuildError> {
     let cpu_master = Aes128::new(CPU_MASTER_KEY);
-    let cfgs = analyze_and_link(program, config.bb_limits)?;
-    // Pass 3: build each module's encrypted table.
     let mut tables: Vec<SignatureTable> = Vec::new();
-    let mut table_stats = Vec::new();
-    for (module, cfg) in program.modules().iter().zip(&cfgs) {
+    let mut stats = Vec::new();
+    for (module, cfg) in program.modules().iter().zip(cfgs) {
         let key = SignatureKey::from_seed(module.base() ^ 0x5eed ^ key_generation.rotate_left(17));
-        let table = build_table(module, cfg, &key, config.mode, &cpu_master)
+        let table = build_table(module, cfg, &key, mode, &cpu_master)
             .map_err(|source| SimBuildError::Table { module: module.name().to_string(), source })?;
-        table_stats.push(table.stats());
+        stats.push(table.stats());
         tables.push(table);
     }
-    Ok((tables, table_stats))
+    Ok(BuiltTables { tables, stats })
 }
 
 /// First address past every loadable segment, page aligned with a guard
@@ -337,8 +347,24 @@ impl RevSimulator {
     ) -> Result<Self, SimBuildError> {
         config.validate()?;
         mem_config.validate()?;
-        let (tables, table_stats) = link_modules(&program, &config, 0)?;
-        Ok(Self::assemble(program, config, cpu_config, mem_config, tables, table_stats))
+        let cfgs = link_cfgs(&program, config.bb_limits)?;
+        let built = build_tables(&program, &cfgs, config.mode, 0)?;
+        Ok(Self::assemble(program, config, cpu_config, mem_config, built.tables, built.stats))
+    }
+
+    /// Builds a simulator from [`BuildCache::global`]'s tables for the
+    /// program and configuration, analyzing and encrypting only on a
+    /// miss. Indistinguishable from [`RevSimulator::new`] on the same
+    /// inputs — table construction is deterministic and placement happens
+    /// here either way — which `rev-bench/tests/equivalence.rs` pins.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimBuildError`] if the configuration is unrunnable or a
+    /// module fails static analysis or table generation.
+    pub fn cached(program: Program, config: RevConfig) -> Result<Self, SimBuildError> {
+        let built = BuildCache::global().tables(&program, &config, 0)?;
+        Self::with_prebuilt(program, config, built.tables.clone(), built.stats.clone())
     }
 
     /// Builds a simulator from tables produced by [`linked_tables`] for
@@ -346,8 +372,8 @@ impl RevSimulator {
     /// the AES-heavy table encryption. With matching inputs the result is
     /// indistinguishable from [`RevSimulator::new`] — table construction
     /// is deterministic, and placement happens here either way — which is
-    /// what lets the warm-start pool in `rev-bench` reuse one build
-    /// across every slot of a sweep without perturbing a single counter.
+    /// what lets [`RevSimulator::cached`] reuse one build across every
+    /// simulator of a program without perturbing a single counter.
     ///
     /// Uses the paper's default core and memory configuration, mirroring
     /// [`RevSimulator::new`].
@@ -629,7 +655,7 @@ impl RevSimulator {
         });
         self.program.add_module(module);
         // Re-link and re-place all tables (fresh region past the old one).
-        let (tables, table_stats) = link_modules(&self.program, &self.config, 0)?;
+        let built = BuildCache::global().tables(&self.program, &self.config, 0)?;
         let old_end = self
             .monitor
             .sag()
@@ -644,10 +670,10 @@ impl RevSimulator {
             // monitor's committed memory both receive the table images.
             let oracle_mem = self.pipeline.oracle_mut().mem_mut();
             let committed = self.monitor.committed_mut();
-            place_tables(tables, region, &mut [oracle_mem, committed], &self.config)
+            place_tables(built.tables.clone(), region, &mut [oracle_mem, committed], &self.config)
         };
         self.monitor.replace_sag(sag);
-        self.table_stats = table_stats;
+        self.table_stats = built.stats.clone();
         Ok(())
     }
 
@@ -662,15 +688,15 @@ impl RevSimulator {
     /// Returns [`SimBuildError`] if regeneration fails (it cannot for a
     /// program that built once, but the contract is explicit).
     pub fn rekey_modules(&mut self, generation: u64) -> Result<(), SimBuildError> {
-        let (tables, stats) = link_modules(&self.program, &self.config, generation)?;
+        let built = BuildCache::global().tables(&self.program, &self.config, generation)?;
         let region = table_region_base(&self.program);
         let sag = {
             let oracle_mem = self.pipeline.oracle_mut().mem_mut();
             let committed = self.monitor.committed_mut();
-            place_tables(tables, region, &mut [oracle_mem, committed], &self.config)
+            place_tables(built.tables.clone(), region, &mut [oracle_mem, committed], &self.config)
         };
         self.monitor.replace_sag(sag);
-        self.table_stats = stats;
+        self.table_stats = built.stats.clone();
         Ok(())
     }
 

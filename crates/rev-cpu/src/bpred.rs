@@ -9,7 +9,7 @@
 //! [`CpuStats`](crate::stats::CpuStats) and export as the
 //! `cpu.branches.*` metrics (Figs. 8/9 — see `docs/METRICS.md`).
 
-use rev_trace::CkptError;
+use rev_trace::{CkptError, CkptReader, CkptWriter};
 
 /// Predictor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,12 +36,14 @@ impl Default for PredictorConfig {
 }
 
 /// A snapshot of speculative predictor state taken at a branch, used to
-/// repair the RAS and history on misprediction.
+/// repair the RAS and history on misprediction. Every in-flight ROB slot
+/// carries one, so the RAS position is held in `u32`s: that keeps a slot
+/// at 128 bytes, which rustc copies inline instead of through `memmove`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredictorCheckpoint {
     history: u64,
-    ras_tos: usize,
-    ras_count: usize,
+    ras_tos: u32,
+    ras_count: u32,
 }
 
 impl PredictorCheckpoint {
@@ -52,17 +54,40 @@ impl PredictorCheckpoint {
     ///
     /// [`CkptError::Malformed`] when the position is out of range.
     pub(crate) fn check_ras(&self, ras_depth: usize) -> Result<(), CkptError> {
-        if self.ras_tos >= ras_depth || self.ras_count > ras_depth {
-            return Err(CkptError::Malformed(format!(
-                "RAS position {}/{} out of range for depth {ras_depth}",
-                self.ras_tos, self.ras_count
-            )));
-        }
-        Ok(())
+        check_ras_position(self.ras_tos as usize, self.ras_count as usize, ras_depth)
     }
 }
 
-rev_trace::ckpt_fields!(Ckpt for PredictorCheckpoint { history, ras_tos, ras_count });
+fn check_ras_position(tos: usize, count: usize, depth: usize) -> Result<(), CkptError> {
+    if tos >= depth || count > depth {
+        return Err(CkptError::Malformed(format!(
+            "RAS position {tos}/{count} out of range for depth {depth}"
+        )));
+    }
+    Ok(())
+}
+
+/// A checkpoint's `u32` RAS position travels as the `u64` that
+/// `rev-ckpt/1` has always carried for it; a wider value is malformed.
+struct RasPosition;
+
+impl RasPosition {
+    const MIN_BYTES: usize = 8;
+
+    fn save(v: &u32, w: &mut CkptWriter) {
+        w.u64(u64::from(*v));
+    }
+
+    fn load(r: &mut CkptReader<'_>) -> Result<u32, CkptError> {
+        let v = r.u64()?;
+        u32::try_from(v)
+            .map_err(|_| CkptError::Malformed(format!("RAS position {v} overflows u32")))
+    }
+}
+
+rev_trace::ckpt_fields!(Ckpt for PredictorCheckpoint {
+    history, ras_tos => RasPosition, ras_count => RasPosition,
+});
 
 /// The front-end branch predictor.
 #[derive(Debug, Clone)]
@@ -82,10 +107,13 @@ impl BranchPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `gshare_entries` or `btb_entries` is not a power of two.
+    /// Panics if `gshare_entries` or `btb_entries` is not a power of two,
+    /// or if `ras_depth` exceeds `u32::MAX` (checkpoints hold RAS
+    /// positions in `u32`s).
     pub fn new(config: PredictorConfig) -> Self {
         assert!(config.gshare_entries.is_power_of_two());
         assert!(config.btb_entries.is_power_of_two());
+        assert!(u32::try_from(config.ras_depth).is_ok(), "RAS depth must fit a u32");
         BranchPredictor {
             config,
             counters: vec![1; config.gshare_entries], // weakly not-taken
@@ -103,6 +131,7 @@ impl BranchPredictor {
         self.config
     }
 
+    #[inline]
     fn gshare_index(&self, pc: u64) -> usize {
         (((pc >> 1) ^ self.history) & self.history_mask) as usize
     }
@@ -111,17 +140,20 @@ impl BranchPredictor {
     /// is responsible for updating the history with [`Self::push_history`]
     /// (the resolved outcome on the correct path, the prediction on a
     /// wrong path — matching a speculative-history front end with repair).
+    #[inline]
     pub fn predict_cond(&self, pc: u64) -> bool {
         let idx = self.gshare_index(pc);
         self.counters[idx] >= 2
     }
 
     /// Shifts an outcome into the global history.
+    #[inline]
     pub fn push_history(&mut self, taken: bool) {
         self.history = ((self.history << 1) | u64::from(taken)) & self.history_mask;
     }
 
     /// Trains the direction predictor with the resolved outcome.
+    #[inline]
     pub fn update_cond(&mut self, pc: u64, taken: bool, history_at_predict: u64) {
         let idx = (((pc >> 1) ^ history_at_predict) & self.history_mask) as usize;
         let c = &mut self.counters[idx];
@@ -134,23 +166,27 @@ impl BranchPredictor {
 
     /// Current speculative global history (captured before a prediction
     /// for later training/repair).
+    #[inline]
     pub fn history(&self) -> u64 {
         self.history
     }
 
     /// Predicts the target of a computed jump/call at `pc` via the BTB.
+    #[inline]
     pub fn predict_indirect(&self, pc: u64) -> Option<u64> {
         let slot = &self.btb[(pc as usize >> 1) & (self.config.btb_entries - 1)];
         (slot.0 == pc).then_some(slot.1)
     }
 
     /// Installs/updates a BTB entry.
+    #[inline]
     pub fn update_indirect(&mut self, pc: u64, target: u64) {
         let idx = (pc as usize >> 1) & (self.config.btb_entries - 1);
         self.btb[idx] = (pc, target);
     }
 
     /// Pushes a return address (on call fetch).
+    #[inline]
     pub fn ras_push(&mut self, ret_addr: u64) {
         self.ras[self.ras_tos] = ret_addr;
         self.ras_tos = (self.ras_tos + 1) % self.config.ras_depth;
@@ -158,6 +194,7 @@ impl BranchPredictor {
     }
 
     /// Pops a predicted return address (on return fetch).
+    #[inline]
     pub fn ras_pop(&mut self) -> Option<u64> {
         if self.ras_count == 0 {
             return None;
@@ -168,11 +205,13 @@ impl BranchPredictor {
     }
 
     /// Snapshots speculative state (history + RAS position).
+    #[inline]
     pub fn checkpoint(&self) -> PredictorCheckpoint {
+        // Both positions are at most `ras_depth`, which `new` bounds to u32.
         PredictorCheckpoint {
             history: self.history,
-            ras_tos: self.ras_tos,
-            ras_count: self.ras_count,
+            ras_tos: self.ras_tos as u32,
+            ras_count: self.ras_count as u32,
         }
     }
 
@@ -195,15 +234,16 @@ impl BranchPredictor {
         if self.ras.len() != self.config.ras_depth {
             return mismatch("RAS", self.ras.len(), self.config.ras_depth);
         }
-        self.checkpoint().check_ras(self.config.ras_depth)
+        check_ras_position(self.ras_tos, self.ras_count, self.config.ras_depth)
     }
 
     /// Restores a snapshot after a squash, then folds in the actual
     /// outcome of the resolving branch.
+    #[inline]
     pub fn restore(&mut self, cp: PredictorCheckpoint, resolved_taken: Option<bool>) {
         self.history = cp.history;
-        self.ras_tos = cp.ras_tos;
-        self.ras_count = cp.ras_count;
+        self.ras_tos = cp.ras_tos as usize;
+        self.ras_count = cp.ras_count as usize;
         if let Some(taken) = resolved_taken {
             self.push_history(taken);
         }

@@ -213,16 +213,20 @@ impl NullMonitor {
 }
 
 impl ExecMonitor for NullMonitor {
+    #[inline]
     fn on_fetch(&mut self, _mem: &mut Hierarchy, event: &FetchEvent) -> bool {
         event.insn.is_bb_terminator()
     }
 
+    #[inline]
     fn on_flush(&mut self, _from_seq: u64) {}
 
+    #[inline]
     fn on_terminator_commit(&mut self, _mem: &mut Hierarchy, _query: &CommitQuery) -> CommitGate {
         CommitGate::Proceed
     }
 
+    #[inline]
     fn on_store_commit(&mut self, mem: &mut Hierarchy, store: StoreCommit) {
         // The baseline drains stores straight to memory (one cache write).
         mem.data_access(rev_mem::Request {

@@ -9,7 +9,7 @@
 //! (and later `Commit`) trace event when the pipeline's `TraceBus` is
 //! enabled (see `docs/METRICS.md`).
 
-use rev_isa::{decode, Instruction, Reg, REG_SP};
+use rev_isa::{decode, DecodeError, Instruction, Reg, REG_SP};
 use rev_mem::MainMemory;
 use rev_trace::CkptFields;
 use std::fmt;
@@ -244,6 +244,45 @@ impl Oracle {
         self.step_fetched(&mut bytes)
     }
 
+    /// Fetches and decodes the instruction at `pc` from live memory
+    /// without executing it — the pipeline's wrong-path fetch, and the
+    /// first half of [`Oracle::step_fetched`]. Served from the decode
+    /// memo, which is bypassed while a fault injector is armed; a decode
+    /// failure is never memoized. `bytes[..len]` holds the encoding; the
+    /// tail is unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`DecodeError`] of bytes that do not decode.
+    #[inline]
+    pub fn fetch_decode(
+        &mut self,
+        pc: u64,
+        bytes: &mut [u8; rev_isa::MAX_INSTR_LEN],
+    ) -> Result<(Instruction, usize), DecodeError> {
+        let faulted = self.mem.fault_enabled();
+        let slot = (pc as usize) & (DEC_SLOTS - 1);
+        let e = &self.dec_cache[slot];
+        if !faulted && e.pc == pc {
+            *bytes = e.bytes;
+            return Ok((e.insn, e.len as usize));
+        }
+        self.mem.read_filtered(pc, bytes);
+        let (insn, len) = decode(&bytes[..])?;
+        if !faulted {
+            // Pin the post-zeroing byte image so a memo replay is
+            // indistinguishable from this fresh fetch.
+            let mut pinned = *bytes;
+            for b in &mut pinned[len..] {
+                *b = 0;
+            }
+            self.dec_cache[slot] = DecEntry { pc, len: len as u8, insn, bytes: pinned };
+            self.dec_bounds.0 = self.dec_bounds.0.min(pc);
+            self.dec_bounds.1 = self.dec_bounds.1.max(pc + len as u64);
+        }
+        Ok((insn, len))
+    }
+
     /// Executes one instruction, exposing the code bytes it fetched in
     /// `bytes` (so a caller that also needs the raw encoding — the
     /// pipeline's fetch event — avoids a second memory read).
@@ -257,29 +296,8 @@ impl Oracle {
         bytes: &mut [u8; rev_isa::MAX_INSTR_LEN],
     ) -> Result<DynOp, OracleError> {
         let pc = self.state.pc;
-        let faulted = self.mem.fault_enabled();
-        let slot = (pc as usize) & (DEC_SLOTS - 1);
-        let e = &self.dec_cache[slot];
-        let (insn, len) = if !faulted && e.pc == pc {
-            *bytes = e.bytes;
-            (e.insn, e.len as usize)
-        } else {
-            self.mem.read_filtered(pc, bytes);
-            let (insn, len) =
-                decode(&bytes[..]).map_err(|_| OracleError::IllegalInstruction { pc })?;
-            if !faulted {
-                // Pin the post-zeroing byte image so a memo replay is
-                // indistinguishable from this fresh fetch.
-                let mut pinned = *bytes;
-                for b in &mut pinned[len..] {
-                    *b = 0;
-                }
-                self.dec_cache[slot] = DecEntry { pc, len: len as u8, insn, bytes: pinned };
-                self.dec_bounds.0 = self.dec_bounds.0.min(pc);
-                self.dec_bounds.1 = self.dec_bounds.1.max(pc + len as u64);
-            }
-            (insn, len)
-        };
+        let (insn, len) =
+            self.fetch_decode(pc, bytes).map_err(|_| OracleError::IllegalInstruction { pc })?;
         let next_seq = pc + len as u64;
         let mut op = DynOp {
             addr: pc,
@@ -453,6 +471,45 @@ mod tests {
         assert_eq!(oracle.state().reg(Reg::R2), 42);
         assert!(ops.last().unwrap().halted);
         assert_eq!(oracle.executed(), 2);
+    }
+
+    /// A wrong-path fetch memoizes `x`; a later store on the correct path
+    /// rewrites `x`'s bytes; the correct path must then run the new bytes.
+    #[test]
+    fn a_memoized_wrong_path_decode_sees_a_later_store() {
+        let old = Instruction::AddI { rd: Reg::R1, rs: Reg::R0, imm: 1 };
+        let new = Instruction::AddI { rd: Reg::R1, rs: Reg::R0, imm: 7 };
+        let mut patch = new.encode();
+        patch.extend(Instruction::Halt.encode());
+        patch.resize(8, 0);
+        let value = u64::from_le_bytes(patch.try_into().unwrap());
+        let prefix = |x: u64| {
+            [
+                Instruction::Li { rd: Reg::R5, imm: x },
+                Instruction::Li { rd: Reg::R6, imm: value },
+                Instruction::Store { rs: Reg::R6, rbase: Reg::R5, off: 0 },
+            ]
+        };
+        let x = 0x1000 + prefix(0).iter().map(rev_isa::encoded_len).sum::<usize>() as u64;
+        let mut b = ModuleBuilder::new("smc", 0x1000);
+        for insn in prefix(x) {
+            b.push(insn);
+        }
+        b.push(old);
+        b.push(Instruction::Halt);
+        let mut pb = Program::builder();
+        pb.module(b.finish().unwrap());
+        let p = pb.build();
+        let mut oracle =
+            Oracle::new(MainMemory::with_segments(&p.segments()), p.entry(), p.initial_sp());
+        let mut bytes = [0u8; rev_isa::MAX_INSTR_LEN];
+        assert_eq!(oracle.fetch_decode(x, &mut bytes).unwrap().0, old, "wrong path memoizes x");
+        for _ in 0..3 {
+            oracle.step().unwrap();
+        }
+        assert_eq!(oracle.step().unwrap().insn, new, "the store invalidated the memo");
+        assert_eq!(oracle.state().reg(Reg::R1), 7);
+        assert!(oracle.step().unwrap().halted);
     }
 
     #[test]

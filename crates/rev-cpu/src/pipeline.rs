@@ -101,14 +101,17 @@ pub struct RunResult {
 
 /// Unified integer/FP architectural register id for renaming (0–31 int,
 /// 32–63 fp).
+#[inline]
 fn rid(r: Reg) -> u8 {
     r.index() as u8
 }
+#[inline]
 fn fid(f: FReg) -> u8 {
     32 + f.index() as u8
 }
 
 /// Registers read by an instruction (rename sources).
+#[inline]
 fn reads_of(insn: &Instruction, out: &mut Vec<u8>) {
     out.clear();
     match *insn {
@@ -157,6 +160,7 @@ fn reads_of(insn: &Instruction, out: &mut Vec<u8>) {
 }
 
 /// Register written by an instruction (rename destination).
+#[inline]
 fn write_of(insn: &Instruction) -> Option<u8> {
     match *insn {
         Instruction::Alu { rd, .. }
@@ -230,6 +234,10 @@ struct Slot {
     insn: Instruction,
     checkpoint: Option<PredictorCheckpoint>,
 }
+
+// Slots move in and out of the ROB by value every cycle: at 128 bytes or
+// less rustc copies one inline instead of calling `memmove`.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 128);
 
 impl Slot {
     const VACANT: Slot = Slot {
@@ -352,14 +360,17 @@ impl Rob {
         Rob { slots: vec![Slot::VACANT; cap], head: 0, len: 0, mask: cap - 1 }
     }
 
+    #[inline]
     fn capacity(&self) -> usize {
         self.slots.len()
     }
 
+    #[inline]
     fn len(&self) -> usize {
         self.len
     }
 
+    #[inline]
     fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -376,10 +387,12 @@ impl Rob {
         ((self.head + age) & self.mask) as Handle
     }
 
+    #[inline]
     fn front(&self) -> Option<&Slot> {
         (self.len > 0).then(|| &self.slots[self.head])
     }
 
+    #[inline]
     fn push_back(&mut self, slot: Slot) -> Handle {
         debug_assert!(self.len < self.capacity(), "ROB ring overflow");
         let h = self.handle(self.len);
@@ -388,6 +401,7 @@ impl Rob {
         h
     }
 
+    #[inline]
     fn pop_front(&mut self) -> Slot {
         debug_assert!(self.len > 0, "pop from an empty ROB");
         let s = self.slots[self.head];
@@ -397,6 +411,7 @@ impl Rob {
     }
 
     /// Drops every slot younger than the first `len` (squash).
+    #[inline]
     fn truncate(&mut self, len: usize) {
         debug_assert!(len <= self.len);
         self.len = len;
@@ -409,6 +424,7 @@ impl Rob {
     }
 
     /// Live handles, oldest first.
+    #[inline]
     fn handles(&self) -> impl Iterator<Item = Handle> + '_ {
         (0..self.len).map(|a| self.handle(a))
     }
@@ -488,6 +504,7 @@ impl WakeupTable {
         WakeupTable { heads: vec![NIL; slots], slab: Vec::new(), free: Vec::new() }
     }
 
+    #[inline]
     fn register(&mut self, producer: Handle, consumer: Handle, seq: u64) {
         let next = self.heads[producer as usize];
         let node = WakeNode { consumer, next, seq };
@@ -506,6 +523,7 @@ impl WakeupTable {
 
     /// Empties the producer's list, pushing its `(consumer, seq)` entries
     /// into `out`.
+    #[inline]
     fn drain(&mut self, producer: Handle, out: &mut Vec<(Handle, u64)>) {
         let mut cur = std::mem::replace(&mut self.heads[producer as usize], NIL);
         while cur != NIL {
@@ -518,6 +536,7 @@ impl WakeupTable {
 
     /// Drops the producer's list without waking anyone (squash path: every
     /// registered consumer is younger and being squashed too).
+    #[inline]
     fn remove_key(&mut self, producer: Handle) {
         let mut cur = std::mem::replace(&mut self.heads[producer as usize], NIL);
         while cur != NIL {
@@ -526,6 +545,7 @@ impl WakeupTable {
         }
     }
 
+    #[inline]
     fn has_waiters(&self, producer: Handle) -> bool {
         self.heads[producer as usize] != NIL
     }
@@ -566,6 +586,7 @@ struct StoreTracker {
 impl StoreTracker {
     /// A store's address became known (it issued): track it, keeping the
     /// per-address list sorted by seq.
+    #[inline]
     fn insert(&mut self, addr: u64, seq: u64) {
         let node = match self.free.pop() {
             Some(i) => {
@@ -602,6 +623,7 @@ impl StoreTracker {
     }
 
     /// The store's data is ready (it completed): younger loads may forward.
+    #[inline]
     fn mark_done(&mut self, addr: u64, seq: u64) {
         if let Some(&head) = self.heads.get(&addr) {
             let mut cur = head;
@@ -617,6 +639,7 @@ impl StoreTracker {
     }
 
     /// The store left the window (committed or squashed).
+    #[inline]
     fn remove(&mut self, addr: u64, seq: u64) {
         let Some(head) = self.heads.get_mut(&addr) else {
             debug_assert!(false, "removed store missing from tracker");
@@ -650,6 +673,7 @@ impl StoreTracker {
 
     /// The youngest tracked store at `addr` older than `before_seq`
     /// (the forwarding candidate for a load with that seq).
+    #[inline]
     fn youngest_older(&self, addr: u64, before_seq: u64) -> Option<(u64, bool)> {
         let &head = self.heads.get(&addr)?;
         let mut best = None;
@@ -1254,6 +1278,7 @@ impl Pipeline {
     /// commit-eligible head held by the monitor or defer-buffer
     /// back-pressure) are never skipped, so counters and timing are
     /// exactly as if every idle cycle had been stepped.
+    #[inline]
     fn skip_idle_cycles(&mut self) {
         let t = self.now + 1;
         let mut next_event = u64::MAX;
@@ -1319,6 +1344,7 @@ impl Pipeline {
         }
     }
 
+    #[inline]
     fn pipeline_empty(&self) -> bool {
         self.fetch_stopped && self.rob.is_empty() && self.fetch_queue.is_empty()
     }
@@ -1509,6 +1535,7 @@ impl Pipeline {
         self.cur_line = None;
     }
 
+    #[inline]
     fn squash_after(&mut self, branch: Handle) {
         let survivors = self.rob.age(branch) + 1;
         for age in (survivors..self.rob.len()).rev() {
@@ -1677,6 +1704,7 @@ impl Pipeline {
     }
 
     /// Moves an issuing slot from the ready state to executing.
+    #[inline]
     fn start_executing(&mut self, h: Handle, complete_at: u64) {
         let s = &mut self.rob[h];
         s.stage = Stage::Executing;
@@ -1694,6 +1722,7 @@ impl Pipeline {
         }
     }
 
+    #[inline]
     fn claim_alu(&mut self) -> Option<()> {
         let now = self.now;
         let slot = self.alu_free.iter_mut().find(|f| **f <= now)?;
@@ -1701,6 +1730,7 @@ impl Pipeline {
         Some(())
     }
 
+    #[inline]
     fn claim_fpu(&mut self, occupy: u64) -> Option<()> {
         let now = self.now;
         let slot = self.fpu_free.iter_mut().find(|f| **f <= now)?;
@@ -1768,6 +1798,7 @@ impl Pipeline {
         }
     }
 
+    #[inline]
     fn dispatch_stage(&mut self) {
         #[cfg(debug_assertions)]
         self.assert_in_sync();
@@ -1881,13 +1912,13 @@ impl Pipeline {
                 }
             }
 
-            // Obtain the instruction: oracle step (correct path) or raw
-            // decode (wrong path). The oracle fills `bytes` with the very
+            // Obtain the instruction: oracle step (correct path) or a
+            // decode without execution (wrong path), both through the
+            // oracle's decode memo. The oracle fills `bytes` with the very
             // code it decoded, so the fetch event needs no second read.
             let mut bytes = [0u8; MAX_INSTR_LEN];
             let (insn, len, dyn_op) = if self.wrong_path_mode {
-                self.oracle.mem().read_filtered(self.fetch_pc, &mut bytes);
-                match decode(&bytes) {
+                match self.oracle.fetch_decode(self.fetch_pc, &mut bytes) {
                     Ok((insn, len)) => (insn, len as u8, None),
                     Err(_) => {
                         // Wrong-path fetch ran into garbage: stall until

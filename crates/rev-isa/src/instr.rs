@@ -507,6 +507,7 @@ impl Instruction {
     }
 
     /// Returns the instruction's execution class.
+    #[inline]
     pub fn class(&self) -> InstrClass {
         match self {
             Instruction::Nop | Instruction::Halt => InstrClass::Other,
@@ -541,6 +542,7 @@ impl Instruction {
     /// These are the instructions at whose commit REV performs the
     /// signature-cache authentication check (paper Sec. IV.A: "a branch,
     /// jump, return, exit etc.").
+    #[inline]
     pub fn is_bb_terminator(&self) -> bool {
         matches!(
             self.class(),
@@ -557,6 +559,7 @@ impl Instruction {
     /// Returns `true` for control-flow instructions whose target is computed
     /// at run time (computed jumps/calls and returns) — the cases whose
     /// targets REV validates explicitly against the reference signature.
+    #[inline]
     pub fn has_computed_target(&self) -> bool {
         matches!(
             self.class(),

@@ -25,7 +25,7 @@
 //! surface as `REV-A000`.
 
 use crate::diag::{Diagnostic, Lint, Report};
-use rev_core::{analyze_and_link, CpuConfig, RevConfig, RevSimulator};
+use rev_core::{BuildCache, CpuConfig, RevConfig};
 use rev_prog::{BlockInfo, Cfg, Program, TermKind};
 use rev_sigtable::{RawEntry, SignatureTable, ValidationMode};
 use rev_trace::MetricRegistry;
@@ -404,17 +404,20 @@ fn latency_for(config: &RevConfig, mode: ValidationMode, cfgs: &[Cfg]) -> Latenc
     LatencyBounds { inflight, max_block, max_latch_defer: max_latch, bound: inflight + worst_path }
 }
 
-/// Runs the full audit: builds each mode's tables exactly as a run would
-/// (via the simulator's trusted linker), computes the three analyses and
-/// returns the findings plus the per-mode matrices.
+/// Runs the full audit of `program` under `base` and each of
+/// [`AUDIT_MODES`]: the linked CFGs and each mode's tables come from
+/// [`BuildCache::global`] — exactly what a run would load — and
+/// [`audit_tables`] computes the three analyses.
 ///
-/// A program that fails static analysis or table generation reports
-/// [`Lint::AnalysisFailed`] and an empty mode list.
+/// A program that fails static analysis reports [`Lint::AnalysisFailed`]
+/// and an empty mode list; a mode whose tables fail to build reports it
+/// and is left out.
 pub fn audit_program(program: &Program, base: &RevConfig) -> AuditOutcome {
-    let mut report = Report::new();
-    let cfgs = match analyze_and_link(program, base.bb_limits) {
+    let cache = BuildCache::global();
+    let cfgs = match cache.cfgs(program, base.bb_limits) {
         Ok(cfgs) => cfgs,
         Err(e) => {
+            let mut report = Report::new();
             report.push(Diagnostic::new(
                 Lint::AnalysisFailed,
                 format!("audit: static analysis failed: {e}"),
@@ -422,28 +425,47 @@ pub fn audit_program(program: &Program, base: &RevConfig) -> AuditOutcome {
             return AuditOutcome { report, modes: Vec::new() };
         }
     };
-    let mut modes = Vec::with_capacity(AUDIT_MODES.len());
+    let mut failed = Report::new();
+    let mut built = Vec::with_capacity(AUDIT_MODES.len());
     for mode in AUDIT_MODES {
         let config = base.with_mode(mode);
-        let sim = match RevSimulator::new(program.clone(), config) {
-            Ok(sim) => sim,
-            Err(e) => {
-                report.push(Diagnostic::new(
-                    Lint::AnalysisFailed,
-                    format!("audit: {mode} table build failed: {e}"),
-                ));
-                continue;
-            }
-        };
+        match cache.tables(program, &config, 0) {
+            Ok(tables) => built.push((mode, tables)),
+            Err(e) => failed.push(Diagnostic::new(
+                Lint::AnalysisFailed,
+                format!("audit: {mode} table build failed: {e}"),
+            )),
+        }
+    }
+    let tables: Vec<_> = built.iter().map(|(mode, t)| (*mode, t.tables.as_slice())).collect();
+    let mut outcome = audit_tables(&cfgs, &tables, base);
+    outcome.report.merge(failed);
+    outcome.report.sort();
+    outcome
+}
+
+/// The audit proper: coverage, collision classes and latency bounds of
+/// one program from its linked CFGs and, per audited mode, the tables
+/// built from them (in [`AUDIT_MODES`] order). Builds no simulator and
+/// reads only what it is given.
+pub fn audit_tables(
+    cfgs: &[Cfg],
+    tables: &[(ValidationMode, &[SignatureTable])],
+    base: &RevConfig,
+) -> AuditOutcome {
+    let mut report = Report::new();
+    let mut modes = Vec::with_capacity(tables.len());
+    for &(mode, mode_tables) in tables {
+        let config = base.with_mode(mode);
         let mut coverage = CoverageMatrix::default();
         let mut collision = CollisionStats::default();
-        for cfg in &cfgs {
+        for cfg in cfgs {
             coverage_for(&config, mode, cfg, &mut coverage);
         }
-        for table in sim.monitor().sag().tables() {
+        for table in mode_tables {
             collision_for(table, mode, &mut collision, &mut report);
         }
-        let latency = latency_for(&config, mode, &cfgs);
+        let latency = latency_for(&config, mode, cfgs);
 
         // Refutation tripwire: a hashed mode must leave no edge
         // unguarded — every block is hashed, so an unguarded edge means

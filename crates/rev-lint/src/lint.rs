@@ -9,7 +9,7 @@
 //! table actually contains.
 
 use crate::diag::{Diagnostic, Lint, Report};
-use rev_core::{analyze_and_link, RevConfig, RevSimulator};
+use rev_core::{BuildCache, RevConfig};
 use rev_crypto::{bb_body_hash, entry_digest};
 use rev_prog::{BbLimits, BlockInfo, Cfg, Module, Program, TermKind};
 use rev_sigtable::{SignatureTable, ValidationMode};
@@ -27,7 +27,7 @@ const PER_LINT_CAP: usize = 16;
 /// configuration the tables were built with.
 pub fn lint_tables(program: &Program, tables: &[SignatureTable], limits: BbLimits) -> Report {
     let mut report = Report::new();
-    let cfgs = match analyze_and_link(program, limits) {
+    let cfgs = match BuildCache::global().cfgs(program, limits) {
         Ok(cfgs) => cfgs,
         Err(e) => {
             report.push(
@@ -41,7 +41,7 @@ pub fn lint_tables(program: &Program, tables: &[SignatureTable], limits: BbLimit
     check_sag_sanity(program, tables, &mut report);
     check_writable_code(program, &mut report);
     check_module_reachability(program, &cfgs, &mut report);
-    for (module, cfg) in program.modules().iter().zip(&cfgs) {
+    for (module, cfg) in program.modules().iter().zip(cfgs.iter()) {
         check_split_rules(module, cfg, limits, &mut report);
         check_indirect_targets(program, &cfgs, module, cfg, &mut report);
         check_return_sites(program, &cfgs, module, cfg, &mut report);
@@ -53,12 +53,13 @@ pub fn lint_tables(program: &Program, tables: &[SignatureTable], limits: BbLimit
     report
 }
 
-/// Convenience wrapper: builds the simulator's tables for `program` under
-/// `config` (exactly what a run would consume) and lints them. An
-/// unbuildable program reports as [`Lint::AnalysisFailed`].
+/// Convenience wrapper: takes the tables for `program` under `config`
+/// from [`BuildCache::global`] (exactly what a run would consume) and
+/// lints them. An unrunnable configuration or unbuildable program
+/// reports as [`Lint::AnalysisFailed`].
 pub fn lint_build(program: Program, config: RevConfig) -> Report {
-    match RevSimulator::new(program, config) {
-        Ok(sim) => lint_tables(sim.program(), sim.monitor().sag().tables(), config.bb_limits),
+    match BuildCache::global().tables(&program, &config, 0) {
+        Ok(built) => lint_tables(&program, &built.tables, config.bb_limits),
         Err(e) => {
             let mut report = Report::new();
             report.push(

@@ -11,7 +11,7 @@
 //! emitted (or, under `--deny-warnings`, at `warning`) — this is the
 //! gate `scripts/check.sh` relies on.
 
-use rev_core::{RevConfig, RevSimulator};
+use rev_core::{BuildCache, RevConfig, RevSimulator};
 use rev_lint::{audit, lint_tables, oracle, Report, Severity};
 use rev_sigtable::ValidationMode;
 use rev_trace::{parallel_map, MetricRegistry, Snapshot};
@@ -125,8 +125,8 @@ fn parse_args() -> Options {
 fn lint_profile(profile: &SpecProfile, opts: &Options) -> (Report, Option<MetricRegistry>) {
     let program = generate(&profile.scaled(opts.scale));
     let config = RevConfig::paper_default().with_mode(opts.mode);
-    let mut sim = match RevSimulator::new(program, config) {
-        Ok(sim) => sim,
+    let built = match BuildCache::global().tables(&program, &config, 0) {
+        Ok(built) => built,
         Err(e) => {
             let mut report = Report::new();
             report.push(rev_lint::Diagnostic::new(
@@ -136,15 +136,17 @@ fn lint_profile(profile: &SpecProfile, opts: &Options) -> (Report, Option<Metric
             return (report, None);
         }
     };
-    let tables: Vec<_> = sim.monitor().sag().tables().to_vec();
-    let mut report = lint_tables(sim.program(), &tables, sim.config().bb_limits);
+    let mut report = lint_tables(&program, &built.tables, config.bb_limits);
     let mut metrics = None;
     if opts.audit {
-        let outcome = audit::audit_program(sim.program(), &config);
+        let outcome = audit::audit_program(&program, &config);
         metrics = Some(outcome.metrics());
         report.merge(outcome.report);
     }
     if opts.oracle {
+        let mut sim =
+            RevSimulator::with_prebuilt(program, config, built.tables.clone(), built.stats.clone())
+                .expect("invariant: the table build above validated the configuration");
         report.merge(oracle::run_oracle(&mut sim, opts.instructions).report);
     }
     report.sort();

@@ -13,7 +13,7 @@
 //! static-minus-dynamic, is merely cold code and reported as `info`.
 
 use crate::diag::{Diagnostic, Lint, Report};
-use rev_core::{analyze_and_link, DynBlockTriple, RevSimulator, SimBuildError};
+use rev_core::{BuildCache, DynBlockTriple, RevSimulator, SimBuildError};
 use rev_crypto::bb_body_hash;
 use rev_prog::{BbLimits, Program};
 use rev_sigtable::ValidationMode;
@@ -53,9 +53,9 @@ pub fn static_triples(
     program: &Program,
     limits: BbLimits,
 ) -> Result<BTreeSet<DynBlockTriple>, SimBuildError> {
-    let cfgs = analyze_and_link(program, limits)?;
+    let cfgs = BuildCache::global().cfgs(program, limits)?;
     let mut set = BTreeSet::new();
-    for (module, cfg) in program.modules().iter().zip(&cfgs) {
+    for (module, cfg) in program.modules().iter().zip(cfgs.iter()) {
         for block in cfg.blocks() {
             let body = bb_body_hash(cfg.block_bytes(module, block));
             set.insert((block.start, block.bb_addr, body.0));

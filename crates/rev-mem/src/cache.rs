@@ -128,6 +128,7 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    #[inline]
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.offset_bits;
         ((line & self.index_mask) as usize, line >> self.num_sets.trailing_zeros())
@@ -140,6 +141,7 @@ impl Cache {
 
     /// Accesses `addr`; on a miss, allocates the line (write-allocate) and
     /// reports any dirty eviction. `is_write` marks the line dirty.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
         self.tick += 1;
         self.stats.accesses += 1;

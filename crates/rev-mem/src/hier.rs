@@ -303,6 +303,7 @@ impl Ports {
     /// `hold` cycles. Returns (start, contended). A zero-port bank (ruled
     /// out by [`MemConfig::validate`]) degrades to an uncontended pass-
     /// through instead of panicking.
+    #[inline]
     fn claim(&mut self, cycle: u64, hold: u64) -> (u64, bool) {
         let Some((idx, &free)) = self.free_at.iter().enumerate().min_by_key(|(_, &f)| f) else {
             debug_assert!(false, "port bank has at least one port");
@@ -402,6 +403,7 @@ impl Hierarchy {
         (self.l1i.stats(), self.l1d.stats(), self.l2.stats(), self.dram.stats())
     }
 
+    #[inline]
     fn tlb_penalty(&mut self, addr: u64, instruction: bool, requester: Requester) -> (u64, bool) {
         let l1_hit = if instruction { self.itlb.access(addr) } else { self.dtlb.access(addr) };
         if l1_hit {
@@ -415,6 +417,7 @@ impl Hierarchy {
         }
     }
 
+    #[inline]
     fn l2_and_below(
         &mut self,
         addr: u64,
@@ -449,6 +452,7 @@ impl Hierarchy {
 
     /// A data-side access (loads, stores, and SC fills — the SC uses the
     /// L1D extra port, paper Sec. VIII).
+    #[inline]
     pub fn data_access(&mut self, req: Request) -> AccessOutcome {
         let r = req.requester;
         let (tlb_pen, tlb_hit) = self.tlb_penalty(req.addr, false, r);
@@ -495,6 +499,7 @@ impl Hierarchy {
     /// anything (the sequential-stream prefetcher every modern front end
     /// has; without it, cold straight-line code would expose every DRAM
     /// line fill to the fetch stage).
+    #[inline]
     pub fn prefetch_line(&mut self, addr: u64, cycle: u64) -> u64 {
         if self.l1i.probe(addr) {
             return cycle;
@@ -529,6 +534,7 @@ impl Hierarchy {
     }
 
     /// An instruction-fetch access (L1I path).
+    #[inline]
     pub fn fetch_access(&mut self, addr: u64, cycle: u64) -> AccessOutcome {
         let r = Requester::IFetch;
         let (tlb_pen, tlb_hit) = self.tlb_penalty(addr, true, r);

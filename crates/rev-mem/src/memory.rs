@@ -71,6 +71,7 @@ impl PageTable {
 
     /// Returns the slot index and page for `idx`, allocating a zero page
     /// if absent.
+    #[inline]
     fn get_or_insert(&mut self, idx: u64) -> (usize, &mut [u8; PAGE_SIZE]) {
         if self.slots.is_empty() || self.len * 4 >= self.slots.len() * 3 {
             self.grow();
@@ -176,6 +177,7 @@ impl MainMemory {
         Some(p)
     }
 
+    #[inline]
     fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
         let idx = addr >> PAGE_SHIFT;
         let (slot, p) = self.pages.get_or_insert(idx);
@@ -190,6 +192,7 @@ impl MainMemory {
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn write_u8(&mut self, addr: u64, value: u8) {
         self.page_mut(addr)[(addr as usize) & (PAGE_SIZE - 1)] = value;
     }
@@ -203,12 +206,14 @@ impl MainMemory {
     }
 
     /// Writes a little-endian u64.
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         self.write_bytes(addr, &value.to_le_bytes());
     }
 
     /// Copies `buf.len()` bytes starting at `addr` into `buf`,
     /// page-chunked: one table lookup per page touched, not per byte.
+    #[inline]
     pub fn read_into(&self, addr: u64, buf: &mut [u8]) {
         let mut a = addr;
         let mut rest = buf;

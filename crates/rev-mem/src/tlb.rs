@@ -79,11 +79,13 @@ impl Tlb {
         self.stats = TlbStats::default();
     }
 
+    #[inline]
     fn vpn(&self, addr: u64) -> u64 {
         addr / self.config.page_bytes
     }
 
     /// Looks up `addr`; fills on miss. Returns `true` on a hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         self.stats.accesses += 1;

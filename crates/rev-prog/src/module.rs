@@ -11,7 +11,7 @@ use std::fmt;
 
 /// A function's extent within a module, recorded by the builder so the
 /// static analyzer can compute return-site sets per function.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Function {
     /// Human-readable name.
     pub name: String,
@@ -28,8 +28,9 @@ impl Function {
     }
 }
 
-/// An assembled executable module.
-#[derive(Debug, Clone)]
+/// An assembled executable module. `Hash` covers every field, so the
+/// build cache in `rev-core` can key a module's analysis by content.
+#[derive(Debug, Clone, Hash)]
 pub struct Module {
     name: String,
     base: u64,

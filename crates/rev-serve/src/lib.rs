@@ -53,6 +53,12 @@
 //! assert!(matches!(lines.last(), Some(Response::Bye)));
 //! ```
 
+// A panic outside a supervised job would take the gateway down, so
+// library code states its invariants with `expect("…")` instead of a
+// bare `unwrap`; unit tests may unwrap freely.
+#![deny(clippy::unwrap_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
+
 pub mod proto;
 pub mod server;
 

@@ -32,12 +32,12 @@ use crate::proto::{
     PROTOCOL, RESULT_SCHEMA,
 };
 use rev_core::{RevReport, RevSimulator, RunOutcome, Session, SessionStatus};
-use rev_trace::{Json, MetricRegistry, MetricSink, Snapshot};
+use rev_trace::{lock_unpoisoned, Json, MetricRegistry, MetricSink, Snapshot};
 use rev_workloads::SpecProfile;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once};
+use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Injected service-layer faults, used by tests and the `rev-chaos
@@ -209,6 +209,24 @@ struct Shared<W: Write> {
 }
 
 impl<W: Write> Shared<W> {
+    fn new(output: W, opts: &ServeOptions) -> Self {
+        let mut opts = opts.clone();
+        opts.slice = opts.slice.max(1);
+        Shared {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                live: HashMap::new(),
+                accepting: true,
+                suspending: false,
+                counters: Counters::default(),
+            }),
+            work_ready: Condvar::new(),
+            writer: Mutex::new(output),
+            opts,
+            client_gone: AtomicBool::new(false),
+        }
+    }
+
     /// Emits one response line, atomically, flushed. A write failure
     /// (client disconnected mid-stream) marks the client gone and turns
     /// every later emit into a no-op — never a panic, never a wedge.
@@ -216,7 +234,7 @@ impl<W: Write> Shared<W> {
         if self.client_gone.load(Ordering::Relaxed) {
             return;
         }
-        let mut w = self.writer.lock().expect("writer lock");
+        let mut w = lock_unpoisoned(&self.writer);
         let wrote = writeln!(w, "{}", resp.render_line()).and_then(|()| w.flush());
         if wrote.is_err() {
             self.client_gone.store(true, Ordering::Relaxed);
@@ -400,7 +418,7 @@ fn build_cold_sim(spec: &JobSpec) -> Result<RevSimulator, String> {
         format!("profile {:?} disappeared between submit and build", spec.profile)
     })?;
     let program = rev_workloads::generate(&profile);
-    RevSimulator::new(program, spec.config.to_rev_config()).map_err(|e| e.to_string())
+    RevSimulator::cached(program, spec.config.to_rev_config()).map_err(|e| e.to_string())
 }
 
 /// The recipe stamped into a job's checkpoint envelope: the canonical
@@ -421,7 +439,7 @@ fn restore_session(spec: &JobSpec, envelope: &[u8]) -> Result<Session, String> {
 fn retire_job<W: Write>(shared: &Shared<W>, job: &Job, resp: &Response, how: &Retire, delta: u64) {
     shared.narrate(&format!("job {} retired: {}", job.spec.id, resp.type_tag()));
     {
-        let mut st = shared.state.lock().expect("state lock");
+        let mut st = lock_unpoisoned(&shared.state);
         if delta > 0 {
             st.counters.slices += 1;
             st.counters.instructions_committed += delta;
@@ -458,7 +476,7 @@ fn maybe_checkpoint<W: Write>(shared: &Shared<W>, job: &mut Job) {
     match session.checkpoint(&ckpt_recipe(&job.spec)) {
         Ok(env) => {
             job.ckpt = Some(env);
-            shared.state.lock().expect("state lock").counters.ckpt_taken += 1;
+            lock_unpoisoned(&shared.state).counters.ckpt_taken += 1;
         }
         Err(e) => shared.narrate(&format!("job {}: checkpoint failed: {e}", job.spec.id)),
     }
@@ -516,7 +534,7 @@ fn handle_crash<W: Write>(shared: &Shared<W>, mut job: Job, why: &str) {
     // No checkpoint yet: the session stays unbuilt and the next slice
     // rebuilds it from scratch (warmup included) — same verdict bytes.
     {
-        let mut st = shared.state.lock().expect("state lock");
+        let mut st = lock_unpoisoned(&shared.state);
         st.counters.retries += 1;
         if restored {
             st.counters.ckpt_restored += 1;
@@ -536,7 +554,7 @@ fn suspend_job<W: Write>(shared: &Shared<W>, job: &mut Job) {
             Ok(env) => {
                 ckpt_bytes = env.len() as u64;
                 job.ckpt = Some(env);
-                shared.state.lock().expect("state lock").counters.ckpt_taken += 1;
+                lock_unpoisoned(&shared.state).counters.ckpt_taken += 1;
             }
             Err(e) => {
                 shared.narrate(&format!("job {}: suspend checkpoint failed: {e}", job.spec.id))
@@ -572,7 +590,7 @@ fn deadline_error(spec: &JobSpec, committed: u64) -> Response {
 fn worker<W: Write>(shared: &Shared<W>) {
     loop {
         let (mut job, suspending) = {
-            let mut st = shared.state.lock().expect("state lock");
+            let mut st = lock_unpoisoned(&shared.state);
             loop {
                 if let Some(job) = st.queue.pop_front() {
                     break (job, st.suspending);
@@ -580,7 +598,7 @@ fn worker<W: Write>(shared: &Shared<W>) {
                 if !st.accepting {
                     return;
                 }
-                st = shared.work_ready.wait(st).expect("state lock");
+                st = shared.work_ready.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
         if suspending {
@@ -605,7 +623,7 @@ fn worker<W: Write>(shared: &Shared<W>) {
                     committed,
                     target: job.spec.instructions,
                 });
-                let mut st = shared.state.lock().expect("state lock");
+                let mut st = lock_unpoisoned(&shared.state);
                 st.counters.slices += 1;
                 st.counters.progress_events += 1;
                 st.counters.instructions_committed += delta;
@@ -637,7 +655,7 @@ fn handle_request<W: Write>(shared: &Shared<W>, workers: usize, line: &str) -> b
     let request = match Request::parse_line(line) {
         Ok(r) => r,
         Err(ProtoError { code, message }) => {
-            shared.state.lock().expect("state lock").counters.rejected += 1;
+            lock_unpoisoned(&shared.state).counters.rejected += 1;
             shared.emit(&Response::Error { id: None, code, message, retry_after_ms: None });
             return true;
         }
@@ -663,7 +681,7 @@ fn handle_request<W: Write>(shared: &Shared<W>, workers: usize, line: &str) -> b
         Request::Submit(spec) => {
             if let Some(resp) = reject_submit(shared, &spec) {
                 {
-                    let mut st = shared.state.lock().expect("state lock");
+                    let mut st = lock_unpoisoned(&shared.state);
                     if matches!(&resp, Response::Error { code: ErrorCode::Overloaded, .. }) {
                         st.counters.shed += 1;
                     } else {
@@ -681,7 +699,7 @@ fn handle_request<W: Write>(shared: &Shared<W>, workers: usize, line: &str) -> b
             };
             let deadline = spec.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
             {
-                let mut st = shared.state.lock().expect("state lock");
+                let mut st = lock_unpoisoned(&shared.state);
                 st.counters.submitted += 1;
                 st.live.insert(spec.id.clone(), Arc::clone(&cancel));
                 st.queue.push_back(Job {
@@ -698,7 +716,7 @@ fn handle_request<W: Write>(shared: &Shared<W>, workers: usize, line: &str) -> b
             shared.work_ready.notify_one();
         }
         Request::Cancel { id } => {
-            let flag = shared.state.lock().expect("state lock").live.get(&id).cloned();
+            let flag = lock_unpoisoned(&shared.state).live.get(&id).cloned();
             match flag {
                 // The `cancelled` event is emitted by the worker that
                 // observes the flag, carrying the committed count.
@@ -712,12 +730,12 @@ fn handle_request<W: Write>(shared: &Shared<W>, workers: usize, line: &str) -> b
             }
         }
         Request::Status => {
-            let reg = shared.state.lock().expect("state lock").counters.registry();
+            let reg = lock_unpoisoned(&shared.state).counters.registry();
             shared.emit(&Response::Metrics { metrics: reg.to_json() });
         }
         Request::Shutdown { suspend } => {
             if suspend {
-                shared.state.lock().expect("state lock").suspending = true;
+                lock_unpoisoned(&shared.state).suspending = true;
             }
             return false;
         }
@@ -730,7 +748,7 @@ fn handle_request<W: Write>(shared: &Shared<W>, workers: usize, line: &str) -> b
 fn reject_submit<W: Write>(shared: &Shared<W>, spec: &JobSpec) -> Option<Response> {
     let cap = shared.opts.queue_cap;
     {
-        let st = shared.state.lock().expect("state lock");
+        let st = lock_unpoisoned(&shared.state);
         if st.live.contains_key(&spec.id) {
             return Some(Response::Error {
                 id: Some(spec.id.clone()),
@@ -856,25 +874,15 @@ fn read_request_line<R: BufRead>(input: &mut R) -> ReadLine {
 /// idle timeout) behave like EOF; write errors mark the client gone and
 /// the drain completes silently — a disconnected client never panics
 /// the daemon or wedges a worker.
-pub fn serve<R: BufRead, W: Write + Send>(mut input: R, output: W, opts: &ServeOptions) {
+pub fn serve<R: BufRead, W: Write + Send>(input: R, output: W, opts: &ServeOptions) {
     install_worker_panic_silencer();
     let workers = if opts.workers == 0 { default_workers() } else { opts.workers };
-    let mut opts = opts.clone();
-    opts.slice = opts.slice.max(1);
-    let shared = Shared {
-        state: Mutex::new(State {
-            queue: VecDeque::new(),
-            live: HashMap::new(),
-            accepting: true,
-            suspending: false,
-            counters: Counters::default(),
-        }),
-        work_ready: Condvar::new(),
-        writer: Mutex::new(output),
-        opts,
-        client_gone: AtomicBool::new(false),
-    };
-    let shared = &shared;
+    run_gateway(&Shared::new(output, opts), input, workers);
+}
+
+/// The body of [`serve`] over already-assembled shared state: the reader
+/// loop, the worker pool, the drain and the final `metrics` + `bye`.
+fn run_gateway<R: BufRead, W: Write + Send>(shared: &Shared<W>, mut input: R, workers: usize) {
     std::thread::scope(|scope| {
         for _ in 0..workers {
             std::thread::Builder::new()
@@ -886,7 +894,7 @@ pub fn serve<R: BufRead, W: Write + Send>(mut input: R, output: W, opts: &ServeO
             match read_request_line(&mut input) {
                 ReadLine::Eof | ReadLine::Failed => break,
                 ReadLine::TooLong => {
-                    shared.state.lock().expect("state lock").counters.rejected += 1;
+                    lock_unpoisoned(&shared.state).counters.rejected += 1;
                     shared.emit(&Response::Error {
                         id: None,
                         code: ErrorCode::BadRequest,
@@ -904,10 +912,39 @@ pub fn serve<R: BufRead, W: Write + Send>(mut input: R, output: W, opts: &ServeO
                 }
             }
         }
-        shared.state.lock().expect("state lock").accepting = false;
+        lock_unpoisoned(&shared.state).accepting = false;
         shared.work_ready.notify_all();
     });
-    let reg = shared.state.lock().expect("state lock").counters.registry();
+    let reg = lock_unpoisoned(&shared.state).counters.registry();
     shared.emit(&Response::Metrics { metrics: reg.to_json() });
     shared.emit(&Response::Bye);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every gateway lock is taken poison-tolerantly: a panic while one
+    /// is held (a supervised job, a build inside the shared cache) must
+    /// not turn every later request into a panic.
+    #[test]
+    fn poisoned_locks_do_not_wedge_the_gateway() {
+        let opts = ServeOptions { workers: 1, slice: 2_000, ..ServeOptions::default() };
+        let shared = Shared::new(Vec::new(), &opts);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _state = shared.state.lock().unwrap();
+            let _writer = shared.writer.lock().unwrap();
+            panic!("a job dies holding the gateway's locks");
+        }));
+        assert!(crashed.is_err() && shared.state.is_poisoned() && shared.writer.is_poisoned());
+        let mut spec = JobSpec::new("j", "mcf", 5_000);
+        spec.scale = 0.05;
+        spec.warmup = 2_000;
+        let input = format!("{}\n", Request::Submit(Box::new(spec)).to_json().render());
+        run_gateway(&shared, input.as_bytes(), 1);
+        let out = shared.writer.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let out = String::from_utf8(out).unwrap();
+        assert!(out.contains("\"type\":\"verdict\""), "{out}");
+        assert!(out.lines().last().is_some_and(|l| l.contains("\"type\":\"bye\"")), "{out}");
+    }
 }

@@ -56,5 +56,5 @@ pub use event::{EventKind, ProbeOutcome, TraceBus, TraceEvent, Verdict};
 pub use fault::{FaultInjector, FaultKind, FaultLayer, FaultSpec, FAULT_LAYERS};
 pub use json::Json;
 pub use metrics::{Histogram, MetricRegistry, MetricSink, MetricValue, HISTOGRAM_BUCKETS};
-pub use pool::parallel_map;
+pub use pool::{lock_unpoisoned, parallel_map};
 pub use snapshot::{compare, AttackRecord, CompareReport, Snapshot, SCHEMA};

@@ -8,7 +8,16 @@
 //! pool defined up in `rev-bench` without a dependency cycle.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the guard if a thread panicked while holding
+/// it. Only for data every update leaves valid at every step — a memo
+/// slot that goes from empty to a finished value in one assignment, a
+/// counter, a queue push — so a panic elsewhere (a supervised job, a
+/// build) cannot wedge every later caller on a poisoned lock.
+pub fn lock_unpoisoned<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Maps `f` over `items` on a scoped pool of `jobs` worker threads,
 /// returning results in **input order** regardless of which worker ran
@@ -71,6 +80,18 @@ mod tests {
             let got = parallel_map(jobs, &items, |_w, &x| x * 3 + 1);
             assert_eq!(got, expect, "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_hands_out_its_data() {
+        let m = Mutex::new(5);
+        let _ = std::panic::catch_unwind(|| {
+            let _guard = m.lock().unwrap();
+            panic!("poison the lock");
+        });
+        assert!(m.is_poisoned());
+        *lock_unpoisoned(&m) += 1;
+        assert_eq!(*lock_unpoisoned(&m), 6);
     }
 
     #[test]

@@ -9,14 +9,20 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-# CHANGELOG currency (hard): CHANGES.md gains exactly one line per PR,
-# so its line count names the current PR — the top CHANGELOG.md entry
-# must mention it, or the changelog has fallen behind again.
-pr="$(wc -l < CHANGES.md | tr -d ' ')"
+# CHANGELOG currency (hard): each PR appends a CHANGES.md line that
+# starts "PR N:" (FOUND:/MENDED: notes may follow it), so the last such
+# line names the current PR — the top CHANGELOG.md entry must mention
+# it, or the changelog has fallen behind again. A PR number can be
+# skipped, so the line count is no guide.
+pr="$(grep -oE '^PR [0-9]+:' CHANGES.md | tail -n 1 | grep -oE '[0-9]+' || true)"
+if [ -z "$pr" ]; then
+    echo "FAIL: no line of CHANGES.md starts with 'PR N:'."
+    exit 1
+fi
 echo "==> CHANGELOG.md top entry mentions PR $pr"
 if ! grep -m1 '^## ' CHANGELOG.md | grep -qE "PR ${pr}([^0-9]|$)"; then
     echo "FAIL: top CHANGELOG.md entry does not mention PR ${pr}."
-    echo "      Add a changelog entry for the current PR (CHANGES.md has ${pr} lines)."
+    echo "      Add a changelog entry for the current PR (the last 'PR N:' line of CHANGES.md)."
     exit 1
 fi
 
@@ -179,24 +185,27 @@ if ! diff -q baselines/chaos_serve_quick.json "$chaos_serve" >/dev/null; then
 fi
 rm -f "$chaos_serve"
 
-# Audit gates (DESIGN.md §11). Hard: the differential audit oracle —
-# every attack class under every validation mode diffed against the
-# static coverage prediction, plus per-profile measured detection
+# Audit gates (DESIGN.md §11), both hard. The differential audit
+# oracle: every attack class under every validation mode diffed against
+# the static coverage prediction, plus per-profile measured detection
 # latencies vs the static bounds; any REV-A000 disagreement exits 1.
-# Soft: the rev-audit snapshot (coverage matrix, collision classes,
-# latency bounds per profile) is byte-diffed against the committed
-# baseline.
+# The rev-audit snapshot (coverage matrix, collision classes, latency
+# bounds per profile) must be byte-identical to the committed baseline:
+# the audit reads its analyses and tables from the shared build cache,
+# so a drift here means the cache handed out something a fresh build
+# would not.
 echo "==> rev-chaos --audit (static/dynamic audit-oracle gate)"
 cargo run --release -q -p rev-chaos -- --audit --seed 7 --jobs 4 --quiet
 
-echo "==> rev-lint --audit vs baselines/audit_quick.json (soft gate)"
+echo "==> rev-lint --audit vs baselines/audit_quick.json byte-diff (hard gate)"
 audit="$(mktemp /tmp/audit_rev.XXXXXX.json)"
 cargo run --release -q -p rev-lint -- \
     --all --scale 0.05 --jobs 4 --audit-json "$audit" >/dev/null
-if ! diff -q baselines/audit_quick.json "$audit" >/dev/null; then
-    echo "WARN: audit results drifted from baselines/audit_quick.json (soft gate)."
+if ! diff -u baselines/audit_quick.json "$audit"; then
+    echo "FAIL: audit results differ from baselines/audit_quick.json."
     echo "      If intentional, regenerate with:"
     echo "      cargo run --release -p rev-lint -- --all --scale 0.05 --audit-json baselines/audit_quick.json"
+    exit 1
 fi
 rm -f "$audit"
 
