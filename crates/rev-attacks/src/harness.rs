@@ -82,7 +82,9 @@ pub fn mount(kind: AttackKind, config: RevConfig) -> Result<AttackOutcome, Attac
     let config =
         if kind == AttackKind::TableTamper { config.with_sc_capacity(256) } else { config };
     let (program, map) = victim_program()?;
-    let mut sim = RevSimulator::new(program, config)?;
+    // Tables come from the build cache, one build per mode; tampering
+    // XORs the copy placed in simulated memory, never the cached tables.
+    let mut sim = RevSimulator::cached(program, config)?;
     let warm = sim.run(WARMUP);
     if let Some(v) = warm.rev.violation {
         return Err(AttackError::DirtyWarmup(v));

@@ -1,7 +1,9 @@
 //! # rev-bench — regenerating the paper's tables and figures
 //!
-//! Shared machinery for the harness binaries (one per table/figure; see
-//! `DESIGN.md` for the experiment index). Every binary accepts:
+//! The harness behind `reproduce_all`, which renders every table, figure
+//! and ablation as a section of one pooled sweep grid ([`sections`];
+//! `--only ID` picks sections, see `DESIGN.md` §3 for the index), and
+//! the `perf` throughput binary. Both accept:
 //!
 //! * `--instructions N` — committed-instruction budget per run (default
 //!   2 000 000; the paper used 2 000 000 000 on its testbed),
@@ -19,6 +21,7 @@
 //!   byte-identical monolithic output (see `docs/CHECKPOINT.md`).
 
 pub mod pool;
+pub mod sections;
 pub mod shard;
 
 use rev_core::{BaselineReport, BuildCache, RevConfig, RevReport, RevSimulator};
@@ -32,7 +35,7 @@ use std::sync::Mutex;
 pub use pool::{PoolFetch, PoolStats, WarmPool};
 pub use shard::ShardSpec;
 
-/// Parsed command-line options shared by all harness binaries.
+/// Parsed command-line options shared by `reproduce_all` and `perf`.
 #[derive(Debug, Clone)]
 pub struct BenchOptions {
     /// Committed-instruction budget per simulated run.
@@ -41,8 +44,8 @@ pub struct BenchOptions {
     pub warmup: u64,
     /// Workload scale factor (1.0 = paper-sized static footprints).
     pub scale: f64,
-    /// Benchmark-name filter (empty = all 18).
-    pub only: Vec<String>,
+    /// Benchmark-name filter (`--bench`; empty = all 18).
+    pub benches: Vec<String>,
     /// Emit CSV instead of an aligned table.
     pub csv: bool,
     /// Worker threads for the sweep fan-out (defaults to the host's
@@ -120,7 +123,7 @@ impl Default for BenchOptions {
             instructions: 2_000_000,
             warmup: 400_000,
             scale: 1.0,
-            only: Vec::new(),
+            benches: Vec::new(),
             csv: false,
             jobs: default_jobs(),
             preflight: false,
@@ -177,7 +180,7 @@ impl BenchOptions {
                     let v = value(&mut args, "--warmup")?;
                     opts.warmup = parsed(&v, "--warmup must be an integer")?;
                 }
-                "--bench" => opts.only.push(value(&mut args, "--bench")?),
+                "--bench" => opts.benches.push(value(&mut args, "--bench")?),
                 "--csv" => opts.csv = true,
                 "--preflight" => opts.preflight = true,
                 "--json" => opts.json = Some(value(&mut args, "--json")?),
@@ -213,7 +216,7 @@ impl BenchOptions {
     pub fn profiles(&self) -> Vec<SpecProfile> {
         ALL_PROFILES
             .iter()
-            .filter(|p| self.only.is_empty() || self.only.iter().any(|n| n == p.name))
+            .filter(|p| self.benches.is_empty() || self.benches.iter().any(|n| n == p.name))
             .map(|p| if (self.scale - 1.0).abs() < 1e-9 { p.clone() } else { p.scaled(self.scale) })
             .collect()
     }
@@ -226,12 +229,6 @@ pub fn overhead_pct(base_ipc: f64, rev_ipc: f64) -> f64 {
     } else {
         (base_ipc - rev_ipc) / base_ipc * 100.0
     }
-}
-
-/// Generates a profile's program (cached per-call; generation is fast
-/// relative to simulation).
-pub fn program_for(profile: &SpecProfile) -> Program {
-    generate(profile)
 }
 
 /// Static CFG statistics for a generated program's first module, read
@@ -265,7 +262,7 @@ pub fn preflight(sim: &RevSimulator) {
 /// Runs one benchmark under REV only (reusing an externally supplied
 /// baseline when the caller sweeps configurations).
 pub fn run_rev_only(profile: &SpecProfile, opts: &BenchOptions, config: RevConfig) -> RevReport {
-    let program = program_for(profile);
+    let program = generate(profile);
     let config = config.with_superblocks(opts.superblocks);
     let mut sim = RevSimulator::new(program, config).expect("workload builds");
     if opts.preflight {
@@ -273,36 +270,6 @@ pub fn run_rev_only(profile: &SpecProfile, opts: &BenchOptions, config: RevConfi
     }
     sim.warmup(opts.warmup);
     sim.run(opts.instructions)
-}
-
-/// One benchmark measured at base, REV-32K and REV-64K (the sweep behind
-/// Figures 6–11).
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Baseline run.
-    pub base: BaselineReport,
-    /// REV with the 32 KiB SC.
-    pub rev32: RevReport,
-    /// REV with the 64 KiB SC.
-    pub rev64: RevReport,
-    /// Table stats (standard mode, first module).
-    pub table: TableStats,
-    /// Static CFG stats.
-    pub cfg: CfgStats,
-}
-
-impl SweepRow {
-    /// Overhead of the 32 KiB configuration, percent.
-    pub fn overhead32(&self) -> f64 {
-        overhead_pct(self.base.cpu.ipc(), self.rev32.cpu.ipc())
-    }
-
-    /// Overhead of the 64 KiB configuration, percent.
-    pub fn overhead64(&self) -> f64 {
-        overhead_pct(self.base.cpu.ipc(), self.rev64.cpu.ipc())
-    }
 }
 
 /// The sweep fan-out primitive, now hosted in the dependency-leaf
@@ -340,7 +307,7 @@ impl Narrator {
     }
 }
 
-/// One labelled REV configuration inside a [`sweep_configs`] fan-out.
+/// One labelled REV configuration inside a [`sweep_configs_pooled`] fan-out.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Short label used in progress lines (e.g. `REV-32K`).
@@ -466,9 +433,15 @@ fn compute_item(
     SweepItemOut::Rev(Box::new(sim.run(opts.instructions)))
 }
 
-/// [`sweep_configs`] with an explicit warm pool and `--shard`/`--resume`
-/// support — the full-control entry point shared by `reproduce_all` and
-/// the equivalence suite.
+/// Runs base + every configuration for every selected profile, fanning
+/// the (profile, slot) work items across `opts.jobs` worker threads —
+/// the one sweep entry point, shared by `reproduce_all`'s section grid,
+/// perfbench and the equivalence suite.
+///
+/// The baseline runs **once per profile** and is shared by every
+/// configuration, and the config-independent prefix (program, CFG
+/// stats, table build) comes from `pool`, which also restores warmed
+/// simulators from `opts.ckpt_pool` when set.
 ///
 /// Work items are (profile, slot) pairs: slot 0 is the baseline run
 /// (plus static CFG / table statistics and the audit registry), slot
@@ -482,7 +455,7 @@ pub fn sweep_configs_pooled(
     configs: &[SweepConfig],
     pool: &WarmPool,
 ) -> SweepOutcome {
-    assert!(!configs.is_empty(), "sweep_configs needs at least one configuration");
+    assert!(!configs.is_empty(), "a sweep needs at least one configuration");
     let profiles = opts.profiles();
     let slots = configs.len() + 1;
     let items: Vec<(usize, usize)> =
@@ -566,56 +539,8 @@ pub fn sweep_configs_pooled(
     SweepOutcome::Complete(runs)
 }
 
-/// Runs base + every configuration for every selected profile, fanning the
-/// per-(profile, config) work items across `opts.jobs` worker threads.
-///
-/// The baseline simulation runs **once per profile** and is shared across
-/// all configurations (the seed harness re-ran it per config pair), and
-/// the config-independent prefix (program, CFG stats, table build) is
-/// built once per profile through a per-call [`WarmPool`], which also
-/// restores warmed simulators from `opts.ckpt_pool` when set. Results
-/// are deterministic and ordered by profile then configuration —
-/// identical output for any `--jobs` value.
-///
-/// # Panics
-///
-/// Panics when `opts.shard` is set — sharded runs cannot assemble a
-/// result set; drive them through [`sweep_configs_pooled`].
-pub fn sweep_configs(opts: &BenchOptions, configs: &[SweepConfig]) -> Vec<ProfileRun> {
-    let pool = WarmPool::new(opts.ckpt_pool.as_deref());
-    match sweep_configs_pooled(opts, configs, &pool) {
-        SweepOutcome::Complete(runs) => runs,
-        SweepOutcome::Partial { .. } => {
-            panic!("sweep_configs cannot assemble a --shard run; use sweep_configs_pooled")
-        }
-    }
-}
-
-/// Runs the full base/32K/64K sweep for the selected profiles, fanned out
-/// across `opts.jobs` workers (Figures 6–11 share these runs).
-pub fn sweep(opts: &BenchOptions) -> Vec<SweepRow> {
-    let configs = [
-        SweepConfig::new("REV-32K", RevConfig::paper_default()),
-        SweepConfig::new("REV-64K", RevConfig::paper_64k()),
-    ];
-    sweep_configs(opts, &configs)
-        .into_iter()
-        .map(|run| {
-            let mut revs = run.revs.into_iter();
-            SweepRow {
-                name: run.name,
-                base: run.base,
-                rev32: revs.next().expect("two configs"),
-                rev64: revs.next().expect("two configs"),
-                table: run.table,
-                cfg: run.cfg,
-            }
-        })
-        .collect()
-}
-
 /// Builds the schema-versioned measurement snapshot (`BENCH_rev.json`)
-/// from a [`sweep_configs`] fan-out.
+/// from a [`sweep_configs_pooled`] fan-out.
 ///
 /// Per profile the snapshot carries one registry per simulated
 /// configuration — `base` (cpu + mem), each [`SweepConfig`] label
@@ -711,12 +636,18 @@ impl TablePrinter {
 
     /// Prints to stdout.
     pub fn print(&self) {
+        print!("{}", self.render());
+    }
+
+    /// The table as text: aligned columns under a rule, or CSV.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
         if self.csv {
-            println!("{}", self.headers.join(","));
-            for r in &self.rows {
-                println!("{}", r.join(","));
+            for r in std::iter::once(&self.headers).chain(&self.rows) {
+                out.push_str(&r.join(","));
+                out.push('\n');
             }
-            return;
+            return out;
         }
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
@@ -725,32 +656,24 @@ impl TablePrinter {
             }
         }
         let line = |cells: &[String]| {
-            let mut out = String::new();
+            let mut l = String::new();
             for (i, cell) in cells.iter().enumerate() {
                 if i == 0 {
-                    out.push_str(&format!("{:<w$}", cell, w = widths[i]));
+                    l.push_str(&format!("{:<w$}", cell, w = widths[i]));
                 } else {
-                    out.push_str(&format!("  {:>w$}", cell, w = widths[i]));
+                    l.push_str(&format!("  {:>w$}", cell, w = widths[i]));
                 }
             }
-            out
+            l + "\n"
         };
-        println!("{}", line(&self.headers));
-        println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+        out.push_str(&line(&self.headers));
+        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+        out.push('\n');
         for row in &self.rows {
-            println!("{}", line(row));
+            out.push_str(&line(row));
         }
+        out
     }
-}
-
-/// Harmonic mean (the paper reports per-benchmark harmonic means over
-/// runs; across benchmarks it reports arithmetic averages of overheads).
-pub fn harmonic_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let s: f64 = values.iter().map(|v| 1.0 / v.max(1e-12)).sum();
-    values.len() as f64 / s
 }
 
 /// Arithmetic mean.
@@ -955,7 +878,6 @@ mod tests {
     #[test]
     fn means() {
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert!((harmonic_mean(&[1.0, 1.0]) - 1.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
     }
 
@@ -999,7 +921,7 @@ mod tests {
         assert_eq!(opts.instructions, 1234);
         assert_eq!(opts.warmup, 99);
         assert!((opts.scale - 0.5).abs() < 1e-12);
-        assert_eq!(opts.only, vec!["mcf".to_string()]);
+        assert_eq!(opts.benches, vec!["mcf".to_string()]);
         assert!(opts.csv && opts.preflight && opts.quiet && opts.resume);
         assert_eq!(opts.jobs, 3);
         assert_eq!(opts.json.as_deref(), Some("out.json"));
@@ -1029,7 +951,7 @@ mod tests {
         let mut o = BenchOptions::default();
         assert_eq!(o.profiles().len(), 18);
         assert!(o.jobs >= 1, "default jobs must be at least 1");
-        o.only = vec!["gcc".into(), "mcf".into()];
+        o.benches = vec!["gcc".into(), "mcf".into()];
         assert_eq!(o.profiles().len(), 2);
         o.scale = 0.05;
         assert!(o.profiles()[0].static_bbs < 10_000);
@@ -1050,25 +972,35 @@ mod tests {
     /// measurements no matter how many worker threads ran it.
     #[test]
     fn sweep_deterministic_across_job_counts() {
-        let mut opts = BenchOptions {
-            instructions: 20_000,
-            warmup: 4_000,
-            scale: 0.05,
-            only: vec!["mcf".into()],
-            quiet: true,
-            jobs: 1,
-            preflight: true,
-            ..BenchOptions::default()
+        let configs = [
+            SweepConfig::new("REV-32K", RevConfig::paper_default()),
+            SweepConfig::new("REV-64K", RevConfig::paper_64k()),
+        ];
+        let sweep = |jobs: usize| {
+            let opts = BenchOptions {
+                instructions: 20_000,
+                warmup: 4_000,
+                scale: 0.05,
+                benches: vec!["mcf".into()],
+                quiet: true,
+                jobs,
+                preflight: true,
+                ..BenchOptions::default()
+            };
+            match sweep_configs_pooled(&opts, &configs, &WarmPool::new(None)) {
+                SweepOutcome::Complete(runs) => runs,
+                SweepOutcome::Partial { .. } => panic!("no --shard was given"),
+            }
         };
-        let serial = sweep(&opts);
-        opts.jobs = 4;
-        let parallel = sweep(&opts);
+        let serial = sweep(1);
+        let parallel = sweep(4);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.name, p.name);
             assert_eq!(s.base.cpu.ipc(), p.base.cpu.ipc(), "base IPC must not depend on jobs");
-            assert_eq!(s.rev32.cpu.ipc(), p.rev32.cpu.ipc(), "REV-32K IPC must not depend on jobs");
-            assert_eq!(s.rev64.cpu.ipc(), p.rev64.cpu.ipc(), "REV-64K IPC must not depend on jobs");
+            for (a, b) in s.revs.iter().zip(&p.revs) {
+                assert_eq!(a.cpu.ipc(), b.cpu.ipc(), "REV IPC must not depend on jobs");
+            }
             assert_eq!(s.table.image_bytes, p.table.image_bytes);
         }
     }

@@ -148,7 +148,7 @@ impl WarmPool {
     }
 
     /// Per-module table statistics for `(profile, config)` without
-    /// assembling a simulator — what the table-sizes phase needs.
+    /// assembling a simulator — what the `table_sizes` section needs.
     pub fn table_stats(&self, profile: &SpecProfile, config: &RevConfig) -> Vec<TableStats> {
         let program = self.program(profile);
         BuildCache::global().tables(&program.0, config, 0).expect("workload builds").stats.clone()

@@ -17,13 +17,22 @@
 //! invalidation contract lives in `crates/rev-core/tests/smc.rs`.)
 
 use rev_bench::{
-    program_for, run_rev_only, snapshot_from_runs, sweep_configs, sweep_configs_pooled,
-    BenchOptions, ProfileRun, ShardSpec, SweepConfig, SweepOutcome, WarmPool,
+    run_rev_only, snapshot_from_runs, sweep_configs_pooled, BenchOptions, ProfileRun, ShardSpec,
+    SweepConfig, SweepOutcome, WarmPool,
 };
 use rev_core::{RevConfig, RevSimulator, Session, SessionStatus, ValidationMode};
 use rev_lint::audit::{audit_tables, AuditOutcome, AUDIT_MODES};
 use rev_prog::{Cfg, Program};
 use rev_trace::{fnv1a64, parallel_map, MetricRegistry, MetricSink, Snapshot};
+use rev_workloads::generate;
+
+/// A monolithic sweep of `configs` over a pool of its own.
+fn sweep(opts: &BenchOptions, configs: &[SweepConfig]) -> Vec<ProfileRun> {
+    match sweep_configs_pooled(opts, configs, &WarmPool::new(None)) {
+        SweepOutcome::Complete(runs) => runs,
+        SweepOutcome::Partial { .. } => panic!("a monolithic sweep assembles every item"),
+    }
+}
 
 /// The audit of `program` rebuilt from scratch, bypassing the build
 /// cache: each module analyzed anew (generated programs are one module,
@@ -52,7 +61,7 @@ fn cached_audit_matches_a_fresh_build() {
     assert_eq!(profiles.len(), 18, "the paper's full profile set");
     let base = RevConfig::paper_default();
     parallel_map(rev_bench::default_jobs(), &profiles, |_, profile| {
-        let program = program_for(profile);
+        let program = generate(profile);
         let fresh = fresh_audit(&program, &base);
         let cached = rev_lint::audit_program(&program, &base);
         assert_eq!(cached.modes.len(), 3, "{}: every mode audited", profile.name);
@@ -91,7 +100,7 @@ fn snapshot_is_byte_identical_across_jobs() {
     let render = |jobs: usize| {
         let mut opts = tiny_opts();
         opts.jobs = jobs;
-        let runs = sweep_configs(&opts, &configs);
+        let runs = sweep(&opts, &configs);
         assert_eq!(runs.len(), opts.profiles().len(), "every profile must be swept");
         let mut snap = Snapshot::new();
         snapshot_from_runs(&mut snap, &opts, &configs, &runs);
@@ -110,11 +119,11 @@ fn snapshot_is_byte_identical_across_jobs() {
 fn tracing_does_not_perturb_measurements() {
     let opts = tiny_opts();
     for name in ["mcf", "gobmk"] {
-        let sel = BenchOptions { only: vec![name.to_string()], ..tiny_opts() };
+        let sel = BenchOptions { benches: vec![name.to_string()], ..tiny_opts() };
         let profile = sel.profiles().remove(0);
         let registry_of = |traced: bool| {
             let mut sim =
-                RevSimulator::new(program_for(&profile), RevConfig::paper_default()).unwrap();
+                RevSimulator::new(generate(&profile), RevConfig::paper_default()).unwrap();
             let bus = traced.then(|| sim.enable_tracing(4096));
             sim.warmup(opts.warmup);
             let report = sim.run(opts.instructions);
@@ -148,8 +157,7 @@ fn session_slicing_matches_monolithic_across_all_profiles() {
     assert_eq!(profiles.len(), 18, "the paper's full profile set");
     let reports = parallel_map(rev_bench::default_jobs(), &profiles, |_, profile| {
         let fresh = || {
-            let mut sim =
-                RevSimulator::new(program_for(profile), RevConfig::paper_default()).unwrap();
+            let mut sim = RevSimulator::new(generate(profile), RevConfig::paper_default()).unwrap();
             sim.warmup(opts.warmup);
             sim
         };
@@ -212,8 +220,7 @@ fn checkpoint_restore_matches_monolithic_across_all_profiles() {
     assert_eq!(profiles.len(), 18, "the paper's full profile set");
     let reports = parallel_map(rev_bench::default_jobs(), &profiles, |_, profile| {
         let warmed = || {
-            let mut sim =
-                RevSimulator::new(program_for(profile), RevConfig::paper_default()).unwrap();
+            let mut sim = RevSimulator::new(generate(profile), RevConfig::paper_default()).unwrap();
             sim.warmup(opts.warmup);
             sim
         };
@@ -241,7 +248,7 @@ fn checkpoint_restore_matches_monolithic_across_all_profiles() {
                 );
                 drop(session);
                 let cold =
-                    RevSimulator::new(program_for(profile), RevConfig::paper_default()).unwrap();
+                    RevSimulator::new(generate(profile), RevConfig::paper_default()).unwrap();
                 let restored = Session::restore(cold, &envelope).unwrap();
                 assert_eq!(
                     restored.checkpoint(profile.name.as_bytes()).unwrap(),
@@ -331,7 +338,7 @@ fn pooled_sweep_renders_identical_snapshot() {
     let profiles = opts.profiles();
     assert_eq!(profiles.len(), 18, "the paper's full profile set");
     let fresh = parallel_map(rev_bench::default_jobs(), &profiles, |_, profile| {
-        let program = program_for(profile);
+        let program = generate(profile);
         let cfg = Cfg::analyze(&program.modules()[0], configs[0].config.bb_limits).unwrap().stats();
         let audit = fresh_audit(&program, &configs[0].config).metrics();
         let sim = RevSimulator::new(program, configs[0].config).unwrap();
@@ -340,7 +347,7 @@ fn pooled_sweep_renders_identical_snapshot() {
         for mode in [ValidationMode::Standard, ValidationMode::Aggressive, ValidationMode::CfiOnly]
         {
             let config = RevConfig::paper_default().with_mode(mode);
-            let fresh = RevSimulator::new(program_for(profile), config).unwrap();
+            let fresh = RevSimulator::new(generate(profile), config).unwrap();
             assert_eq!(
                 pool.table_stats(profile, &config),
                 fresh.table_stats(),
@@ -365,7 +372,7 @@ fn sharded_sweep_merges_byte_identical() {
     let configs = [SweepConfig::new("REV-32K", RevConfig::paper_default())];
     let monolithic = {
         let opts = tiny_opts();
-        let runs = sweep_configs(&opts, &configs);
+        let runs = sweep(&opts, &configs);
         let mut snap = Snapshot::new();
         snapshot_from_runs(&mut snap, &opts, &configs, &runs);
         snap.render()
@@ -451,7 +458,7 @@ fn sharded_sweep_merges_byte_identical() {
 fn corrupt_disk_pool_entry_is_rebuilt_fail_open() {
     let dir = scratch_dir("ckpt-pool");
     let dir_s = dir.to_string_lossy().into_owned();
-    let opts = BenchOptions { only: vec!["mcf".to_string()], ..tiny_opts() };
+    let opts = BenchOptions { benches: vec!["mcf".to_string()], ..tiny_opts() };
     let profile = opts.profiles().remove(0);
     let config = RevConfig::paper_default();
     let run = |pool: &WarmPool| {
@@ -493,7 +500,7 @@ fn superblocks_off_renders_identical_snapshot() {
     let render = |superblocks: bool| {
         let mut opts = tiny_opts();
         opts.superblocks = superblocks;
-        let runs = sweep_configs(&opts, &configs);
+        let runs = sweep(&opts, &configs);
         assert_eq!(runs.len(), opts.profiles().len(), "every profile must be swept");
         let mut snap = Snapshot::new();
         snapshot_from_runs(&mut snap, &opts, &configs, &runs);

@@ -2,7 +2,9 @@
 //! documented, real snapshots round-trip, and an injected IPC regression
 //! is caught by `compare`.
 
-use rev_bench::{snapshot_from_runs, sweep_configs, BenchOptions, SweepConfig};
+use rev_bench::{
+    snapshot_from_runs, sweep_configs_pooled, BenchOptions, SweepConfig, SweepOutcome, WarmPool,
+};
 use rev_core::RevConfig;
 use rev_trace::{compare, MetricValue, Snapshot};
 
@@ -11,7 +13,7 @@ fn tiny_opts() -> BenchOptions {
         instructions: 20_000,
         warmup: 4_000,
         scale: 0.05,
-        only: vec!["mcf".into()],
+        benches: vec!["mcf".into()],
         quiet: true,
         jobs: 1,
         ..BenchOptions::default()
@@ -21,7 +23,10 @@ fn tiny_opts() -> BenchOptions {
 fn tiny_snapshot() -> Snapshot {
     let opts = tiny_opts();
     let configs = [SweepConfig::new("REV-32K", RevConfig::paper_default())];
-    let runs = sweep_configs(&opts, &configs);
+    let SweepOutcome::Complete(runs) = sweep_configs_pooled(&opts, &configs, &WarmPool::new(None))
+    else {
+        panic!("a monolithic sweep assembles every item")
+    };
     let mut snap = Snapshot::new();
     snapshot_from_runs(&mut snap, &opts, &configs, &runs);
     snap

@@ -313,7 +313,7 @@ fn reference_reports(
             warmup: cfg.warmup,
             scale: cfg.scale,
             quiet: true,
-            only: vec![s.profile.clone()],
+            benches: vec![s.profile.clone()],
             ..BenchOptions::default()
         };
         let profile = bench.profiles().remove(0);

@@ -173,9 +173,10 @@ fn verdict_payload_matches_batch_harness() {
         quiet: true,
         ..rev_bench::BenchOptions::default()
     };
-    let profile = rev_bench::BenchOptions { only: vec![job.profile.clone()], ..bench_opts.clone() }
-        .profiles()
-        .remove(0);
+    let profile =
+        rev_bench::BenchOptions { benches: vec![job.profile.clone()], ..bench_opts.clone() }
+            .profiles()
+            .remove(0);
     let report =
         rev_bench::run_rev_only(&profile, &bench_opts, rev_core::RevConfig::paper_default());
 

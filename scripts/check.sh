@@ -44,20 +44,25 @@ cargo bench --no-run --workspace -q
 echo "==> rev-lint --all (static table verification)"
 cargo run --release -q -p rev-lint -- --all --scale 0.05 --format json >/dev/null
 
-# Quick-sweep snapshot gate (hard): the pooled quick sweep must render
-# its JSON snapshot byte-identical to the committed baselines/quick.json
-# (the benchmark's sweep-quick workload requires the same bytes). Pooled
+# Quick-sweep gates (hard): the pooled quick sweep must render its
+# stdout byte-identical to the committed baselines/quick.txt and its
+# JSON snapshot byte-identical to baselines/quick.json (the benchmark's
+# sweep-quick workload requires the same bytes). Pooled
 # vs fresh-simulator identity is hard-gated by the equivalence suite
 # (crates/rev-bench/tests/equivalence.rs) — see DESIGN.md §13.
 # The same run's wall clock feeds the soft check against
 # baselines/quick.time (warn, never fail): >2% over the recorded
 # reference plus a 25% host-noise allowance.
-echo "==> quick sweep snapshot vs baselines/quick.json byte-diff (hard gate)"
+echo "==> quick sweep stdout + snapshot vs baselines/quick.{txt,json} byte-diff (hard gate)"
 quick_dir="$(mktemp -d /tmp/quick_gate.XXXXXX)"
 t0=$(date +%s.%N)
 cargo run --release -q -p rev-bench --bin reproduce_all -- \
-    --quick --quiet --json "$quick_dir/quick.json" >/dev/null
+    --quick --quiet --json "$quick_dir/quick.json" > "$quick_dir/quick.txt"
 t1=$(date +%s.%N)
+if ! diff -u baselines/quick.txt "$quick_dir/quick.txt"; then
+    echo "FAIL: quick sweep stdout differs from baselines/quick.txt."
+    exit 1
+fi
 if ! diff -u baselines/quick.json "$quick_dir/quick.json"; then
     echo "FAIL: quick sweep snapshot differs from baselines/quick.json."
     exit 1
