@@ -25,8 +25,8 @@ pub mod sections;
 pub mod shard;
 
 use rev_core::{BaselineReport, BuildCache, RevConfig, RevReport, RevSimulator};
-use rev_prog::{BbLimits, CfgStats, Program};
-use rev_sigtable::TableStats;
+use rev_prog::{BbLimits, Cfg, CfgStats, Program};
+use rev_sigtable::{SignatureTable, TableStats};
 use rev_trace::{AttackRecord, Json, MetricRegistry, MetricSink, MetricValue, Snapshot};
 use rev_workloads::{generate, SpecProfile, ALL_PROFILES};
 use std::io::Write;
@@ -241,16 +241,42 @@ pub fn cfg_stats_for(program: &Program) -> CfgStats {
 
 /// The `--preflight` gate: statically lints the tables a built simulator
 /// is about to consume, runs the `rev-audit` security analyses
-/// (protection coverage, collision classes, latency bounds), and refuses
-/// to run anything failing at error severity.
+/// (protection coverage, collision classes, latency bounds) of its mode,
+/// and refuses to run anything failing at error severity.
 ///
 /// # Panics
 ///
 /// Panics with the rendered diagnostics when the gate fails.
 pub fn preflight(sim: &RevSimulator) {
-    let mut report =
-        rev_lint::lint_tables(sim.program(), sim.monitor().sag().tables(), sim.config().bb_limits);
-    report.merge(rev_lint::audit_program(sim.program(), sim.config()).report);
+    let (program, config) = (sim.program(), sim.config());
+    let cfgs = BuildCache::global()
+        .cfgs(program, config.bb_limits)
+        .expect("a built simulator's program analyzes");
+    assert_gate(&gate_report(program, &cfgs, sim.monitor().sag().tables(), config));
+}
+
+/// The `--preflight` report for `tables`, built under `config` from the
+/// linked `cfgs`: their lint plus the `rev-audit` findings of
+/// `config.mode`. Both [`preflight`] and the pooled sweep's shared
+/// verdicts ([`WarmPool`]) are made by this one function.
+pub(crate) fn gate_report(
+    program: &Program,
+    cfgs: &[Cfg],
+    tables: &[SignatureTable],
+    config: &RevConfig,
+) -> rev_lint::Report {
+    let mut report = rev_lint::lint_linked(program, cfgs, tables, config.bb_limits);
+    report.merge(rev_lint::audit::audit_tables(cfgs, &[(config.mode, tables)], config).report);
+    report
+}
+
+/// Refuses to simulate past a static-check report with error-severity
+/// findings.
+///
+/// # Panics
+///
+/// Panics with the rendered diagnostics when the gate fails.
+pub(crate) fn assert_gate(report: &rev_lint::Report) {
     assert!(
         report.passes_gate(),
         "preflight: static lint found {} error(s); refusing to simulate:\n{}",
@@ -418,18 +444,18 @@ fn compute_item(
 ) -> SweepItemOut {
     if slot == 0 {
         let bundle = pool.program(profile);
-        let audit = rev_lint::audit_program(&bundle.0, &configs[0].config).metrics();
+        let audit = pool.checks(profile, configs, opts.preflight).audit.metrics();
         let sim = pool.cold_sim(profile, &configs[0].config);
         let base = sim.run_baseline_with_warmup(opts.warmup, opts.instructions);
         return SweepItemOut::Base(Box::new((base, bundle.1, sim.table_stats()[0], audit)));
     }
     let config = configs[slot - 1].config.with_superblocks(opts.superblocks);
-    let (mut sim, _fetch) = pool.warm_fork(profile, &config, opts.warmup);
-    // A fresh run preflights before warmup; preflight is read-only, so
-    // running it on the warmed simulator cannot change a single counter.
+    // The gate runs before anything is built for the item; its verdict
+    // is made once per (profile, mode, BB limits) and shared.
     if opts.preflight {
-        preflight(&sim);
+        pool.checks(profile, configs, true).gate(&config);
     }
+    let (mut sim, _fetch) = pool.warm_fork(profile, &config, opts.warmup);
     SweepItemOut::Rev(Box::new(sim.run(opts.instructions)))
 }
 

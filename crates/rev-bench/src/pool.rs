@@ -27,6 +27,12 @@
 //!   and the warmup budget are part of the key; the `rev-ckpt/1` schema
 //!   version is included so any codec bump invalidates disk entries.
 //!
+//! * **checks** — `checks/1 | SpecProfile | sweep configurations |
+//!   preflight` → the profile's `rev-audit` outcome under the sweep's
+//!   base configuration and, under `--preflight`, the gate report of
+//!   every (mode, BB limits, return policy) the sweep runs, all from one
+//!   analysis per BB limits.
+//!
 //! Table content depends only on the program, the validation mode and the
 //! BB limits, which is how the [`BuildCache`] keys it: SC size, deferral
 //! depth etc. never reach the builder, so e.g. standard-mode 32K and 64K
@@ -41,11 +47,11 @@
 //! simulator. Any failure counts as `pool.corrupt` and the entry is
 //! rebuilt fail-open — a corrupt cache can cost time, never correctness.
 
-use crate::cfg_stats_for;
+use crate::{cfg_stats_for, SweepConfig};
 use rev_core::{BuildCache, RevConfig, RevSimulator, Session};
-use rev_prog::CfgStats;
-use rev_prog::Program;
-use rev_sigtable::TableStats;
+use rev_lint::{AuditOutcome, Report};
+use rev_prog::{BbLimits, CfgStats, Program};
+use rev_sigtable::{TableStats, ValidationMode};
 use rev_trace::{fnv1a64, lock_unpoisoned, CKPT_SCHEMA};
 use rev_workloads::{generate, SpecProfile};
 use std::collections::HashMap;
@@ -90,11 +96,63 @@ pub struct PoolFetch {
 /// A generated program and its CFG statistics.
 type Generated = (Program, CfgStats);
 
-/// The program shelf: profile key → slot, where the slot's inner mutex
-/// is held across generation so concurrent requesters for the same
-/// profile block until the first one lands (requesters for other keys
-/// proceed — the outer map lock is only held for the slot lookup).
-type Slot = Arc<Mutex<Option<Arc<Generated>>>>;
+/// A single-flight shelf: key → slot, where the slot's inner mutex is
+/// held across the computation so concurrent requesters for the same key
+/// block until the first one lands (requesters for other keys proceed —
+/// the outer map lock is only held for the slot lookup).
+type Shelf<V> = Mutex<HashMap<u64, Arc<Mutex<Option<Arc<V>>>>>>;
+
+/// The value under `key` on `shelf`, computed by `make` on first request.
+fn shelved<V>(shelf: &Shelf<V>, key: u64, make: impl FnOnce() -> V) -> Arc<V> {
+    let slot = Arc::clone(lock_unpoisoned(shelf).entry(key).or_default());
+    let mut guard = lock_unpoisoned(&slot);
+    if let Some(value) = guard.as_ref() {
+        return Arc::clone(value);
+    }
+    let value = Arc::new(make());
+    *guard = Some(Arc::clone(&value));
+    value
+}
+
+/// Every configuration field the `--preflight` report reads: the mode
+/// and BB limits pick the tables and the analysis, and the audit's guard
+/// sets and latency bounds read `naive_return_validation`. Two
+/// configurations with one key get one verdict.
+type GateKey = (ValidationMode, BbLimits, bool);
+
+fn gate_key(config: &RevConfig) -> GateKey {
+    (config.mode, config.bb_limits, config.naive_return_validation)
+}
+
+/// The static checks of one profile under a sweep's configurations
+/// ([`WarmPool::checks`]).
+#[derive(Debug)]
+pub(crate) struct ProfileChecks {
+    /// The `rev-audit` outcome under the sweep's base configuration.
+    pub(crate) audit: AuditOutcome,
+    /// Under `--preflight`: per distinct [`GateKey`] the sweep runs, the
+    /// [`crate::gate_report`] of that configuration's tables.
+    gates: Vec<(GateKey, Report)>,
+}
+
+impl ProfileChecks {
+    /// The `--preflight` gate for `config`: passes when its tables' lint
+    /// and audit found nothing at error severity.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the rendered diagnostics when the gate fails, and if
+    /// the checks were made without preflight or for other configurations.
+    pub(crate) fn gate(&self, config: &RevConfig) {
+        let key = gate_key(config);
+        let (_, report) = self
+            .gates
+            .iter()
+            .find(|(k, _)| *k == key)
+            .expect("the checks were made for this configuration");
+        crate::assert_gate(report);
+    }
+}
 
 /// The warm-start pool: a per-process program shelf plus an optional
 /// on-disk warm-checkpoint cache, over the process-wide [`BuildCache`].
@@ -103,7 +161,8 @@ type Slot = Arc<Mutex<Option<Arc<Generated>>>>;
 #[derive(Debug)]
 pub struct WarmPool {
     disk: Option<PathBuf>,
-    programs: Mutex<HashMap<u64, Slot>>,
+    programs: Shelf<Generated>,
+    checks: Shelf<ProfileChecks>,
     hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
@@ -116,6 +175,7 @@ impl WarmPool {
         WarmPool {
             disk: disk_dir.map(PathBuf::from),
             programs: Mutex::default(),
+            checks: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
@@ -135,16 +195,58 @@ impl WarmPool {
     /// per process.
     pub fn program(&self, profile: &SpecProfile) -> Arc<Generated> {
         let key = fnv1a64(format!("prog/1|{profile:?}").as_bytes());
-        let slot = Arc::clone(lock_unpoisoned(&self.programs).entry(key).or_default());
-        let mut guard = lock_unpoisoned(&slot);
-        if let Some(generated) = guard.as_ref() {
-            return Arc::clone(generated);
-        }
-        let program = generate(profile);
-        let cfg = cfg_stats_for(&program);
-        let generated = Arc::new((program, cfg));
-        *guard = Some(Arc::clone(&generated));
-        generated
+        shelved(&self.programs, key, || {
+            let program = generate(profile);
+            let cfg = cfg_stats_for(&program);
+            (program, cfg)
+        })
+    }
+
+    /// The static checks of `profile` in a sweep of `configs`, made once
+    /// per pool: the `rev-audit` outcome under `configs[0]` (the base
+    /// item's `audit.*` registry) and, with `preflight`, the gate report
+    /// of every distinct [`GateKey`] in `configs`. The base
+    /// analysis is held across the audit and the lints, so a preflighted
+    /// sweep analyzes each program no more often than an unchecked one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty or the program fails analysis or
+    /// table generation (generated workloads never do).
+    pub(crate) fn checks(
+        &self,
+        profile: &SpecProfile,
+        configs: &[SweepConfig],
+        preflight: bool,
+    ) -> Arc<ProfileChecks> {
+        let key =
+            fnv1a64(format!("checks/1|{profile:?}|{configs:?}|preflight={preflight}").as_bytes());
+        shelved(&self.checks, key, || {
+            let generated = self.program(profile);
+            let program = &generated.0;
+            let cache = BuildCache::global();
+            let cfgs = |limits| cache.cfgs(program, limits).expect("workload analyzes");
+            let base = &configs[0].config;
+            let base_cfgs = cfgs(base.bb_limits);
+            let audit = rev_lint::audit_linked(program, &base_cfgs, base);
+            let mut gates: Vec<(GateKey, Report)> = Vec::new();
+            for config in configs.iter().map(|c| &c.config).filter(|_| preflight) {
+                let key = gate_key(config);
+                if gates.iter().any(|(k, _)| *k == key) {
+                    continue;
+                }
+                // The audit built every mode at the base limits, so the
+                // cache no longer stores that analysis: use the held one.
+                // Other limits are read before their tables are built,
+                // while the cache still stores their analysis.
+                let limits = config.bb_limits;
+                let cfgs =
+                    if limits == base.bb_limits { Arc::clone(&base_cfgs) } else { cfgs(limits) };
+                let built = cache.tables(program, config, 0).expect("workload builds");
+                gates.push((key, crate::gate_report(program, &cfgs, &built.tables, config)));
+            }
+            ProfileChecks { audit, gates }
+        })
     }
 
     /// Per-module table statistics for `(profile, config)` without
@@ -331,5 +433,74 @@ mod tests {
         let s64 = cache.tables(&program.0, &RevConfig::paper_64k(), 0).unwrap();
         assert!(Arc::ptr_eq(&s32, &s64), "one build serves both SC sizes");
         assert_eq!(pool.table_stats(&p, &RevConfig::paper_64k()), s32.stats);
+    }
+
+    /// The gate report under `config`'s key.
+    fn gate_of<'a>(checks: &'a ProfileChecks, config: &RevConfig) -> &'a Report {
+        let key = gate_key(config);
+        &checks.gates.iter().find(|(k, _)| *k == key).unwrap().1
+    }
+
+    /// A pooled verdict is the report [`crate::preflight`] computes from
+    /// a built simulator, and configurations that differ in a field the
+    /// report reads get verdicts of their own.
+    #[test]
+    fn pooled_gates_match_the_simulator_preflight() {
+        let pool = WarmPool::new(None);
+        let p = tiny_profile();
+        let naive = RevConfig { naive_return_validation: true, ..RevConfig::paper_default() };
+        let configs = [
+            SweepConfig::new("REV-32K", RevConfig::paper_default()),
+            SweepConfig::new("REV-64K", RevConfig::paper_64k()),
+            SweepConfig::new("naive-returns", naive),
+        ];
+        let checks = pool.checks(&p, &configs, true);
+        assert_eq!(checks.gates.len(), 2, "SC size shares a verdict; the return policy does not");
+        for c in &configs {
+            checks.gate(&c.config);
+            let sim = pool.cold_sim(&p, &c.config);
+            let cfgs = BuildCache::global().cfgs(sim.program(), c.config.bb_limits).unwrap();
+            let placed =
+                crate::gate_report(sim.program(), &cfgs, sim.monitor().sag().tables(), &c.config);
+            assert_eq!(gate_of(&checks, &c.config).render_text(), placed.render_text());
+        }
+        assert_ne!(
+            gate_of(&checks, &configs[0].config).render_text(),
+            gate_of(&checks, &naive).render_text(),
+            "the naive policy changes the audited latency bound"
+        );
+    }
+
+    /// Checks holding one `config` gate with `report`.
+    fn checks_with(config: &RevConfig, report: Report) -> ProfileChecks {
+        let audit = AuditOutcome { report: Report::new(), modes: Vec::new() };
+        ProfileChecks { audit, gates: vec![(gate_key(config), report)] }
+    }
+
+    #[test]
+    #[should_panic(expected = "table ranges overlap: planted")]
+    fn gate_refuses_an_error_finding_and_renders_it() {
+        let config = RevConfig::paper_default();
+        let mut report = Report::new();
+        report.push(rev_lint::Diagnostic::new(
+            rev_lint::Lint::SagOverlap,
+            "table ranges overlap: planted",
+        ));
+        assert!(!report.passes_gate());
+        checks_with(&config, report).gate(&config);
+    }
+
+    #[test]
+    fn gate_passes_a_report_without_errors() {
+        let config = RevConfig::paper_default();
+        checks_with(&config, Report::new()).gate(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "the checks were made for this configuration")]
+    fn gate_refuses_a_configuration_it_was_not_made_for() {
+        let config = RevConfig::paper_default();
+        let other = config.with_mode(ValidationMode::Aggressive);
+        checks_with(&config, Report::new()).gate(&other);
     }
 }

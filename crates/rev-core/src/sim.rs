@@ -414,6 +414,9 @@ impl RevSimulator {
         let mut memory = MainMemory::with_segments(&program.segments());
         let table_region = table_region_base(&program);
         let sag = place_tables(tables, table_region, &mut [&mut memory], &config);
+        // Every view below, every fork and every baseline run clones the
+        // frozen image, so they share each page until they write it.
+        memory.freeze();
 
         let oracle = Oracle::new(memory.clone(), program.entry(), program.initial_sp());
         let monitor = RevMonitor::new(config, sag, memory.clone());
@@ -436,7 +439,8 @@ impl RevSimulator {
 
     /// Forks the simulator: a structural copy of the complete state —
     /// pipeline, caches, predictor, REV monitor, both memory views —
-    /// with no serialize/deserialize round-trip. The fork is detached
+    /// with no serialize/deserialize round-trip. The views copy the
+    /// pages they have written and share the rest with the build image. The fork is detached
     /// from any trace bus the original had attached (exactly as a
     /// checkpoint → restore round-trip would leave it), so forking can
     /// never perturb a counter in either copy: the two simulators share
@@ -775,6 +779,38 @@ mod tests {
         let mut pb = Program::builder();
         pb.module(b.finish().unwrap());
         pb.build()
+    }
+
+    /// The live and committed memory views of `sim`.
+    fn views(sim: &RevSimulator) -> [&MainMemory; 2] {
+        [sim.pipeline().oracle().mem(), sim.monitor().committed()]
+    }
+
+    #[test]
+    fn cold_views_hold_no_private_pages() {
+        let sim = RevSimulator::new(demo_program(), RevConfig::paper_default()).unwrap();
+        let image = &sim.initial_memory;
+        assert!(image.resident_pages() > 0);
+        assert_eq!(image.shared_pages(), image.resident_pages(), "the image is frozen");
+        for view in views(&sim) {
+            assert_eq!(view.resident_pages(), image.resident_pages());
+            assert_eq!(view.pages_shared_with(image), image.resident_pages());
+        }
+    }
+
+    #[test]
+    fn fork_shares_every_page_it_has_not_written() {
+        let mut sim = RevSimulator::new(demo_program(), RevConfig::paper_default()).unwrap();
+        sim.warmup(200);
+        let fork = sim.fork().unwrap();
+        for (warm, forked) in views(&sim).into_iter().zip(views(&fork)) {
+            let written = warm.resident_pages() - warm.shared_pages();
+            assert!(written > 0, "the warmup wrote the stack and the data page");
+            assert_eq!(forked.resident_pages(), warm.resident_pages());
+            assert_eq!(forked.pages_shared_with(warm), warm.shared_pages());
+            assert_eq!(forked.pages_shared_with(&sim.initial_memory), warm.shared_pages());
+            assert_eq!(forked.content_digest(u64::MAX), warm.content_digest(u64::MAX));
+        }
     }
 
     #[test]

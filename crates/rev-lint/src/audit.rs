@@ -413,18 +413,24 @@ fn latency_for(config: &RevConfig, mode: ValidationMode, cfgs: &[Cfg]) -> Latenc
 /// and an empty mode list; a mode whose tables fail to build reports it
 /// and is left out.
 pub fn audit_program(program: &Program, base: &RevConfig) -> AuditOutcome {
-    let cache = BuildCache::global();
-    let cfgs = match cache.cfgs(program, base.bb_limits) {
-        Ok(cfgs) => cfgs,
+    match BuildCache::global().cfgs(program, base.bb_limits) {
+        Ok(cfgs) => audit_linked(program, &cfgs, base),
         Err(e) => {
             let mut report = Report::new();
             report.push(Diagnostic::new(
                 Lint::AnalysisFailed,
                 format!("audit: static analysis failed: {e}"),
             ));
-            return AuditOutcome { report, modes: Vec::new() };
+            AuditOutcome { report, modes: Vec::new() }
         }
-    };
+    }
+}
+
+/// [`audit_program`] over linked CFGs the caller already holds — the
+/// program's [`BuildCache::cfgs`] under `base`'s BB limits — so a caller
+/// that audits and lints one program reads one analysis.
+pub fn audit_linked(program: &Program, cfgs: &[Cfg], base: &RevConfig) -> AuditOutcome {
+    let cache = BuildCache::global();
     let mut failed = Report::new();
     let mut built = Vec::with_capacity(AUDIT_MODES.len());
     for mode in AUDIT_MODES {
@@ -438,7 +444,7 @@ pub fn audit_program(program: &Program, base: &RevConfig) -> AuditOutcome {
         }
     }
     let tables: Vec<_> = built.iter().map(|(mode, t)| (*mode, t.tables.as_slice())).collect();
-    let mut outcome = audit_tables(&cfgs, &tables, base);
+    let mut outcome = audit_tables(cfgs, &tables, base);
     outcome.report.merge(failed);
     outcome.report.sort();
     outcome

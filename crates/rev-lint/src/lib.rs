@@ -41,9 +41,9 @@ pub mod lint;
 pub mod oracle;
 
 pub use audit::{
-    audit_program, AuditOutcome, CollisionStats, CoverageMatrix, LatencyBounds, ModeAudit,
-    AUDIT_MODES,
+    audit_linked, audit_program, AuditOutcome, CollisionStats, CoverageMatrix, LatencyBounds,
+    ModeAudit, AUDIT_MODES,
 };
 pub use diag::{Diagnostic, Lint, Report, Severity};
-pub use lint::{lint_build, lint_tables};
+pub use lint::{lint_build, lint_linked, lint_tables};
 pub use oracle::{run_oracle, static_triples, OracleOutcome};

@@ -26,25 +26,36 @@ const PER_LINT_CAP: usize = 16;
 /// in any order — pairing is by base/limit range). `limits` must match the
 /// configuration the tables were built with.
 pub fn lint_tables(program: &Program, tables: &[SignatureTable], limits: BbLimits) -> Report {
-    let mut report = Report::new();
-    let cfgs = match BuildCache::global().cfgs(program, limits) {
-        Ok(cfgs) => cfgs,
+    match BuildCache::global().cfgs(program, limits) {
+        Ok(cfgs) => lint_linked(program, &cfgs, tables, limits),
         Err(e) => {
+            let mut report = Report::new();
             report.push(
                 Diagnostic::new(Lint::AnalysisFailed, format!("static analysis failed: {e}"))
                     .hint("fix the module (or its recorded indirect target sets) so it analyzes"),
             );
-            return report;
+            report
         }
-    };
+    }
+}
 
+/// [`lint_tables`] over linked CFGs the caller already holds — the
+/// program's [`BuildCache::cfgs`] under `limits` — so a caller that
+/// audits and lints one program reads one analysis.
+pub fn lint_linked(
+    program: &Program,
+    cfgs: &[Cfg],
+    tables: &[SignatureTable],
+    limits: BbLimits,
+) -> Report {
+    let mut report = Report::new();
     check_sag_sanity(program, tables, &mut report);
     check_writable_code(program, &mut report);
-    check_module_reachability(program, &cfgs, &mut report);
+    check_module_reachability(program, cfgs, &mut report);
     for (module, cfg) in program.modules().iter().zip(cfgs.iter()) {
         check_split_rules(module, cfg, limits, &mut report);
-        check_indirect_targets(program, &cfgs, module, cfg, &mut report);
-        check_return_sites(program, &cfgs, module, cfg, &mut report);
+        check_indirect_targets(program, cfgs, module, cfg, &mut report);
+        check_return_sites(program, cfgs, module, cfg, &mut report);
         if let Some(table) = table_for_module(tables, module) {
             check_table_against_cfg(module, cfg, table, &mut report);
         }

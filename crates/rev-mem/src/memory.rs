@@ -10,13 +10,25 @@
 //! within a run) fronted by a last-page slot cache, so the per-instruction
 //! fetch path costs one multiply and usually zero probes instead of a
 //! SipHash `HashMap` lookup per byte.
+//!
+//! Pages are copy-on-write. [`MainMemory::freeze`] turns every resident
+//! page into a shared, immutable one; a clone then shares those pages
+//! instead of copying them, and a memory copies a shared page into a
+//! private one the first time it writes it. A simulator's build image,
+//! its live and committed views and every fork of them therefore hold
+//! one copy of each page none of them has written. The copy happens once
+//! per page, so a store to a private page costs what it always did: no
+//! reference count is touched on the per-store path.
 
 use rev_prog::Segment;
 use rev_trace::FaultInjector;
 use std::cell::Cell;
+use std::sync::Arc;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+type PageBytes = [u8; PAGE_SIZE];
 
 /// Checkpoint section marker for main-memory page content.
 const TAG_MEM: u8 = 0x6d; // 'm'
@@ -25,12 +37,51 @@ const TAG_MEM: u8 = 0x6d; // 'm'
 /// `addr >> 12`, so the top bits can never all be set).
 const EMPTY: u64 = u64::MAX;
 
+/// One resident page.
+#[derive(Debug, Clone)]
+enum Page {
+    /// Private to this memory: written in place. Cloning copies it.
+    Owned(Box<PageBytes>),
+    /// Frozen and shared with the memories cloned from the same image:
+    /// never written. Cloning shares it; a write first copies it into an
+    /// owned page.
+    Shared(Arc<PageBytes>),
+}
+
+impl Page {
+    #[inline]
+    fn bytes(&self) -> &PageBytes {
+        match self {
+            Page::Owned(bytes) => bytes,
+            Page::Shared(bytes) => bytes,
+        }
+    }
+
+    /// The page's bytes for writing, copying a shared page first.
+    #[inline]
+    fn bytes_mut(&mut self) -> &mut PageBytes {
+        if let Page::Shared(shared) = self {
+            *self = Page::Owned(Box::new(**shared));
+        }
+        match self {
+            Page::Owned(bytes) => bytes,
+            Page::Shared(_) => unreachable!("a shared page was just copied"),
+        }
+    }
+
+    /// Whether both are the same shared page (not merely equal bytes).
+    #[inline]
+    fn is_shared_with(&self, other: &Page) -> bool {
+        matches!((self, other), (Page::Shared(a), Page::Shared(b)) if Arc::ptr_eq(a, b))
+    }
+}
+
 /// Open-addressed page-index → page storage with linear probing. Grows at
 /// 3/4 load; never shrinks or deletes (a resident page stays resident for
 /// the run, which keeps probe chains tombstone-free).
 #[derive(Debug, Clone, Default)]
 struct PageTable {
-    slots: Vec<Option<(u64, Box<[u8; PAGE_SIZE]>)>>,
+    slots: Vec<Option<(u64, Page)>>,
     len: usize,
 }
 
@@ -45,7 +96,7 @@ impl PageTable {
 
     /// Returns the slot index and page for `idx`, if resident.
     #[inline]
-    fn get(&self, idx: u64) -> Option<(usize, &[u8; PAGE_SIZE])> {
+    fn get(&self, idx: u64) -> Option<(usize, &Page)> {
         if self.len == 0 {
             return None;
         }
@@ -62,17 +113,17 @@ impl PageTable {
 
     /// Re-reads a known slot; used to validate the last-page cache.
     #[inline]
-    fn slot(&self, i: usize) -> Option<(u64, &[u8; PAGE_SIZE])> {
+    fn slot(&self, i: usize) -> Option<(u64, &PageBytes)> {
         match self.slots.get(i) {
-            Some(Some((k, p))) => Some((*k, p)),
+            Some(Some((k, p))) => Some((*k, p.bytes())),
             _ => None,
         }
     }
 
-    /// Returns the slot index and page for `idx`, allocating a zero page
-    /// if absent.
+    /// The slot holding `idx`, or the empty slot it would take — growing
+    /// first, so that slot exists.
     #[inline]
-    fn get_or_insert(&mut self, idx: u64) -> (usize, &mut [u8; PAGE_SIZE]) {
+    fn find_slot(&mut self, idx: u64) -> usize {
         if self.slots.is_empty() || self.len * 4 >= self.slots.len() * 3 {
             self.grow();
         }
@@ -80,17 +131,34 @@ impl PageTable {
         let mut i = self.probe_start(idx);
         loop {
             match &self.slots[i] {
-                Some((k, _)) if *k == idx => break,
-                None => {
-                    self.slots[i] = Some((idx, Box::new([0; PAGE_SIZE])));
-                    self.len += 1;
-                    break;
-                }
+                Some((k, _)) if *k == idx => return i,
+                None => return i,
                 Some(_) => i = (i + 1) & mask,
             }
         }
-        let page = self.slots[i].as_mut().map(|(_, p)| &mut **p).expect("slot just filled");
+    }
+
+    /// Returns the slot index and writable page for `idx`, allocating a
+    /// zero page if absent and copying a shared one.
+    #[inline]
+    fn get_or_insert(&mut self, idx: u64) -> (usize, &mut PageBytes) {
+        let i = self.find_slot(idx);
+        let slot = &mut self.slots[i];
+        if slot.is_none() {
+            *slot = Some((idx, Page::Owned(Box::new([0; PAGE_SIZE]))));
+            self.len += 1;
+        }
+        let page = slot.as_mut().map(|(_, p)| p.bytes_mut()).expect("slot just filled");
         (i, page)
+    }
+
+    /// Makes `page` the page at `idx`, replacing any resident one.
+    fn insert(&mut self, idx: u64, page: Page) {
+        let i = self.find_slot(idx);
+        if self.slots[i].is_none() {
+            self.len += 1;
+        }
+        self.slots[i] = Some((idx, page));
     }
 
     fn grow(&mut self) {
@@ -107,8 +175,8 @@ impl PageTable {
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = (u64, &[u8; PAGE_SIZE])> + '_ {
-        self.slots.iter().flatten().map(|(k, p)| (*k, &**p))
+    fn iter(&self) -> impl Iterator<Item = (u64, &Page)> + '_ {
+        self.slots.iter().flatten().map(|(k, p)| (*k, p))
     }
 }
 
@@ -162,7 +230,7 @@ impl MainMemory {
     }
 
     #[inline]
-    fn page(&self, addr: u64) -> Option<&[u8; PAGE_SIZE]> {
+    fn page(&self, addr: u64) -> Option<&PageBytes> {
         let idx = addr >> PAGE_SHIFT;
         let (last_idx, last_slot) = self.last.get();
         if last_idx == idx {
@@ -174,11 +242,11 @@ impl MainMemory {
         }
         let (slot, p) = self.pages.get(idx)?;
         self.last.set((idx, slot));
-        Some(p)
+        Some(p.bytes())
     }
 
     #[inline]
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
+    fn page_mut(&mut self, addr: u64) -> &mut PageBytes {
         let idx = addr >> PAGE_SHIFT;
         let (slot, p) = self.pages.get_or_insert(idx);
         self.last.set((idx, slot));
@@ -270,8 +338,12 @@ impl MainMemory {
     /// Chaos campaigns compare a faulted run's committed memory against a
     /// fault-free reference with the signature-table region masked off.
     pub fn content_digest(&self, limit: u64) -> u64 {
-        let mut pages: Vec<(u64, &[u8; PAGE_SIZE])> =
-            self.pages.iter().filter(|&(i, _)| (i << PAGE_SHIFT) < limit).collect();
+        let mut pages: Vec<(u64, &PageBytes)> = self
+            .pages
+            .iter()
+            .filter(|&(i, _)| (i << PAGE_SHIFT) < limit)
+            .map(|(i, p)| (i, p.bytes()))
+            .collect();
         pages.sort_unstable_by_key(|&(idx, _)| idx);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |b: u8| {
@@ -311,21 +383,58 @@ impl MainMemory {
         self.pages.len
     }
 
+    /// Freezes every resident page: each becomes shared and immutable,
+    /// so clones of this memory share them until they write them (see
+    /// the module docs). The loader freezes a simulator's build image
+    /// once, before cloning its views from it.
+    pub fn freeze(&mut self) {
+        for (_, page) in self.pages.slots.iter_mut().flatten() {
+            if let Page::Owned(bytes) = page {
+                *page = Page::Shared(Arc::new(**bytes));
+            }
+        }
+    }
+
+    /// Number of resident pages that are frozen and shared rather than
+    /// private to this memory (footprint reporting: the private ones,
+    /// `resident_pages() - shared_pages()`, are what this memory costs
+    /// beside the image it was cloned from).
+    pub fn shared_pages(&self) -> usize {
+        self.pages.iter().filter(|(_, p)| matches!(p, Page::Shared(_))).count()
+    }
+
+    /// Number of resident pages that are the very pages of `other` — the
+    /// same shared allocation, not merely equal bytes.
+    pub fn pages_shared_with(&self, other: &MainMemory) -> usize {
+        self.pages
+            .iter()
+            .filter(|&(idx, page)| {
+                other.pages.get(idx).is_some_and(|(_, o)| page.is_shared_with(o))
+            })
+            .count()
+    }
+
     /// Serializes the resident pages whose bytes differ from `base`,
     /// sorted by page index (canonical order — re-serializing a restored
     /// memory is byte-identical). `base` is the build image the restore
     /// target starts from, so only what the run changed is written. A
-    /// page absent from `base` is compared against zeros: a build-time
-    /// page zeroed mid-run is written (it must restore as zero, not
-    /// revert to its build content), while a page materialized mid-run
-    /// and left all-zero is not (an absent page already reads zero).
+    /// page still shared with `base` is skipped without reading it; any
+    /// other page is compared by content. A page absent from `base` is
+    /// compared against zeros: a build-time page zeroed mid-run is
+    /// written (it must restore as zero, not revert to its build
+    /// content), while a page materialized mid-run and left all-zero is
+    /// not (an absent page already reads zero).
     pub fn save_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter) {
-        const ZERO: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        const ZERO: PageBytes = [0; PAGE_SIZE];
         w.tag(TAG_MEM);
-        let mut changed: Vec<(u64, &[u8; PAGE_SIZE])> = self
+        let mut changed: Vec<(u64, &PageBytes)> = self
             .pages
             .iter()
-            .filter(|&(idx, page)| page != base.pages.get(idx).map_or(&ZERO, |(_, p)| p))
+            .filter(|&(idx, page)| match base.pages.get(idx) {
+                Some((_, b)) if page.is_shared_with(b) => false,
+                b => page.bytes() != b.map_or(&ZERO, |(_, p)| p.bytes()),
+            })
+            .map(|(idx, page)| (idx, page.bytes()))
             .collect();
         changed.sort_unstable_by_key(|&(idx, _)| idx);
         w.len(changed.len());
@@ -342,9 +451,10 @@ impl MainMemory {
     /// in the checkpoint, and every page it did not change already holds
     /// the right bytes, so overlaying the listed pages reproduces the
     /// saved contents exactly. A section that also lists pages equal to
-    /// the base (as full-image checkpoints do) restores identically. The
-    /// fault injector is left untouched; the last-page accelerator is
-    /// reset.
+    /// the base (as full-image checkpoints do) restores identically. Each
+    /// listed page is installed as a new private page, so a shared base
+    /// page is replaced, never copied first. The fault injector is left
+    /// untouched; the last-page accelerator is reset.
     ///
     /// # Errors
     ///
@@ -365,9 +475,9 @@ impl MainMemory {
                 )));
             }
             prev = Some(idx);
-            let bytes = r.raw(PAGE_SIZE)?;
-            let (_, page) = self.pages.get_or_insert(idx);
-            page.copy_from_slice(bytes);
+            let mut page = Box::new([0; PAGE_SIZE]);
+            page.copy_from_slice(r.raw(PAGE_SIZE)?);
+            self.pages.insert(idx, Page::Owned(page));
         }
         self.last.set((EMPTY, 0));
         Ok(())
@@ -440,6 +550,37 @@ mod tests {
         b.write_u64(0x1000, 2);
         assert_eq!(a.read_u64(0x1000), 1);
         assert_eq!(b.read_u64(0x1000), 2);
+    }
+
+    #[test]
+    fn clones_of_a_frozen_image_share_pages_until_written() {
+        let mut base = build_image();
+        assert_eq!(base.shared_pages(), 0, "a loaded image is private until frozen");
+        base.freeze();
+        let mut view = base.clone();
+        assert_eq!((view.shared_pages(), view.pages_shared_with(&base)), (3, 3));
+        view.write_u8(0x1abc, 0xff);
+        view.write_u8(0x1abd, 0xfe);
+        assert_eq!(view.shared_pages(), 2, "the first write copies one page, once");
+        assert_eq!(view.pages_shared_with(&base), 2);
+        assert_eq!(base.read_u8(0x1abc), build_image().read_u8(0x1abc), "the base never changes");
+        let fork = view.clone();
+        assert_eq!(fork.pages_shared_with(&base), 2, "a private page is copied, not shared");
+        assert_eq!(fork.read_bytes(0x1abc, 2), vec![0xff, 0xfe]);
+    }
+
+    #[test]
+    fn restore_installs_private_pages_over_shared_ones() {
+        let mut base = build_image();
+        base.freeze();
+        let mut mem = base.clone();
+        mem.write_u8(0x8001, 3);
+        let env = delta(&mem, &base);
+        let back = restored(&base, &env);
+        assert_eq!((back.shared_pages(), back.pages_shared_with(&base)), (2, 2));
+        assert_eq!(back.read_u8(0x8001), 3);
+        assert_eq!(base.read_u8(0x8001), 7);
+        assert_eq!(delta(&back, &base), env);
     }
 
     /// A build image of three resident pages: two of code at 0x1000 and
@@ -530,14 +671,14 @@ mod tests {
         let mut mem = base.clone();
         mem.write_u8(0x2010, 0xee);
         mem.write_u64(0x40_0000, 9);
-        let mut pages: Vec<(u64, &[u8; PAGE_SIZE])> = mem.pages.iter().collect();
+        let mut pages: Vec<(u64, &Page)> = mem.pages.iter().collect();
         pages.sort_unstable_by_key(|&(idx, _)| idx);
         let mut w = rev_trace::CkptWriter::new();
         w.tag(TAG_MEM);
         w.len(pages.len());
         for (idx, page) in pages {
             w.u64(idx);
-            w.raw(page);
+            w.raw(page.bytes());
         }
         let full = w.finish();
         let env = delta(&mem, &base);

@@ -1,9 +1,35 @@
 //! Property tests: the set-associative cache against a reference model,
-//! and main-memory read/write consistency.
+//! main-memory read/write consistency, and copy-on-write page sharing
+//! against deep copies.
 
 use proptest::prelude::*;
 use rev_mem::{Cache, CacheConfig, MainMemory, Tlb, TlbConfig};
+use rev_prog::Segment;
+use rev_trace::CkptWriter;
 use std::collections::VecDeque;
+
+/// Bytes of the address window the page-sharing properties write: eight
+/// pages, so random writes land on shared pages often.
+const WINDOW: u64 = 8 * 4096;
+
+/// A build image over the window: five of its eight pages resident, with
+/// content that differs page to page.
+fn image() -> MainMemory {
+    let bytes: Vec<u8> = (0..5 * 4096).map(|i: usize| (i % 253) as u8 ^ (i / 4096) as u8).collect();
+    MainMemory::with_segments(&[Segment { addr: 0x1000, bytes, writable: true }])
+}
+
+/// The window's bytes, read back.
+fn window(mem: &MainMemory) -> Vec<u8> {
+    mem.read_bytes(0, WINDOW as usize)
+}
+
+/// The sealed memory section of `mem` taken against `base`.
+fn delta(mem: &MainMemory, base: &MainMemory) -> Vec<u8> {
+    let mut w = CkptWriter::new();
+    mem.save_state(base, &mut w);
+    w.finish()
+}
 
 /// Reference model: per-set LRU list of line addresses.
 #[derive(Debug)]
@@ -89,5 +115,67 @@ proptest! {
             // After the fill, the very next access to the same page hits.
             prop_assert!(second, "page {p} missed immediately after fill (first={first})");
         }
+    }
+
+    /// Copy-on-write views read exactly like deep copies. Random byte
+    /// and word writes, clones and freezes run over a frozen base image
+    /// and a tree of clones (each cloned from the base or from an earlier
+    /// clone, some frozen in turn), against one plain byte vector per
+    /// memory that is copied on every clone. A write reaches only the
+    /// memory it was made to, and the base never changes.
+    #[test]
+    fn shared_pages_behave_like_deep_copies(
+        ops in proptest::collection::vec((0u8..6, 0usize..64, 0u64..WINDOW - 8, any::<u64>()), 1..160),
+    ) {
+        let mut base = image();
+        base.freeze();
+        let mut mems = vec![base];
+        let mut models = vec![window(&mems[0])];
+        for &(kind, who, addr, value) in &ops {
+            // The base (memory 0) is only ever cloned from.
+            let k = who % mems.len();
+            match kind {
+                0 | 1 if k > 0 => {
+                    mems[k].write_u8(addr, value as u8);
+                    models[k][addr as usize] = value as u8;
+                }
+                2 if k > 0 => {
+                    mems[k].write_u64(addr, value);
+                    models[k][addr as usize..addr as usize + 8].copy_from_slice(&value.to_le_bytes());
+                }
+                3 if k > 0 => mems[k].freeze(),
+                _ if mems.len() < 10 => {
+                    mems.push(mems[k].clone());
+                    models.push(models[k].clone());
+                }
+                _ => {}
+            }
+        }
+        for (i, (mem, model)) in mems.iter().zip(&models).enumerate() {
+            prop_assert!(window(mem) == *model, "memory {} diverged from its deep copy", i);
+        }
+        prop_assert_eq!(window(&mems[0]), window(&image()));
+    }
+
+    /// A checkpoint's memory section does not depend on whether the base
+    /// shares pages with the memory: saved against the frozen base it
+    /// came from, and against a deep copy of that base (an equal image
+    /// that shares nothing), a view writes the same bytes — also when
+    /// the view froze its own written pages (shared, but not the base's).
+    #[test]
+    fn save_against_shared_base_matches_deep_copy(
+        writes in proptest::collection::vec((0u64..WINDOW + 4096, any::<u8>()), 0..40),
+        freeze_view in any::<bool>(),
+    ) {
+        let mut base = image();
+        base.freeze();
+        let mut view = base.clone();
+        for &(addr, value) in &writes {
+            view.write_u8(addr, value);
+        }
+        if freeze_view {
+            view.freeze();
+        }
+        prop_assert_eq!(delta(&view, &base), delta(&view, &image()));
     }
 }

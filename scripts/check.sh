@@ -102,6 +102,28 @@ if ! diff -u "$pool_dir/first.json" "$pool_dir/second.json"; then
 fi
 rm -rf "$pool_dir"
 
+# Preflight read-only gate (hard): --preflight lints and audits every
+# table before simulating and may only ever refuse to run, so a passing
+# preflighted sweep must print the same stdout and JSON as the plain one.
+echo "==> --preflight leaves stdout and snapshot unchanged (hard gate)"
+pre_dir="$(mktemp -d /tmp/preflight_gate.XXXXXX)"
+for mode in plain preflight; do
+    flag=()
+    if [ "$mode" = preflight ]; then flag=(--preflight); fi
+    cargo run --release -q -p rev-bench --bin reproduce_all -- \
+        --quick --quiet --bench mcf "${flag[@]}" \
+        --json "$pre_dir/$mode.json" > "$pre_dir/$mode.txt"
+done
+if ! diff -u "$pre_dir/plain.txt" "$pre_dir/preflight.txt"; then
+    echo "FAIL: --preflight changed the sweep's stdout."
+    exit 1
+fi
+if ! diff -u "$pre_dir/plain.json" "$pre_dir/preflight.json"; then
+    echo "FAIL: --preflight changed the sweep's snapshot."
+    exit 1
+fi
+rm -rf "$pre_dir"
+
 # Shard merge-identity gate (hard): split one benchmark's sweep grid
 # across two shard processes, merge the sealed items with --resume, and
 # require stdout + JSON byte-identical to the monolithic run.
