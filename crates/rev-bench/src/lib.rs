@@ -2,8 +2,10 @@
 //!
 //! The harness behind `reproduce_all`, which renders every table, figure
 //! and ablation as a section of one pooled sweep grid ([`sections`];
-//! `--only ID` picks sections, see `DESIGN.md` §3 for the index), and
-//! the `perf` throughput binary. Both accept:
+//! `--only ID` picks sections, see `DESIGN.md` §3 for the index). The
+//! simulator's own speed is measured by the repo benchmark (`perfbench/`),
+//! and its deterministic memo counters are pinned by
+//! `tests/host_work.rs`. The shared flags ([`BenchOptions`]):
 //!
 //! * `--instructions N` — committed-instruction budget per run (default
 //!   2 000 000; the paper used 2 000 000 000 on its testbed),
@@ -27,7 +29,7 @@ pub mod shard;
 use rev_core::{BaselineReport, BuildCache, RevConfig, RevReport, RevSimulator};
 use rev_prog::{BbLimits, Cfg, CfgStats, Program};
 use rev_sigtable::{SignatureTable, TableStats};
-use rev_trace::{AttackRecord, Json, MetricRegistry, MetricSink, MetricValue, Snapshot};
+use rev_trace::{AttackRecord, Json, MetricRegistry, MetricSink, Snapshot};
 use rev_workloads::{generate, SpecProfile, ALL_PROFILES};
 use std::io::Write;
 use std::sync::Mutex;
@@ -35,7 +37,9 @@ use std::sync::Mutex;
 pub use pool::{PoolFetch, PoolStats, WarmPool};
 pub use shard::ShardSpec;
 
-/// Parsed command-line options shared by `reproduce_all` and `perf`.
+/// Parsed command-line options of `reproduce_all` (its `--only` is parsed
+/// by [`sections::parse_args`]), also built in code by `rev-chaos`,
+/// perfbench and the tests.
 #[derive(Debug, Clone)]
 pub struct BenchOptions {
     /// Committed-instruction budget per simulated run.
@@ -709,186 +713,6 @@ pub fn mean(values: &[f64]) -> f64 {
     } else {
         values.iter().sum::<f64>() / values.len() as f64
     }
-}
-
-/// One profile's simulator-throughput measurement (the `perf` binary's
-/// unit of work): host wall-clock around a timed REV run plus the
-/// deterministic decoded-BB-cache counters from the same run.
-#[derive(Debug, Clone)]
-pub struct PerfSample {
-    /// Profile name.
-    pub name: String,
-    /// Correct-path instructions committed during the timed run.
-    pub committed_instrs: u64,
-    /// Host wall-clock of the timed run, nanoseconds.
-    pub wall_ns: u64,
-    /// Decoded-BB cache hits (see `perf.bbcache.*` in docs/METRICS.md).
-    pub bb_cache_hits: u64,
-    /// Decoded-BB cache misses.
-    pub bb_cache_misses: u64,
-    /// Decoded-BB cache invalidations (code-generation bumps).
-    pub bb_cache_invalidations: u64,
-    /// Superblocks formed (see `perf.superblock.*` in docs/METRICS.md).
-    pub sb_formed: u64,
-    /// Commits validated by superblock replay.
-    pub sb_hits: u64,
-    /// Superblock memos discarded as stale.
-    pub sb_flushes: u64,
-    /// Body hashes computed through the multi-lane CubeHash.
-    pub chg_lanes: u64,
-    /// Host nanoseconds materializing the program + CFG statistics
-    /// (`perf.phase.gen_ns`; ~0 once the pool's program shelf holds it).
-    pub gen_ns: u64,
-    /// Host nanoseconds building tables + assembling the simulator
-    /// (`perf.phase.table_ns`; only the assembly remains once the build
-    /// cache holds the tables).
-    pub table_ns: u64,
-    /// Host nanoseconds warming up (or restoring a disk checkpoint on a
-    /// disk hit; `perf.phase.warm_ns`).
-    pub warm_ns: u64,
-    /// Disk-pool hits contributing to this sample (`pool.hits`).
-    pub pool_hits: u64,
-    /// Warm-pool misses contributing to this sample (`pool.misses`).
-    pub pool_misses: u64,
-    /// Disk pool entries rejected and rebuilt (`pool.corrupt`).
-    pub pool_corrupt: u64,
-}
-
-impl PerfSample {
-    /// Committed instructions per host second.
-    pub fn instrs_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.committed_instrs as f64 / (self.wall_ns as f64 / 1e9)
-        }
-    }
-
-    /// Host nanoseconds per committed instruction.
-    pub fn ns_per_instr(&self) -> f64 {
-        if self.committed_instrs == 0 {
-            0.0
-        } else {
-            self.wall_ns as f64 / self.committed_instrs as f64
-        }
-    }
-}
-
-/// Builds the `perf` registry for one profile: simulator throughput
-/// gauges (host-dependent, compared against `baselines/perf_quick.json`
-/// with a tolerance band, never byte-diffed) plus the deterministic
-/// decoded-BB-cache counters.
-pub fn perf_registry(sample: &PerfSample) -> MetricRegistry {
-    let mut reg = MetricRegistry::new();
-    reg.gauge("perf.instrs_per_sec", sample.instrs_per_sec());
-    reg.gauge("perf.ns_per_instr", sample.ns_per_instr());
-    reg.gauge("perf.wall_ms", sample.wall_ns as f64 / 1e6);
-    reg.counter("perf.committed_instrs", sample.committed_instrs);
-    reg.counter("perf.bbcache.hits", sample.bb_cache_hits);
-    reg.counter("perf.bbcache.misses", sample.bb_cache_misses);
-    reg.counter("perf.bbcache.invalidations", sample.bb_cache_invalidations);
-    reg.counter("perf.superblock.formed", sample.sb_formed);
-    reg.counter("perf.superblock.hits", sample.sb_hits);
-    reg.counter("perf.superblock.flushes", sample.sb_flushes);
-    reg.counter("rev.chg.lanes", sample.chg_lanes);
-    reg.counter("perf.phase.gen_ns", sample.gen_ns);
-    reg.counter("perf.phase.table_ns", sample.table_ns);
-    reg.counter("perf.phase.warm_ns", sample.warm_ns);
-    reg.counter("perf.phase.measure_ns", sample.wall_ns);
-    reg.counter("pool.hits", sample.pool_hits);
-    reg.counter("pool.misses", sample.pool_misses);
-    reg.counter("pool.corrupt", sample.pool_corrupt);
-    reg
-}
-
-/// Measures one profile: a warmed-up REV run under `config`, fetched
-/// from `pool`, with the wall clock taken around the measurement window
-/// only. Generation, table build and warmup (or disk restore) come from
-/// the pool fetch as `perf.phase.*`, and its hit/miss/corrupt outcome
-/// lands in the sample's `pool.*` counters.
-pub fn perf_sample(
-    profile: &SpecProfile,
-    opts: &BenchOptions,
-    config: RevConfig,
-    pool: &WarmPool,
-) -> PerfSample {
-    let config = config.with_superblocks(opts.superblocks);
-    let (mut sim, fetch) = pool.warm_fork(profile, &config, opts.warmup);
-    let start = std::time::Instant::now();
-    let rev = sim.run(opts.instructions);
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    PerfSample {
-        name: profile.name.to_string(),
-        committed_instrs: rev.cpu.committed_instrs,
-        wall_ns,
-        bb_cache_hits: rev.rev.bb_cache_hits,
-        bb_cache_misses: rev.rev.bb_cache_misses,
-        bb_cache_invalidations: rev.rev.bb_cache_invalidations,
-        sb_formed: rev.rev.sb_formed,
-        sb_hits: rev.rev.sb_hits,
-        sb_flushes: rev.rev.sb_flushes,
-        chg_lanes: rev.rev.chg_lanes,
-        gen_ns: fetch.gen_ns,
-        table_ns: fetch.table_ns,
-        warm_ns: fetch.warm_ns,
-        pool_hits: u64::from(fetch.hit),
-        pool_misses: u64::from(!fetch.hit),
-        pool_corrupt: u64::from(fetch.corrupt),
-    }
-}
-
-/// Result of [`perf_soft_check`]: per-profile verdict lines plus whether
-/// any profile fell outside the band.
-#[derive(Debug, Clone, Default)]
-pub struct PerfCheckReport {
-    /// Human-readable per-profile comparison lines.
-    pub lines: Vec<String>,
-    /// `true` when at least one profile's throughput left the band.
-    pub drifted: bool,
-}
-
-/// Compares measured `perf.instrs_per_sec` gauges against a committed
-/// baseline snapshot with a symmetric ±`band_pct` tolerance. Missing
-/// profiles (either side) are reported as information, never as drift —
-/// matching `rev-trace compare`'s treatment of added/removed metrics.
-pub fn perf_soft_check(
-    baseline: &Snapshot,
-    candidate: &Snapshot,
-    band_pct: f64,
-) -> PerfCheckReport {
-    let mut report = PerfCheckReport::default();
-    let gauge = |snap: &Snapshot, profile: &str| -> Option<f64> {
-        match snap.profiles.get(profile)?.get("perf")?.get("perf.instrs_per_sec") {
-            Some(MetricValue::Gauge(v)) => Some(*v),
-            _ => None,
-        }
-    };
-    for profile in candidate.profiles.keys() {
-        let Some(new) = gauge(candidate, profile) else { continue };
-        match gauge(baseline, profile) {
-            None => report.lines.push(format!("{profile}: no baseline (informational)")),
-            Some(old) if old <= 0.0 => {
-                report.lines.push(format!("{profile}: zero baseline (informational)"));
-            }
-            Some(old) => {
-                let rel = (new - old) / old * 100.0;
-                let out_of_band = rel.abs() > band_pct;
-                if out_of_band {
-                    report.drifted = true;
-                }
-                report.lines.push(format!(
-                    "{profile}: {new:.0} instrs/s vs baseline {old:.0} ({rel:+.1}%{})",
-                    if out_of_band { " — OUT OF BAND" } else { "" }
-                ));
-            }
-        }
-    }
-    for profile in baseline.profiles.keys() {
-        if gauge(baseline, profile).is_some() && gauge(candidate, profile).is_none() {
-            report.lines.push(format!("{profile}: present in baseline only (informational)"));
-        }
-    }
-    report
 }
 
 #[cfg(test)]

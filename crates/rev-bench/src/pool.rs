@@ -60,8 +60,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// A point-in-time copy of the pool's counters (`pool.*` in
-/// `docs/METRICS.md`, surfaced per profile by the `perf` binary).
+/// A point-in-time copy of the pool's counters (perfbench reports them
+/// as `bench.pool.warm_hit_ratio`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Warm fetches restored from a valid `--ckpt-pool` disk entry.
@@ -74,8 +74,8 @@ pub struct PoolStats {
 }
 
 /// What one [`WarmPool::warm_fork`] call did, with host-side phase
-/// timings for the config-independent prefix (the `perf.phase.*` rows
-/// in `BENCH_rev.json`). Generation and table build are ~0 when the
+/// timings for the config-independent prefix (perfbench's traced
+/// `bench.pool.*` layers). Generation and table build are ~0 when the
 /// program shelf and the build cache already hold the profile; on a
 /// disk hit the warmup is replaced by a checkpoint restore.
 #[derive(Debug, Clone, Copy, Default)]
@@ -277,8 +277,7 @@ impl WarmPool {
     /// and the build cache,
     /// warmed up and stored on disk. The caller owns the returned
     /// simulator; the pool keeps no copy. The returned [`PoolFetch`]
-    /// carries the phase timings and hit/miss outcome for the
-    /// `perf.phase.*` / `pool.*` metrics.
+    /// carries the phase timings and hit/miss outcome.
     pub fn warm_fork(
         &self,
         profile: &SpecProfile,

@@ -1,12 +1,21 @@
-//! `reproduce_all`'s command line: a bad `--only` is a usage error, and a
-//! section that simulates nothing runs no sweep.
+//! `reproduce_all`'s command line: a bad `--only` or a malformed shared
+//! flag is a usage error, and a section that simulates nothing runs no
+//! sweep.
 
 use std::process::Command;
 
 #[test]
-fn unknown_only_id_exits_2_with_the_valid_ids() {
-    let cases: [&[&str]; 3] =
-        [&["--only", "fig13"], &["--only"], &["--only", "fig7_overhead", "--only", "nope"]];
+fn malformed_arguments_exit_2_with_the_usage_and_valid_ids() {
+    let cases: [&[&str]; 7] = [
+        &["--only", "fig13"],
+        &["--only"],
+        &["--only", "fig7_overhead", "--only", "nope"],
+        // Retired flags and malformed shared flags.
+        &["--pool=off"],
+        &["--superblocks=off"],
+        &["--jobs", "many"],
+        &["--instructions"],
+    ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_reproduce_all")).args(args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -58,7 +58,8 @@ pub struct RevStats {
     /// The `bb_cache_*` trio is simulator-performance instrumentation,
     /// not modeled-hardware behavior, so it is *not* exported through
     /// [`MetricSink`] (which feeds the deterministic `rev.*` snapshots);
-    /// `rev-bench perf` surfaces it as `perf.bbcache.*`.
+    /// `rev-bench`'s `tests/host_work.rs` pins it against
+    /// `baselines/host_work_quick.txt`.
     pub bb_cache_hits: u64,
     /// Decoded-BB cache misses (body hashed by the CHG model).
     pub bb_cache_misses: u64,
@@ -71,8 +72,7 @@ pub struct RevStats {
     /// simulator-performance instrumentation, not modeled-hardware
     /// behavior: they never go through [`MetricSink`] (the deterministic
     /// `rev.*` snapshots must be byte-identical with superblocks on or
-    /// off); `rev-bench perf` surfaces them as `perf.superblock.*` and
-    /// `rev.chg.lanes` rows.
+    /// off); the same host-work gate pins them.
     pub sb_formed: u64,
     /// Superblock replays (commits validated by the memo fast path).
     pub sb_hits: u64,
