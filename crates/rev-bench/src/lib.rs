@@ -615,7 +615,7 @@ pub fn snapshot_from_runs(
 
 /// Mounts every attack from `rev-attacks` under the paper-default
 /// configuration and records the outcomes into `snap` (Table 1's data;
-/// `rev-trace compare` flags any detection flip as a regression).
+/// a detection flip fails the byte-diff against `baselines/quick.json`).
 pub fn record_attacks(
     snap: &mut Snapshot,
 ) -> Vec<(rev_attacks::AttackKind, rev_attacks::AttackOutcome)> {

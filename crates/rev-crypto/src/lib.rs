@@ -43,5 +43,5 @@ pub use chg::{ChgConfig, ChgPipeline, ChgTag};
 pub use cubehash::{CubeHash, CubeHashParams, CubeHashX4, Digest, MAX_DIGEST_BYTES, X4_LANES};
 pub use sig::{
     apply_chg_fault, bb_body_hash, bb_body_hash_with, bb_body_hash_x4, entry_digest,
-    entry_digest_with, entry_digest_x4, BodyHash, EntryDigest, EntryDigestInput, SignatureKey,
+    entry_digest_with, BodyHash, EntryDigest, SignatureKey,
 };

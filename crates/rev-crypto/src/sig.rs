@@ -147,7 +147,7 @@ pub fn entry_digest_with(
 }
 
 /// Four [`bb_body_hash`]es in one multi-lane pass: the batched CHG path
-/// (monitor pending-BB batches, signature-table builds). Lane `i` of the
+/// of the monitor's pending-BB batches. Lane `i` of the
 /// result is bit-equal to `bb_body_hash(bodies[i])` — [`CubeHashX4`]
 /// carries the equivalence proof — so batched and scalar hashing are
 /// freely interchangeable.
@@ -157,35 +157,6 @@ pub fn bb_body_hash_x4(h: &CubeHashX4, bodies: [&[u8]; X4_LANES]) -> [BodyHash; 
         let mut out = [0u8; 32];
         out.copy_from_slice(&digests[lane]);
         BodyHash(out)
-    })
-}
-
-/// Per-lane input to [`entry_digest_x4`]: `(bb_addr, body, target, pred)`,
-/// the same four bound fields [`entry_digest`] takes.
-pub type EntryDigestInput<'a> = (u64, &'a BodyHash, u64, u64);
-
-/// Four [`entry_digest`]s in one multi-lane pass. Every lane hashes the
-/// same fixed 72-byte message shape (key ‖ bb_addr ‖ body ‖ target ‖
-/// pred), so the absorb phase is fully lockstep; lane `i` of the result
-/// is bit-equal to `entry_digest(key, ..inputs[i])`.
-pub fn entry_digest_x4(
-    h: &CubeHashX4,
-    key: &SignatureKey,
-    inputs: [EntryDigestInput<'_>; X4_LANES],
-) -> [EntryDigest; X4_LANES] {
-    let mut msgs = [[0u8; 72]; X4_LANES];
-    for (msg, &(bb_addr, body, target, pred)) in msgs.iter_mut().zip(inputs.iter()) {
-        msg[..16].copy_from_slice(&key.0);
-        msg[16..24].copy_from_slice(&bb_addr.to_le_bytes());
-        msg[24..56].copy_from_slice(&body.0);
-        msg[56..64].copy_from_slice(&target.to_le_bytes());
-        msg[64..72].copy_from_slice(&pred.to_le_bytes());
-    }
-    let digests = h.digest4([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-    std::array::from_fn(|lane| {
-        let d = &digests[lane];
-        let tail: [u8; 4] = d[d.len() - 4..].try_into().expect("4 bytes");
-        EntryDigest(u32::from_le_bytes(tail))
     })
 }
 
@@ -206,8 +177,8 @@ mod tests {
         bb_body_hash(bytes)
     }
 
-    /// The multi-lane body-hash and entry-digest paths must match their
-    /// scalar counterparts lane for lane (mixed-length bodies included).
+    /// The multi-lane body-hash path must match its scalar counterpart
+    /// lane for lane (mixed-length bodies included).
     #[test]
     fn x4_sig_helpers_match_scalar() {
         let h4 = CubeHashX4::new();
@@ -215,17 +186,6 @@ mod tests {
         let hashes = bb_body_hash_x4(&h4, bodies);
         for (lane, (got, raw)) in hashes.iter().zip(bodies).enumerate() {
             assert_eq!(*got, bb_body_hash(raw), "body lane {lane}");
-        }
-        let key = SignatureKey::from_seed(7);
-        let inputs: [EntryDigestInput<'_>; 4] = [
-            (0x1000, &hashes[0], 0x2000, 0x3000),
-            (0x1008, &hashes[1], 0, 0),
-            (u64::MAX, &hashes[2], 0x40, u64::MAX),
-            (0, &hashes[3], u64::MAX, 0x8000_0000_0000_0000),
-        ];
-        let digests = entry_digest_x4(&h4, &key, inputs);
-        for (lane, (got, (a, b, t, p))) in digests.iter().zip(inputs).enumerate() {
-            assert_eq!(*got, entry_digest(&key, a, b, t, p), "entry lane {lane}");
         }
     }
 

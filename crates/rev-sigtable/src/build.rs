@@ -8,10 +8,7 @@
 
 use crate::format::{EntryKind, RawEntry, ValidationMode, ENTRY_NONE, NEXT20_NONE, NEXT24_NONE};
 use crate::lookup::SignatureTable;
-use rev_crypto::{
-    bb_body_hash_x4, entry_digest_x4, Aes128, BodyHash, CubeHashX4, EntryDigestInput, SignatureKey,
-    X4_LANES,
-};
+use rev_crypto::{bb_body_hash_with, entry_digest_with, Aes128, CubeHash, SignatureKey};
 use rev_prog::{BlockInfo, Cfg, Module, TermKind};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -111,51 +108,21 @@ struct Segment {
     entries: Vec<RawEntry>,
 }
 
+/// An entry field's value as the digest binds it: an absent address
+/// binds as 0.
+fn bound(field: u32) -> u64 {
+    if field == ENTRY_NONE {
+        0
+    } else {
+        u64::from(field)
+    }
+}
+
 fn spill_run(is_pred: bool, addrs: &[u32]) -> Vec<RawEntry> {
     addrs
         .chunks(3)
         .map(|c| RawEntry::Spill { is_pred, addrs: c.to_vec(), next: NEXT24_NONE })
         .collect()
-}
-
-/// A segment whose primary entry still carries a placeholder digest: the
-/// digest is a pure function of `(key, bb_addr, body, bound_succ,
-/// bound_pred)` and is filled in by the batched multi-lane pass in
-/// [`build_table`] (four entries per [`CubeHashX4`] call).
-struct PlannedSegment {
-    bb_addr: u64,
-    bound_succ: u64,
-    bound_pred: u64,
-    segment: Segment,
-}
-
-impl PlannedSegment {
-    /// Writes the batch-computed digest into the primary entry.
-    fn set_digest(&mut self, digest: u32) {
-        match &mut self.segment.entries[0] {
-            RawEntry::Primary { digest: d, .. } | RawEntry::AggressivePrimary { digest: d, .. } => {
-                *d = digest;
-            }
-            _ => unreachable!("planned segments lead with a primary entry"),
-        }
-    }
-}
-
-/// Hashes every block body through the four-lane CHG, [`X4_LANES`] blocks
-/// per pass (a short tail of fewer than four real messages rides along
-/// with empty filler lanes — the lockstep finalization makes them nearly
-/// free). Bit-equal to per-block [`rev_crypto::bb_body_hash`] calls.
-fn batched_body_hashes(module: &Module, cfg: &Cfg, h4: &CubeHashX4) -> Vec<BodyHash> {
-    let blocks = cfg.blocks();
-    let mut bodies = Vec::with_capacity(blocks.len());
-    for chunk in blocks.chunks(X4_LANES) {
-        let mut msgs: [&[u8]; X4_LANES] = [&[]; X4_LANES];
-        for (lane, block) in chunk.iter().enumerate() {
-            msgs[lane] = cfg.block_bytes(module, block);
-        }
-        bodies.extend_from_slice(&bb_body_hash_x4(h4, msgs)[..chunk.len()]);
-    }
-    bodies
 }
 
 /// Builds the logical segment for one block in standard mode.
@@ -166,7 +133,14 @@ fn batched_body_hashes(module: &Module, cfg: &Cfg, h4: &CubeHashX4) -> Vec<BodyH
 /// target addresses for the non-computed branches"), and predecessors are
 /// stored only when they are return instructions — the single case the
 /// delayed return validation consults.
-fn standard_segment(cfg: &Cfg, block: &BlockInfo) -> Result<PlannedSegment, TableBuildError> {
+///
+/// `sign(bound_succ, bound_pred)` is the primary entry's digest over the
+/// block's body and the bound fields.
+fn standard_segment(
+    cfg: &Cfg,
+    block: &BlockInfo,
+    sign: impl FnOnce(u64, u64) -> u32,
+) -> Result<Segment, TableBuildError> {
     // Successor lists are stored only where a target can change at run
     // time: computed branches, and returns ("the signature table entry
     // for the return instruction terminating such a function should list
@@ -196,7 +170,7 @@ fn standard_segment(cfg: &Cfg, block: &BlockInfo) -> Result<PlannedSegment, Tabl
     let primary_pred = preds.first().copied().unwrap_or(ENTRY_NONE);
     let mut entries = vec![RawEntry::Primary {
         kind: entry_kind(block.term),
-        digest: 0, // patched in by the batched digest pass
+        digest: sign(bound(primary_succ), bound(primary_pred)),
         succ: primary_succ,
         pred: primary_pred,
         next: NEXT24_NONE,
@@ -207,28 +181,26 @@ fn standard_segment(cfg: &Cfg, block: &BlockInfo) -> Result<PlannedSegment, Tabl
     if preds.len() > 1 {
         entries.extend(spill_run(true, &preds[1..]));
     }
-    Ok(PlannedSegment {
-        bb_addr: block.bb_addr,
-        bound_succ: if primary_succ == ENTRY_NONE { 0 } else { primary_succ as u64 },
-        bound_pred: if primary_pred == ENTRY_NONE { 0 } else { primary_pred as u64 },
-        segment: Segment { entries },
-    })
+    Ok(Segment { entries })
 }
 
 /// Builds the logical segment for one block in aggressive mode: two inline
 /// verified targets per entry, both bound by the digest (paper Fig. 5).
-fn aggressive_segment(block: &BlockInfo) -> Result<PlannedSegment, TableBuildError> {
+/// `sign` is as for [`standard_segment`].
+fn aggressive_segment(
+    block: &BlockInfo,
+    sign: impl FnOnce(u64, u64) -> u32,
+) -> Result<Segment, TableBuildError> {
     let succs: Vec<u32> = block.successors.iter().map(|&a| addr32(a)).collect::<Result<_, _>>()?;
     let preds: Vec<u32> =
         block.predecessors.iter().map(|&a| addr32(a)).collect::<Result<_, _>>()?;
     let s0 = succs.first().copied().unwrap_or(ENTRY_NONE);
     let s1 = succs.get(1).copied().unwrap_or(ENTRY_NONE);
     let primary_pred = preds.first().copied().unwrap_or(ENTRY_NONE);
-    let bound_targets = (if s0 == ENTRY_NONE { 0u64 } else { s0 as u64 })
-        | (if s1 == ENTRY_NONE { 0u64 } else { (s1 as u64) << 32 });
+    let bound_targets = bound(s0) | (bound(s1) << 32);
     let mut entries = vec![RawEntry::AggressivePrimary {
         kind: entry_kind(block.term),
-        digest: 0, // patched in by the batched digest pass
+        digest: sign(bound_targets, bound(primary_pred)),
         succs: [s0, s1],
         pred: primary_pred,
         next: NEXT24_NONE,
@@ -240,12 +212,7 @@ fn aggressive_segment(block: &BlockInfo) -> Result<PlannedSegment, TableBuildErr
     if preds.len() > 1 {
         entries.extend(spill_run(true, &preds[1..]));
     }
-    Ok(PlannedSegment {
-        bb_addr: block.bb_addr,
-        bound_succ: bound_targets,
-        bound_pred: if primary_pred == ENTRY_NONE { 0 } else { primary_pred as u64 },
-        segment: Segment { entries },
-    })
+    Ok(Segment { entries })
 }
 
 /// Builds the CFI-only segment for one computed-terminator BB address: one
@@ -276,34 +243,22 @@ pub fn build_table(
     mode: ValidationMode,
     cpu: &Aes128,
 ) -> Result<SignatureTable, TableBuildError> {
-    // 1. Logical segments keyed by BB address. Body hashes and entry
-    //    digests both go through the four-lane CHG: hash four blocks per
-    //    pass, plan the segments (pure bookkeeping), then fill four entry
-    //    digests per pass. Lane-for-lane bit-equal to the old scalar loop.
-    let h4 = CubeHashX4::new();
+    // 1. Logical segments keyed by BB address. One reused CHG hashes each
+    //    block body, then signs the primary entry over it.
     let mut segments: Vec<(u64, Segment)> = Vec::new();
     match mode {
         ValidationMode::Standard | ValidationMode::Aggressive => {
-            let bodies = batched_body_hashes(module, cfg, &h4);
-            let mut planned = Vec::with_capacity(bodies.len());
+            let mut h = CubeHash::new();
             for block in cfg.blocks() {
-                planned.push(match mode {
-                    ValidationMode::Standard => standard_segment(cfg, block)?,
-                    _ => aggressive_segment(block)?,
-                });
+                let body = bb_body_hash_with(&mut h, cfg.block_bytes(module, block));
+                let sign =
+                    |succ, pred| entry_digest_with(&mut h, key, block.bb_addr, &body, succ, pred).0;
+                let segment = match mode {
+                    ValidationMode::Standard => standard_segment(cfg, block, sign)?,
+                    _ => aggressive_segment(block, sign)?,
+                };
+                segments.push((block.bb_addr, segment));
             }
-            for (chunk, body_chunk) in planned.chunks_mut(X4_LANES).zip(bodies.chunks(X4_LANES)) {
-                let filler = &bodies[0];
-                let mut inputs: [EntryDigestInput<'_>; X4_LANES] = [(0, filler, 0, 0); X4_LANES];
-                for (lane, (p, body)) in chunk.iter().zip(body_chunk).enumerate() {
-                    inputs[lane] = (p.bb_addr, body, p.bound_succ, p.bound_pred);
-                }
-                let digests = entry_digest_x4(&h4, key, inputs);
-                for (p, digest) in chunk.iter_mut().zip(digests) {
-                    p.set_digest(digest.0);
-                }
-            }
-            segments.extend(planned.into_iter().map(|p| (p.bb_addr, p.segment)));
         }
         ValidationMode::CfiOnly => {
             // One segment per computed-terminator address; merge target

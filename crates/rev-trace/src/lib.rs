@@ -15,9 +15,8 @@
 //!   implement [`MetricSink`] to project their hot-path fields into the
 //!   registry under the names documented in `docs/METRICS.md`.
 //! * [`snapshot`] — schema-versioned, deterministic **JSON baselines**
-//!   ([`Snapshot`], rendered as `BENCH_rev.json`) and a regression
-//!   [`compare`] used by the `rev-trace compare` subcommand and
-//!   `scripts/check.sh`.
+//!   ([`Snapshot`], rendered as `BENCH_rev.json`), which
+//!   `scripts/check.sh` byte-diffs against the committed baselines.
 //! * [`ckpt`] — the **`rev-ckpt/1` binary checkpoint codec**
 //!   ([`CkptWriter`] / [`CkptReader`]): a checksummed, schema-versioned
 //!   envelope the simulator crates use to serialize suspended sessions
@@ -57,4 +56,4 @@ pub use fault::{FaultInjector, FaultKind, FaultLayer, FaultSpec, FAULT_LAYERS};
 pub use json::Json;
 pub use metrics::{Histogram, MetricRegistry, MetricSink, MetricValue, HISTOGRAM_BUCKETS};
 pub use pool::{lock_unpoisoned, parallel_map};
-pub use snapshot::{compare, AttackRecord, CompareReport, Snapshot, SCHEMA};
+pub use snapshot::{AttackRecord, Snapshot, SCHEMA};

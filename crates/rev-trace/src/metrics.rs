@@ -133,18 +133,6 @@ pub enum MetricValue {
     Histogram(Box<Histogram>),
 }
 
-impl MetricValue {
-    /// The scalar magnitude used for snapshot comparison (histograms
-    /// compare by mean).
-    pub fn magnitude(&self) -> f64 {
-        match self {
-            MetricValue::Counter(c) => *c as f64,
-            MetricValue::Gauge(g) => *g,
-            MetricValue::Histogram(h) => h.mean(),
-        }
-    }
-}
-
 /// A sorted name → value map of everything one run measured.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricRegistry {
@@ -183,11 +171,6 @@ impl MetricRegistry {
     /// Looks a metric up by name.
     pub fn get(&self, name: &str) -> Option<&MetricValue> {
         self.metrics.get(name)
-    }
-
-    /// Replaces a metric's value (snapshot-editing tools and tests).
-    pub fn set(&mut self, name: &str, value: MetricValue) {
-        self.metrics.insert(name.to_string(), value);
     }
 
     /// All metrics in sorted name order.

@@ -1,23 +1,19 @@
-//! Schema-versioned baseline snapshots (`BENCH_rev.json`) and the
-//! regression comparator behind `rev-trace compare`.
+//! Schema-versioned baseline snapshots (`BENCH_rev.json`).
 //!
 //! A [`Snapshot`] is the machine-readable output of one benchmark run:
-//! a `meta` object (run parameters and wall-clock timings — informative,
-//! **excluded from comparison**), an `attacks` array (detection results
-//! for the tampering demos), and a `profiles` map of
+//! a `meta` object (run parameters), an `attacks` array (detection
+//! results for the tampering demos), and a `profiles` map of
 //! `profile → config → MetricRegistry`. Because the simulator is fully
-//! deterministic, two runs of the same binary at the same scale produce
-//! byte-identical snapshots, which makes [`compare`] a meaningful CI
-//! gate: any metric drift is a real behaviour change, and drops in the
-//! gate metrics (`cpu.ipc` down, `cpu.cycles` up) beyond the threshold
-//! are flagged as regressions.
+//! deterministic, two runs of the same binary with the same parameters
+//! produce byte-identical snapshots, so plain `diff` is the regression
+//! check: any moved byte is a behaviour change.
 
 use crate::json::{self, Json, ParseError};
 use crate::metrics::MetricRegistry;
 use std::collections::BTreeMap;
 
 /// The snapshot schema identifier. Bump the suffix when the layout
-/// changes incompatibly; `compare` refuses mixed-schema pairs.
+/// changes incompatibly; [`Snapshot::parse`] refuses other schemas.
 pub const SCHEMA: &str = "rev-trace/1";
 
 /// Outcome of one tampering demo run.
@@ -34,8 +30,7 @@ pub struct AttackRecord {
 /// One benchmark run's complete machine-readable output.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
-    /// Run parameters and timings, in producer insertion order. Never
-    /// compared — wall clock lives here so cross-machine diffs stay clean.
+    /// Run parameters, in producer insertion order.
     pub meta: Vec<(String, Json)>,
     /// Tampering-demo outcomes.
     pub attacks: Vec<AttackRecord>,
@@ -155,190 +150,10 @@ impl Snapshot {
     }
 }
 
-/// Gate metrics: the comparator treats movement in the "worse" direction
-/// beyond the threshold as a regression. Everything else is info-only.
-const GATES: &[(&str, Direction)] =
-    &[("cpu.ipc", Direction::HigherIsBetter), ("cpu.cycles", Direction::LowerIsBetter)];
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    HigherIsBetter,
-    LowerIsBetter,
-}
-
-/// One metric that moved between two snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Delta {
-    /// Profile name.
-    pub profile: String,
-    /// Config name within the profile.
-    pub config: String,
-    /// Metric name.
-    pub metric: String,
-    /// Magnitude in the baseline (histograms compare by mean).
-    pub before: f64,
-    /// Magnitude in the candidate.
-    pub after: f64,
-    /// `(after - before) / |before|`; `after` as-is when `before == 0`.
-    pub rel_change: f64,
-    /// Whether this is a gate metric moving the wrong way past the
-    /// threshold.
-    pub regression: bool,
-}
-
-/// The result of diffing two snapshots.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CompareReport {
-    /// Metrics whose magnitude changed, sorted by (profile, config, name).
-    pub deltas: Vec<Delta>,
-    /// `profile/config/metric` paths present only in the baseline.
-    pub missing: Vec<String>,
-    /// Paths present only in the candidate.
-    pub added: Vec<String>,
-    /// Attack demos whose detection outcome changed (`kind` values).
-    pub attack_changes: Vec<String>,
-}
-
-impl CompareReport {
-    /// Whether any gate metric regressed or a detection outcome flipped.
-    pub fn has_regressions(&self) -> bool {
-        !self.attack_changes.is_empty() || self.deltas.iter().any(|d| d.regression)
-    }
-}
-
-fn rel_change(before: f64, after: f64) -> f64 {
-    if before == 0.0 {
-        after
-    } else {
-        (after - before) / before.abs()
-    }
-}
-
-/// Diffs `candidate` against `baseline`. `threshold` is the relative
-/// change past which a gate metric counts as a regression (e.g. `0.02`
-/// for 2%). The `meta` sections are ignored.
-pub fn compare(baseline: &Snapshot, candidate: &Snapshot, threshold: f64) -> CompareReport {
-    let mut report = CompareReport::default();
-
-    let base_attacks: BTreeMap<&str, bool> =
-        baseline.attacks.iter().map(|a| (a.kind.as_str(), a.detected)).collect();
-    for a in &candidate.attacks {
-        if let Some(&was) = base_attacks.get(a.kind.as_str()) {
-            if was != a.detected {
-                report.attack_changes.push(a.kind.clone());
-            }
-        }
-    }
-
-    for (profile, configs) in &baseline.profiles {
-        for (config, base_reg) in configs {
-            let cand_reg = candidate.profiles.get(profile).and_then(|c| c.get(config));
-            let Some(cand_reg) = cand_reg else {
-                report.missing.push(format!("{profile}/{config}"));
-                continue;
-            };
-            for (name, base_val) in base_reg.iter() {
-                let Some(cand_val) = cand_reg.get(name) else {
-                    report.missing.push(format!("{profile}/{config}/{name}"));
-                    continue;
-                };
-                let (before, after) = (base_val.magnitude(), cand_val.magnitude());
-                if before == after {
-                    continue;
-                }
-                let rel = rel_change(before, after);
-                let regression = GATES.iter().any(|&(gate, dir)| {
-                    name == gate
-                        && match dir {
-                            Direction::HigherIsBetter => rel < -threshold,
-                            Direction::LowerIsBetter => rel > threshold,
-                        }
-                });
-                report.deltas.push(Delta {
-                    profile: profile.clone(),
-                    config: config.clone(),
-                    metric: name.to_string(),
-                    before,
-                    after,
-                    rel_change: rel,
-                    regression,
-                });
-            }
-            for (name, _) in cand_reg.iter() {
-                if base_reg.get(name).is_none() {
-                    report.added.push(format!("{profile}/{config}/{name}"));
-                }
-            }
-        }
-    }
-    for (profile, configs) in &candidate.profiles {
-        for config in configs.keys() {
-            if baseline.profiles.get(profile).is_none_or(|c| !c.contains_key(config)) {
-                report.added.push(format!("{profile}/{config}"));
-            }
-        }
-    }
-    report
-}
-
-/// Renders a human-readable comparison summary.
-pub fn format_report(report: &CompareReport, threshold: f64) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    if report.deltas.is_empty()
-        && report.missing.is_empty()
-        && report.added.is_empty()
-        && report.attack_changes.is_empty()
-    {
-        out.push_str("snapshots are metric-identical\n");
-        return out;
-    }
-    for d in &report.deltas {
-        let flag = if d.regression { " REGRESSION" } else { "" };
-        let _ = writeln!(
-            out,
-            "{:+8.3}%  {}/{} {}: {} -> {}{}",
-            d.rel_change * 100.0,
-            d.profile,
-            d.config,
-            d.metric,
-            trim_float(d.before),
-            trim_float(d.after),
-            flag
-        );
-    }
-    for m in &report.missing {
-        let _ = writeln!(out, "missing in candidate: {m}");
-    }
-    for a in &report.added {
-        let _ = writeln!(out, "only in candidate: {a}");
-    }
-    for k in &report.attack_changes {
-        let _ = writeln!(out, "attack detection changed: {k} REGRESSION");
-    }
-    let n_reg = report.deltas.iter().filter(|d| d.regression).count() + report.attack_changes.len();
-    let _ = writeln!(
-        out,
-        "{} metric(s) changed, {} regression(s) at threshold {:.1}%",
-        report.deltas.len(),
-        n_reg,
-        threshold * 100.0
-    );
-    out
-}
-
-fn trim_float(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.4}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Histogram, MetricValue};
+    use crate::metrics::Histogram;
 
     fn sample() -> Snapshot {
         let mut s = Snapshot::new();
@@ -375,65 +190,5 @@ mod tests {
     fn rejects_unknown_schema() {
         let err = Snapshot::parse(r#"{"schema":"rev-trace/999"}"#).unwrap_err();
         assert!(err.contains("unsupported schema"), "{err}");
-    }
-
-    #[test]
-    fn identical_snapshots_compare_clean() {
-        let s = sample();
-        let report = compare(&s, &s.clone(), 0.02);
-        assert!(!report.has_regressions());
-        assert!(report.deltas.is_empty());
-    }
-
-    #[test]
-    fn ipc_drop_past_threshold_is_a_regression() {
-        let base = sample();
-        let mut cand = sample();
-        let reg = cand.profiles.get_mut("qsort").unwrap().get_mut("REV-32K").unwrap();
-        reg.set("cpu.ipc", MetricValue::Gauge(1.8)); // -10%
-        let report = compare(&base, &cand, 0.02);
-        assert!(report.has_regressions());
-        let d = report.deltas.iter().find(|d| d.metric == "cpu.ipc").unwrap();
-        assert!(d.regression);
-        assert!((d.rel_change + 0.10).abs() < 1e-9);
-        // An IPC *gain* is not a regression.
-        let mut faster = sample();
-        let reg = faster.profiles.get_mut("qsort").unwrap().get_mut("REV-32K").unwrap();
-        reg.set("cpu.ipc", MetricValue::Gauge(2.5));
-        assert!(!compare(&base, &faster, 0.02).has_regressions());
-    }
-
-    #[test]
-    fn small_drift_within_threshold_is_not_a_regression() {
-        let base = sample();
-        let mut cand = sample();
-        let reg = cand.profiles.get_mut("qsort").unwrap().get_mut("REV-32K").unwrap();
-        reg.set("cpu.ipc", MetricValue::Gauge(1.99)); // -0.5%
-        let report = compare(&base, &cand, 0.02);
-        assert!(!report.has_regressions());
-        assert_eq!(report.deltas.len(), 1, "still reported as info");
-    }
-
-    #[test]
-    fn flipped_attack_detection_is_a_regression() {
-        let base = sample();
-        let mut cand = sample();
-        cand.attacks[0].detected = false;
-        let report = compare(&base, &cand, 0.02);
-        assert!(report.has_regressions());
-        assert_eq!(report.attack_changes, vec!["patch-branch".to_string()]);
-    }
-
-    #[test]
-    fn missing_and_added_paths_are_reported() {
-        let base = sample();
-        let mut cand = sample();
-        let reg = cand.profiles.get_mut("qsort").unwrap().get_mut("REV-32K").unwrap();
-        reg.set("new.metric", MetricValue::Counter(1));
-        cand.add_metrics("qsort", "REV-64K", MetricRegistry::new());
-        let report = compare(&base, &cand, 0.02);
-        assert!(report.added.contains(&"qsort/REV-32K/new.metric".to_string()));
-        assert!(report.added.contains(&"qsort/REV-64K".to_string()));
-        assert!(!report.has_regressions(), "additions alone are not regressions");
     }
 }

@@ -4,8 +4,7 @@
 #   * cargo fmt --check, the CHANGELOG currency check, the release build,
 #     the workspace tests (among them the host-work memo counters against
 #     baselines/host_work_quick.txt, crates/rev-bench/tests/host_work.rs),
-#     clippy with warnings denied, rustdoc with warnings denied and the
-#     criterion smoke build;
+#     clippy with warnings denied and rustdoc with warnings denied;
 #   * rev-lint --all over every workload profile (JSON mode; any
 #     error-severity diagnostic fails via rev-lint's exit status);
 #   * byte-diffs of the quick sweep's stdout and snapshot against
@@ -54,9 +53,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
-
-echo "==> cargo bench --no-run (criterion smoke build)"
-cargo bench --no-run --workspace -q
 
 echo "==> rev-lint --all (static table verification)"
 cargo run --release -q -p rev-lint -- --all --scale 0.05 --format json >/dev/null
