@@ -21,10 +21,10 @@
 //!
 //! * **program** — `prog/1 | SpecProfile` → generated [`Program`] +
 //!   [`CfgStats`]. Workload generation is deterministic in the profile.
-//! * **warm** (disk only) — `rev-bench-pool/1 | rev-ckpt/1 |
+//! * **warm** (disk only) — `rev-bench-pool/1 | rev-ckpt/2 |
 //!   SpecProfile | RevConfig | warmup` → a warmed [`RevSimulator`]. The
 //!   full `RevConfig` debug form (which includes the superblocks flag)
-//!   and the warmup budget are part of the key; the `rev-ckpt/1` schema
+//!   and the warmup budget are part of the key; the `rev-ckpt/2` schema
 //!   version is included so any codec bump invalidates disk entries.
 //!
 //! * **checks** — `checks/1 | SpecProfile | sweep configurations |
@@ -38,7 +38,7 @@
 //! depth etc. never reach the builder, so e.g. standard-mode 32K and 64K
 //! slots share one AES schedule expansion.
 //!
-//! Warm entries persist under `--ckpt-pool DIR` as sealed `rev-ckpt/1`
+//! Warm entries persist under `--ckpt-pool DIR` as sealed `rev-ckpt/2`
 //! envelopes (`Session::checkpoint` with the recipe string as the
 //! envelope's recipe section). A disk entry is trusted only if the
 //! trailing checksum verifies, the stored recipe string matches the

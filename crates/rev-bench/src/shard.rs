@@ -3,7 +3,7 @@
 //! A sharded sweep partitions the (profile × slot) work-item list
 //! round-robin across N independent processes; each process simulates
 //! only its own items and *seals* every result into `--shard-dir` as a
-//! `rev-ckpt/1` envelope. A final merge run (`--resume`, no `--shard`)
+//! `rev-ckpt/2` envelope. A final merge run (`--resume`, no `--shard`)
 //! loads every sealed item and renders output byte-identical to a
 //! monolithic run — the same contract `rev-bench/tests/equivalence.rs`
 //! pins for `--jobs` and pooling, extended across process boundaries.

@@ -202,7 +202,7 @@ fn session_slicing_matches_monolithic_across_all_profiles() {
 
 /// Checkpoint/restore is exact for every one of the 18 workload
 /// profiles: suspending a warmed session at a budget boundary, sealing
-/// it into a `rev-ckpt/1` envelope, restoring it into a *cold* fresh
+/// it into a `rev-ckpt/2` envelope, restoring it into a *cold* fresh
 /// simulator (warmup is not re-run — the warmed state travels inside
 /// the envelope) and finishing produces the same outcome and
 /// byte-identical cpu/rev/mem metric registries as one monolithic run.
@@ -210,7 +210,7 @@ fn session_slicing_matches_monolithic_across_all_profiles() {
 /// for byte. This is the property that lets `rev-serve` resume a
 /// crashed job from its last checkpoint without moving a verdict byte.
 /// Each envelope's `(len, fnv1a64)` must also match [`GOLDEN_ENVELOPES`],
-/// which pins the `rev-ckpt/1` bytes themselves: a layout change made the
+/// which pins the `rev-ckpt/2` bytes themselves: a layout change made the
 /// same way on the save and restore sides passes every round trip above
 /// but fails here.
 #[test]
@@ -274,31 +274,31 @@ fn checkpoint_restore_matches_monolithic_across_all_profiles() {
         );
         envelopes.push((name, sealed));
     }
-    assert_eq!(envelopes, GOLDEN_ENVELOPES, "rev-ckpt/1 envelope bytes moved");
+    assert_eq!(envelopes, GOLDEN_ENVELOPES, "rev-ckpt/2 envelope bytes moved");
 }
 
 /// `(len, fnv1a64)` of each profile's envelope in
 /// [`checkpoint_restore_matches_monolithic_across_all_profiles`]
 /// (`None`: the profile ended before the suspension point).
 const GOLDEN_ENVELOPES: [(&str, Option<(usize, u64)>); 18] = [
-    ("astar", Some((496_639, 0x07f725e65a38a239))),
-    ("bzip2", Some((352_797, 0x7104bc4b24584660))),
-    ("cactusADM", Some((337_822, 0xbd97ad00630dc481))),
-    ("calculix", Some((322_717, 0x4cd8f1aa1e7bfd42))),
-    ("dealII", Some((510_825, 0x0b671853dfb549bb))),
-    ("gamess", Some((422_483, 0x80928cbc745ebf53))),
-    ("gcc", Some((467_365, 0x602c77bc5c6f1f8d))),
-    ("gobmk", Some((583_462, 0x54bccdd9106f3559))),
-    ("h264ref", Some((361_295, 0xdced388267350357))),
-    ("hmmer", Some((318_613, 0x37c0eb64f278a884))),
-    ("lbm", Some((316_397, 0xb4e9c8f3a1784467))),
-    ("leslie3d", Some((307_698, 0x7c47d83c800497cd))),
-    ("libquantum", Some((326_915, 0x84419b1e2d3e80d2))),
-    ("mcf", Some((381_372, 0x4c02c29a1d748d37))),
-    ("milc", Some((577_265, 0x5a164ad12a7ef072))),
-    ("namd", Some((348_868, 0xdd6285247ec7374e))),
-    ("sjeng", Some((447_064, 0xca1f8132697957b7))),
-    ("soplex", Some((360_874, 0x1080e634c506d58d))),
+    ("astar", Some((308_759, 0x41ea71a8e22c14b7))),
+    ("bzip2", Some((304_789, 0x96d030c44d71a035))),
+    ("cactusADM", Some((308_164, 0x3c20385a64f4da15))),
+    ("calculix", Some((301_709, 0x10d280691da7e017))),
+    ("dealII", Some((309_215, 0x4179d486a6325b21))),
+    ("gamess", Some((309_899, 0x91ed9fb5213b62c5))),
+    ("gcc", Some((313_919, 0xcc9e5f1dc0270d86))),
+    ("gobmk", Some((315_680, 0x3fa0ff5ff0c4173b))),
+    ("h264ref", Some((297_081, 0xc1d3f993442eeff4))),
+    ("hmmer", Some((303_143, 0x64f6632747449af8))),
+    ("lbm", Some((294_713, 0x92c25708c9c7a56f))),
+    ("leslie3d", Some((292_830, 0xc61d2777601051eb))),
+    ("libquantum", Some((304_869, 0x872897353f01fd46))),
+    ("mcf", Some((316_666, 0x15c37cc6e3c31f41))),
+    ("milc", Some((303_563, 0x06a35fee4b65636e))),
+    ("namd", Some((309_486, 0x51e25b09c6b7f488))),
+    ("sjeng", Some((310_050, 0x6fb2b16caccde23b))),
+    ("soplex", Some((312_710, 0x4328ad30a1cdf6da))),
 ];
 
 /// A per-test scratch directory under the system temp dir, wiped on

@@ -68,7 +68,7 @@ fn check_ras_position(tos: usize, count: usize, depth: usize) -> Result<(), Ckpt
 }
 
 /// A checkpoint's `u32` RAS position travels as the `u64` that
-/// `rev-ckpt/1` has always carried for it; a wider value is malformed.
+/// every `rev-ckpt` version has carried for it; a wider value is malformed.
 struct RasPosition;
 
 impl RasPosition {

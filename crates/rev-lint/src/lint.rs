@@ -714,6 +714,23 @@ mod tests {
     }
 
     #[test]
+    fn code_under_the_zero_filled_stack_is_flagged() {
+        // The stack segment carries no bytes, only a zero-fill length;
+        // its extent still counts, so code inside it is flagged.
+        let mut pb = Program::builder();
+        pb.module(clean_program().modules()[0].clone());
+        pb.stack(0x800, 0x1000);
+        let program = pb.build();
+        let stack = program.segments().into_iter().find(|s| s.addr == 0x800).unwrap();
+        assert!(stack.bytes.is_empty());
+        let report = lint_tables(&program, &[], BbLimits::default());
+        let found = report.with_lint(Lint::CodeInWritableMemory);
+        assert_eq!(found.len(), 1, "{}", report.render_text());
+        assert!(found[0].message.ends_with("intersects writable segment [0x800,0x1800)"));
+        assert_eq!(found[0].addr, Some(0x1000));
+    }
+
+    #[test]
     fn unparseable_program_reports_analysis_failed() {
         // A raw indirect jump with no recorded target set fails analysis.
         let mut b = ModuleBuilder::new("m", 0x1000);

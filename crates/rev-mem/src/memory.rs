@@ -33,6 +33,19 @@ type PageBytes = [u8; PAGE_SIZE];
 /// Checkpoint section marker for main-memory page content.
 const TAG_MEM: u8 = 0x6d; // 'm'
 
+/// Byte runs of a checkpointed page separated by fewer equal bytes than
+/// this are written as one run (a run header costs 4 bytes).
+const RUN_MERGE_GAP: usize = 8;
+
+/// Encoded size of the smallest run: offset, length and one byte.
+const RUN_MIN_BYTES: usize = 2 + 2 + 1;
+
+/// Encoded size of the smallest checkpointed page: index, run count and
+/// one run.
+const PAGE_MIN_BYTES: usize = 8 + 2 + RUN_MIN_BYTES;
+
+const ZERO_PAGE: PageBytes = [0; PAGE_SIZE];
+
 /// Sentinel page index marking an empty slot (real indices are
 /// `addr >> 12`, so the top bits can never all be set).
 const EMPTY: u64 = u64::MAX;
@@ -220,7 +233,9 @@ impl MainMemory {
         Self::default()
     }
 
-    /// Creates a memory pre-loaded with `segments`.
+    /// Creates a memory pre-loaded with `segments`. Only their bytes are
+    /// written: a zero-filled tail already reads zero, and allocates a
+    /// page only when a store first touches it.
     pub fn with_segments(segments: &[Segment]) -> Self {
         let mut mem = Self::new();
         for seg in segments {
@@ -414,74 +429,145 @@ impl MainMemory {
             .count()
     }
 
+    /// Number of resident pages whose bytes are all zero (footprint
+    /// reporting: such a page costs memory and reads like an absent one).
+    pub fn zero_pages(&self) -> usize {
+        self.pages.iter().filter(|(_, p)| *p.bytes() == ZERO_PAGE).count()
+    }
+
     /// Serializes the resident pages whose bytes differ from `base`,
     /// sorted by page index (canonical order — re-serializing a restored
     /// memory is byte-identical). `base` is the build image the restore
-    /// target starts from, so only what the run changed is written. A
-    /// page still shared with `base` is skipped without reading it; any
-    /// other page is compared by content. A page absent from `base` is
-    /// compared against zeros: a build-time page zeroed mid-run is
-    /// written (it must restore as zero, not revert to its build
-    /// content), while a page materialized mid-run and left all-zero is
-    /// not (an absent page already reads zero).
+    /// target starts from, so only what the run changed is written, and
+    /// of each changed page only its changed bytes, as byte runs: sorted,
+    /// disjoint and non-empty, with runs fewer than 8 equal bytes apart
+    /// merged, so the encoding is canonical. A page still shared with
+    /// `base` is skipped without reading it; any other page is compared
+    /// by content. A page absent from `base` is compared against zeros: a
+    /// build-time byte zeroed mid-run is written (it must restore as
+    /// zero, not revert to its build content), while a page materialized
+    /// mid-run and left all-zero is not (an absent page already reads
+    /// zero).
+    ///
+    /// Section layout: a u64 page count, then per page its u64 index, a
+    /// u16 run count, and per run a u16 offset, a u16 length and the
+    /// run's bytes.
     pub fn save_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter) {
-        const ZERO: PageBytes = [0; PAGE_SIZE];
         w.tag(TAG_MEM);
-        let mut changed: Vec<(u64, &PageBytes)> = self
+        let mut changed: Vec<(u64, &PageBytes, &PageBytes)> = self
             .pages
             .iter()
-            .filter(|&(idx, page)| match base.pages.get(idx) {
-                Some((_, b)) if page.is_shared_with(b) => false,
-                b => page.bytes() != b.map_or(&ZERO, |(_, p)| p.bytes()),
+            .filter_map(|(idx, page)| {
+                let b = match base.pages.get(idx) {
+                    Some((_, b)) if page.is_shared_with(b) => return None,
+                    b => b.map_or(&ZERO_PAGE, |(_, p)| p.bytes()),
+                };
+                (page.bytes() != b).then_some((idx, page.bytes(), b))
             })
-            .map(|(idx, page)| (idx, page.bytes()))
             .collect();
-        changed.sort_unstable_by_key(|&(idx, _)| idx);
+        changed.sort_unstable_by_key(|&(idx, ..)| idx);
         w.len(changed.len());
-        for (idx, page) in changed {
+        let mut runs = Vec::new();
+        for (idx, page, base) in changed {
+            page_runs(page, base, &mut runs);
             w.u64(idx);
-            w.raw(page);
+            w.u16(runs.len() as u16);
+            for &(start, end) in &runs {
+                w.u16(start as u16);
+                w.u16((end - start) as u16);
+                w.raw(&page[start..end]);
+            }
         }
     }
 
-    /// Restores pages saved by [`MainMemory::save_state`], overwriting
-    /// this memory's contents page by page. Restore targets a memory
-    /// equal to the `base` the checkpoint was taken against (a fresh
-    /// rebuild of the same build image): every page the run changed is
-    /// in the checkpoint, and every page it did not change already holds
-    /// the right bytes, so overlaying the listed pages reproduces the
-    /// saved contents exactly. A section that also lists pages equal to
-    /// the base (as full-image checkpoints do) restores identically. Each
-    /// listed page is installed as a new private page, so a shared base
-    /// page is replaced, never copied first. The fault injector is left
-    /// untouched; the last-page accelerator is reset.
+    /// Restores pages saved by [`MainMemory::save_state`]. Restore
+    /// targets a memory equal to the `base` the checkpoint was taken
+    /// against (a fresh rebuild of the same build image): every byte the
+    /// run changed is in the checkpoint, and every other byte already
+    /// holds the right value. Each listed page is this memory's page (or
+    /// zeros, where it has none) with the runs applied, installed as a
+    /// new private page, so a shared base page is replaced, never
+    /// written. The fault injector is left untouched; the last-page
+    /// accelerator is reset.
     ///
     /// # Errors
     ///
-    /// Returns [`rev_trace::CkptError`] on decode failure or an unsorted
-    /// page list.
+    /// Returns [`rev_trace::CkptError`] on decode failure, and
+    /// [`rev_trace::CkptError::Malformed`] on a page index out of order
+    /// or past the address space, a page with no runs, a run count the
+    /// section cannot hold, an empty run, a run past the page end, or
+    /// runs out of order or overlapping.
     pub fn restore_state(
         &mut self,
         r: &mut rev_trace::CkptReader<'_>,
     ) -> Result<(), rev_trace::CkptError> {
+        use rev_trace::CkptError::Malformed;
         r.tag(TAG_MEM)?;
-        let n = r.len(8 + PAGE_SIZE)?;
+        let n = r.len(PAGE_MIN_BYTES)?;
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let idx = r.u64()?;
-            if prev.is_some_and(|p| p >= idx) {
-                return Err(rev_trace::CkptError::Malformed(format!(
-                    "page index {idx:#x} out of order"
-                )));
+            if prev.is_some_and(|p| p >= idx) || idx > u64::MAX >> PAGE_SHIFT {
+                return Err(Malformed(format!("page index {idx:#x} out of order or range")));
             }
             prev = Some(idx);
-            let mut page = Box::new([0; PAGE_SIZE]);
-            page.copy_from_slice(r.raw(PAGE_SIZE)?);
+            let runs = usize::from(r.u16()?);
+            if runs == 0 {
+                return Err(Malformed(format!("page {idx:#x} lists no runs")));
+            }
+            if runs * RUN_MIN_BYTES > r.remaining() {
+                return Err(Malformed(format!(
+                    "page {idx:#x}: {runs} runs exceed remaining {}B",
+                    r.remaining()
+                )));
+            }
+            let mut page = Box::new(self.pages.get(idx).map_or(ZERO_PAGE, |(_, p)| *p.bytes()));
+            let mut end = 0;
+            for _ in 0..runs {
+                let start = usize::from(r.u16()?);
+                let len = usize::from(r.u16()?);
+                if len == 0 || start < end || start + len > PAGE_SIZE {
+                    return Err(Malformed(format!(
+                        "page {idx:#x}: run [{start}, {}) after byte {end}",
+                        start + len
+                    )));
+                }
+                end = start + len;
+                page[start..end].copy_from_slice(r.raw(len)?);
+            }
             self.pages.insert(idx, Page::Owned(page));
         }
         self.last.set((EMPTY, 0));
         Ok(())
     }
+}
+
+/// Sets `runs` to the byte runs `[start, end)` where `page` differs from
+/// `base`: sorted, disjoint and non-empty, with any two runs separated
+/// by fewer than [`RUN_MERGE_GAP`] equal bytes merged into one. The
+/// result is a function of the two pages alone, so the encoding is
+/// canonical. Pages are compared 8 bytes at a time; the first and last
+/// differing byte of a word come from its XOR's zero counts.
+fn page_runs(page: &PageBytes, base: &PageBytes, runs: &mut Vec<(usize, usize)>) {
+    runs.clear();
+    let mut open: Option<(usize, usize)> = None;
+    for (i, (a, b)) in page.chunks_exact(8).zip(base.chunks_exact(8)).enumerate() {
+        let x = u64::from_le_bytes(a.try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(b.try_into().expect("8 bytes"));
+        if x == 0 {
+            continue;
+        }
+        let start = i * 8 + (x.trailing_zeros() / 8) as usize;
+        let end = i * 8 + 8 - (x.leading_zeros() / 8) as usize;
+        match &mut open {
+            // A word holds at most 6 equal bytes between two differing
+            // ones, fewer than the gap, so only runs across words can
+            // stay apart.
+            Some((_, e)) if start - *e < RUN_MERGE_GAP => *e = end,
+            _ => runs.extend(open.replace((start, end))),
+        }
+    }
+    runs.extend(open);
 }
 
 #[cfg(test)]
@@ -506,9 +592,24 @@ mod tests {
 
     #[test]
     fn segment_loading() {
-        let segs = vec![Segment { addr: 0x2000, bytes: vec![1, 2, 3], writable: false }];
+        let segs =
+            vec![Segment { addr: 0x2000, bytes: vec![1, 2, 3], zero_fill: 0, writable: false }];
         let mem = MainMemory::with_segments(&segs);
         assert_eq!(mem.read_bytes(0x2000, 3), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn zero_fill_allocates_no_page() {
+        let segs = vec![
+            Segment { addr: 0x2000, bytes: vec![1, 2, 3], zero_fill: 5 * 4096, writable: true },
+            Segment { addr: 0x10_0000, bytes: Vec::new(), zero_fill: 1 << 20, writable: true },
+        ];
+        let mut mem = MainMemory::with_segments(&segs);
+        assert_eq!((mem.resident_pages(), mem.zero_pages()), (1, 0));
+        assert_eq!(mem.read_bytes(0x2000, 6), vec![1, 2, 3, 0, 0, 0]);
+        assert_eq!(mem.read_u64(0x10_0000 + 4096), 0);
+        mem.write_u64(0x10_0000 + 4096, 0);
+        assert_eq!((mem.resident_pages(), mem.zero_pages()), (2, 1));
     }
 
     #[test]
@@ -588,8 +689,8 @@ mod tests {
     fn build_image() -> MainMemory {
         let code: Vec<u8> = (0..2 * PAGE_SIZE).map(|i| (i % 251) as u8 + 1).collect();
         MainMemory::with_segments(&[
-            Segment { addr: 0x1000, bytes: code, writable: false },
-            Segment { addr: 0x8000, bytes: vec![7; 64], writable: true },
+            Segment { addr: 0x1000, bytes: code, zero_fill: 0, writable: false },
+            Segment { addr: 0x8000, bytes: vec![7; 64], zero_fill: 0, writable: true },
         ])
     }
 
@@ -599,18 +700,54 @@ mod tests {
         w.finish()
     }
 
-    /// The page indices a sealed memory section lists.
-    fn listed(env: &[u8]) -> Vec<u64> {
+    /// One listed page: its index and its runs as `(offset, bytes)`.
+    type Listed = (u64, Vec<(u16, Vec<u8>)>);
+
+    /// The pages a sealed memory section lists.
+    fn listed(env: &[u8]) -> Vec<Listed> {
         let mut r = rev_trace::CkptReader::new(env).unwrap();
         r.tag(TAG_MEM).unwrap();
-        let n = r.len(8 + PAGE_SIZE).unwrap();
+        let n = r.len(PAGE_MIN_BYTES).unwrap();
         (0..n)
             .map(|_| {
                 let idx = r.u64().unwrap();
-                r.raw(PAGE_SIZE).unwrap();
-                idx
+                let runs = (0..r.u16().unwrap())
+                    .map(|_| {
+                        let off = r.u16().unwrap();
+                        let len = r.u16().unwrap();
+                        (off, r.raw(usize::from(len)).unwrap().to_vec())
+                    })
+                    .collect();
+                (idx, runs)
             })
             .collect()
+    }
+
+    /// A sealed memory section written field by field: per page its
+    /// index and its runs as `(offset, length)`, each run's bytes 0xaa.
+    /// `runs_claimed` overrides the run count of every page.
+    fn section(pages: &[(u64, &[(u16, u16)])], runs_claimed: Option<u16>) -> Vec<u8> {
+        let mut w = rev_trace::CkptWriter::new();
+        w.tag(TAG_MEM);
+        w.len(pages.len());
+        for &(idx, runs) in pages {
+            w.u64(idx);
+            w.u16(runs_claimed.unwrap_or(runs.len() as u16));
+            for &(off, len) in runs {
+                w.u16(off);
+                w.u16(len);
+                w.raw(&vec![0xaa; usize::from(len)]);
+            }
+        }
+        w.finish()
+    }
+
+    /// Restores a hand-written section into a copy of the build image.
+    fn restore_section(env: &[u8]) -> Result<(), rev_trace::CkptError> {
+        let mut mem = build_image();
+        let mut r = rev_trace::CkptReader::new(env).unwrap();
+        mem.restore_state(&mut r)?;
+        r.finish()
     }
 
     /// Overlays a sealed section onto a fresh copy of `base`.
@@ -625,28 +762,28 @@ mod tests {
     #[test]
     fn clone_of_base_writes_no_pages() {
         let base = build_image();
-        assert_eq!(listed(&delta(&base.clone(), &base)), Vec::<u64>::new());
+        assert_eq!(listed(&delta(&base.clone(), &base)), vec![]);
     }
 
     #[test]
-    fn one_byte_write_writes_one_page() {
+    fn one_byte_write_writes_one_byte() {
         let base = build_image();
         let mut mem = base.clone();
         mem.write_u8(0x1abc, 0);
         let env = delta(&mem, &base);
-        assert_eq!(listed(&env), vec![1]);
+        assert_eq!(listed(&env), vec![(1, vec![(0xabc, vec![0])])]);
         let back = restored(&base, &env);
         assert_eq!(back.read_bytes(0x1000, 2 * PAGE_SIZE), mem.read_bytes(0x1000, 2 * PAGE_SIZE));
         assert_eq!(delta(&back, &base), env, "re-save must be byte-identical");
     }
 
     #[test]
-    fn zeroed_build_page_is_written_and_restores_zero() {
+    fn zeroed_build_bytes_are_written_and_restore_zero() {
         let base = build_image();
         let mut mem = base.clone();
         mem.write_bytes(0x8000, &[0; 64]);
         let env = delta(&mem, &base);
-        assert_eq!(listed(&env), vec![8]);
+        assert_eq!(listed(&env), vec![(8, vec![(0, vec![0; 64])])]);
         let back = restored(&base, &env);
         assert_eq!(back.read_bytes(0x8000, 64), vec![0; 64], "must not revert to build content");
     }
@@ -659,14 +796,36 @@ mod tests {
         mem.write_u64(0x20_0000, 0);
         assert_eq!(mem.resident_pages(), base.resident_pages() + 1);
         let env = delta(&mem, &base);
-        assert_eq!(listed(&env), Vec::<u64>::new());
+        assert_eq!(listed(&env), vec![]);
         assert_eq!(restored(&base, &env).read_u64(0x20_0000), 0);
     }
 
     #[test]
-    fn full_section_restores_like_delta() {
-        // Full-image checkpoints list every resident page, including the
-        // ones equal to the base; overlaying them must change nothing.
+    fn runs_closer_than_the_gap_merge() {
+        let base = build_image();
+        let mut mem = base.clone();
+        // Past the 64 bytes of 7s the data page holds zeros. Two bytes 7
+        // equal bytes apart form one run; the third, 8 equal bytes
+        // further on, starts its own. A page absent from the base is
+        // taken against zeros.
+        mem.write_u8(0x8100, 1);
+        mem.write_u8(0x8108, 2);
+        mem.write_u8(0x8111, 3);
+        mem.write_u8(0x20_0ffe, 4);
+        let env = delta(&mem, &base);
+        let first = vec![1, 0, 0, 0, 0, 0, 0, 0, 2];
+        assert_eq!(
+            listed(&env),
+            vec![(8, vec![(0x100, first), (0x111, vec![3])]), (0x200, vec![(0xffe, vec![4])])]
+        );
+        assert_eq!(delta(&restored(&base, &env), &base), env);
+    }
+
+    #[test]
+    fn whole_page_runs_restore_like_the_delta() {
+        // A section whose runs also cover bytes equal to the base (every
+        // resident page as one 4096-byte run) is not what the encoder
+        // writes, but it restores to the same memory.
         let base = build_image();
         let mut mem = base.clone();
         mem.write_u8(0x2010, 0xee);
@@ -678,14 +837,70 @@ mod tests {
         w.len(pages.len());
         for (idx, page) in pages {
             w.u64(idx);
+            w.u16(1);
+            w.u16(0);
+            w.u16(PAGE_SIZE as u16);
             w.raw(page.bytes());
         }
         let full = w.finish();
         let env = delta(&mem, &base);
-        assert_eq!(listed(&env), vec![2, 0x400]);
+        assert_eq!(listed(&env).iter().map(|(idx, _)| *idx).collect::<Vec<_>>(), vec![2, 0x400]);
         let (from_full, from_delta) = (restored(&base, &full), restored(&base, &env));
         assert_eq!(from_full.content_digest(u64::MAX), mem.content_digest(u64::MAX));
         assert_eq!(from_delta.content_digest(u64::MAX), mem.content_digest(u64::MAX));
         assert_eq!(delta(&from_full, &base), env);
+    }
+
+    #[test]
+    fn well_formed_hand_section_restores() {
+        restore_section(&section(&[(1, &[(0, 1), (8, 4088)]), (9, &[(4095, 1)])], None)).unwrap();
+    }
+
+    fn malformed(env: &[u8]) -> String {
+        match restore_section(env) {
+            Err(rev_trace::CkptError::Malformed(msg)) => msg,
+            other => panic!("expected a malformed section, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn run_past_the_page_end_is_malformed() {
+        assert!(malformed(&section(&[(1, &[(4090, 7)])], None)).contains("run [4090, 4097)"));
+        assert!(malformed(&section(&[(1, &[(0, 4097)])], None)).contains("run [0, 4097)"));
+    }
+
+    #[test]
+    fn empty_run_is_malformed() {
+        assert!(malformed(&section(&[(1, &[(16, 0), (32, 8)])], None)).contains("run [16, 16)"));
+    }
+
+    #[test]
+    fn unsorted_or_overlapping_runs_are_malformed() {
+        let unsorted = malformed(&section(&[(1, &[(100, 4), (10, 4)])], None));
+        assert!(unsorted.contains("run [10, 14) after byte 104"), "{unsorted}");
+        let overlapping = malformed(&section(&[(1, &[(100, 4), (103, 4)])], None));
+        assert!(overlapping.contains("run [103, 107) after byte 104"), "{overlapping}");
+    }
+
+    #[test]
+    fn page_without_runs_is_malformed() {
+        let pages: [(u64, &[(u16, u16)]); 2] = [(1, &[]), (2, &[(0, 100)])];
+        assert!(malformed(&section(&pages, None)).contains("page 0x1 lists no runs"));
+    }
+
+    #[test]
+    fn run_count_beyond_the_section_is_malformed() {
+        let msg = malformed(&section(&[(1, &[(0, 1)])], Some(u16::MAX)));
+        assert!(msg.contains("65535 runs exceed remaining"), "{msg}");
+    }
+
+    #[test]
+    fn page_index_out_of_order_is_malformed() {
+        let pages: [(u64, &[(u16, u16)]); 2] = [(9, &[(0, 1)]), (1, &[(0, 1)])];
+        assert!(malformed(&section(&pages, None)).contains("page index 0x1 out of order"));
+        let repeated: [(u64, &[(u16, u16)]); 2] = [(1, &[(0, 1)]), (1, &[(8, 1)])];
+        assert!(malformed(&section(&repeated, None)).contains("out of order"));
+        let beyond: [(u64, &[(u16, u16)]); 1] = [(u64::MAX, &[(0, 1)])];
+        assert!(malformed(&section(&beyond, None)).contains("out of order"));
     }
 }

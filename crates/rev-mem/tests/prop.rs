@@ -1,11 +1,12 @@
 //! Property tests: the set-associative cache against a reference model,
-//! main-memory read/write consistency, and copy-on-write page sharing
-//! against deep copies.
+//! main-memory read/write consistency, copy-on-write page sharing
+//! against deep copies, and the byte-run memory section: exact round
+//! trips, and no panic on any resealed corruption.
 
 use proptest::prelude::*;
 use rev_mem::{Cache, CacheConfig, MainMemory, Tlb, TlbConfig};
 use rev_prog::Segment;
-use rev_trace::CkptWriter;
+use rev_trace::{fnv1a64, CkptReader, CkptWriter};
 use std::collections::VecDeque;
 
 /// Bytes of the address window the page-sharing properties write: eight
@@ -16,7 +17,7 @@ const WINDOW: u64 = 8 * 4096;
 /// content that differs page to page.
 fn image() -> MainMemory {
     let bytes: Vec<u8> = (0..5 * 4096).map(|i: usize| (i % 253) as u8 ^ (i / 4096) as u8).collect();
-    MainMemory::with_segments(&[Segment { addr: 0x1000, bytes, writable: true }])
+    MainMemory::with_segments(&[Segment { addr: 0x1000, bytes, zero_fill: 0, writable: true }])
 }
 
 /// The window's bytes, read back.
@@ -177,5 +178,50 @@ proptest! {
             view.freeze();
         }
         prop_assert_eq!(delta(&view, &base), delta(&view, &image()));
+    }
+
+    /// A view's memory section restores exactly: overlaid on a copy of
+    /// the base it reads like the view, and saving it again writes the
+    /// same bytes. Writes mix random bytes with bytes equal to the base
+    /// (`same`), so runs split, merge and vanish.
+    #[test]
+    fn byte_run_section_round_trips(
+        writes in proptest::collection::vec((0u64..WINDOW + 4096, any::<u8>(), any::<bool>()), 0..60),
+    ) {
+        let mut base = image();
+        base.freeze();
+        let mut view = base.clone();
+        for &(addr, value, same) in &writes {
+            view.write_u8(addr, if same { base.read_u8(addr) } else { value });
+        }
+        let env = delta(&view, &base);
+        let mut back = base.clone();
+        let mut r = CkptReader::new(&env).unwrap();
+        back.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        prop_assert!(back.read_bytes(0, (WINDOW + 4096) as usize) == view.read_bytes(0, (WINDOW + 4096) as usize));
+        prop_assert_eq!(delta(&back, &base), env);
+    }
+
+    /// The byte-run decoder never panics: one byte of a real section
+    /// (several pages, several runs each) XORed, the checksum re-sealed,
+    /// and the restore either succeeds or returns a structured error.
+    #[test]
+    fn resealed_run_corruption_never_panics(pos_seed in any::<u64>(), xor in 1u8..=255) {
+        let mut base = image();
+        base.freeze();
+        let mut view = base.clone();
+        for (i, addr) in [0x10, 0x30, 0x1ff8, 0x2400, 0x5000, 0x7ffe].into_iter().enumerate() {
+            view.write_u8(addr, 0x80 | i as u8);
+        }
+        let mut env = delta(&view, &base);
+        // Skip the header (magic, version); keep the checksum last.
+        let body = 12..env.len() - 8;
+        env[body.start + (pos_seed % body.len() as u64) as usize] ^= xor;
+        let sum = fnv1a64(&env[..body.end]);
+        env[body.end..].copy_from_slice(&sum.to_le_bytes());
+        let mut back = base.clone();
+        let mut r = CkptReader::new(&env).unwrap();
+        let _ = back.restore_state(&mut r).and_then(|()| r.finish());
     }
 }

@@ -7,13 +7,18 @@ use std::fmt;
 /// Default stack size for loaded programs (1 MiB).
 pub const STACK_SIZE_DEFAULT: u64 = 1 << 20;
 
-/// A contiguous memory region produced by the loader.
+/// A contiguous memory region produced by the loader: its initial
+/// bytes, then `zero_fill` bytes that read zero (like an ELF segment's
+/// bss). The loader writes only `bytes`; memory never written reads
+/// zero, so the zero-filled tail costs no page until a store touches it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// Base virtual address.
     pub addr: u64,
     /// Initial contents.
     pub bytes: Vec<u8>,
+    /// Length of the zero-filled region after `bytes`.
+    pub zero_fill: u64,
     /// Whether the program may write the region (code is read-only; attacks
     /// that inject code deliberately violate this, modeling a compromised
     /// page-protection setup — see `rev-attacks`).
@@ -21,9 +26,9 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Address one past the last byte.
+    /// Address one past the last byte, zero-filled tail included.
     pub fn end(&self) -> u64 {
-        self.addr + self.bytes.len() as u64
+        self.addr + self.bytes.len() as u64 + self.zero_fill
     }
 }
 
@@ -76,18 +81,25 @@ impl Program {
     pub fn segments(&self) -> Vec<Segment> {
         let mut segs = Vec::new();
         for m in &self.modules {
-            segs.push(Segment { addr: m.base(), bytes: m.code().to_vec(), writable: false });
+            segs.push(Segment {
+                addr: m.base(),
+                bytes: m.code().to_vec(),
+                zero_fill: 0,
+                writable: false,
+            });
             if !m.data().is_empty() {
                 segs.push(Segment {
                     addr: m.data_base(),
                     bytes: m.data().to_vec(),
+                    zero_fill: 0,
                     writable: true,
                 });
             }
         }
         segs.push(Segment {
             addr: self.stack_base,
-            bytes: vec![0; self.stack_size as usize],
+            bytes: Vec::new(),
+            zero_fill: self.stack_size,
             writable: true,
         });
         segs.extend(self.extra.iter().cloned());
@@ -157,13 +169,13 @@ impl ProgramBuilder {
 
     /// Adds an extra writable segment (workload arrays, heap, …).
     pub fn segment(&mut self, addr: u64, bytes: Vec<u8>) -> &mut Self {
-        self.extra.push(Segment { addr, bytes, writable: true });
+        self.extra.push(Segment { addr, bytes, zero_fill: 0, writable: true });
         self
     }
 
     /// Adds an extra zero-filled writable segment.
     pub fn zeroed_segment(&mut self, addr: u64, len: usize) -> &mut Self {
-        self.extra.push(Segment { addr, bytes: vec![0; len], writable: true });
+        self.extra.push(Segment { addr, bytes: Vec::new(), zero_fill: len as u64, writable: true });
         self
     }
 

@@ -1,4 +1,4 @@
-//! The `rev-ckpt/1` binary checkpoint codec.
+//! The `rev-ckpt/2` binary checkpoint codec.
 //!
 //! A checkpoint is a self-delimiting byte envelope:
 //!
@@ -42,10 +42,10 @@ use std::hash::{BuildHasher, Hash};
 pub const CKPT_MAGIC: [u8; 8] = *b"REVCKPT1";
 
 /// The current state-body layout version.
-pub const CKPT_VERSION: u32 = 1;
+pub const CKPT_VERSION: u32 = 2;
 
 /// The schema identifier advertised in docs and service handshakes.
-pub const CKPT_SCHEMA: &str = "rev-ckpt/1";
+pub const CKPT_SCHEMA: &str = "rev-ckpt/2";
 
 /// FNV-1a 64 over `bytes` — the envelope's trailing checksum function.
 #[must_use]
@@ -199,11 +199,14 @@ impl CkptWriter {
         self.buf.extend_from_slice(b);
     }
 
-    /// Seals the envelope: appends FNV-1a 64 over everything written.
+    /// Seals the envelope: appends FNV-1a 64 over everything written and
+    /// returns a buffer exactly as large as the envelope (the writer grows
+    /// by doubling, and a caller may keep the envelope for a long time).
     #[must_use]
     pub fn finish(mut self) -> Vec<u8> {
         let sum = fnv1a64(&self.buf);
         self.buf.extend_from_slice(&sum.to_le_bytes());
+        self.buf.shrink_to_fit();
         self.buf
     }
 }
@@ -341,7 +344,7 @@ impl<'a> CkptReader<'a> {
         let raw = self.u64()?;
         let n = usize::try_from(raw)
             .map_err(|_| CkptError::Malformed(format!("length {raw} overflows usize")))?;
-        let remaining = self.data.len() - self.pos;
+        let remaining = self.remaining();
         if n.checked_mul(per_item.max(1)).is_none_or(|need| need > remaining) {
             return Err(CkptError::Malformed(format!(
                 "length {n} x {per_item}B exceeds remaining {remaining}B"
@@ -359,6 +362,14 @@ impl<'a> CkptReader<'a> {
     pub fn bytes(&mut self) -> Result<&'a [u8], CkptError> {
         let n = self.len(1)?;
         self.take(n)
+    }
+
+    /// Bytes left before the end of the envelope body — the bound a
+    /// decoder checks a count against before looping over it.
+    #[inline]
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.data.len() - self.pos
     }
 
     /// Reads `n` raw bytes (fixed-size payloads, no length prefix).
@@ -926,14 +937,25 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        // A syntactically valid envelope with version 2: flip the version
-        // field and re-seal the checksum.
+        // A syntactically valid envelope of the previous layout: set the
+        // version field to 1 and re-seal the checksum.
         let mut data = CkptWriter::new().finish();
         data.truncate(data.len() - 8);
-        data[8] = 2;
+        data[8] = 1;
         let sum = fnv1a64(&data);
         data.extend_from_slice(&sum.to_le_bytes());
-        assert_eq!(CkptReader::new(&data).unwrap_err(), CkptError::BadVersion(2));
+        assert_eq!(CkptReader::new(&data).unwrap_err(), CkptError::BadVersion(1));
+    }
+
+    #[test]
+    fn sealed_envelope_is_exactly_sized() {
+        let mut w = CkptWriter::new();
+        for i in 0..3000u64 {
+            w.u64(i);
+        }
+        let data = w.finish();
+        assert_eq!(data.len(), 12 + 3000 * 8 + 8);
+        assert_eq!(data.capacity(), data.len());
     }
 
     #[test]

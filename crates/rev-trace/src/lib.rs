@@ -17,7 +17,7 @@
 //! * [`snapshot`] — schema-versioned, deterministic **JSON baselines**
 //!   ([`Snapshot`], rendered as `BENCH_rev.json`), which
 //!   `scripts/check.sh` byte-diffs against the committed baselines.
-//! * [`ckpt`] — the **`rev-ckpt/1` binary checkpoint codec**
+//! * [`ckpt`] — the **`rev-ckpt/2` binary checkpoint codec**
 //!   ([`CkptWriter`] / [`CkptReader`]): a checksummed, schema-versioned
 //!   envelope the simulator crates use to serialize suspended sessions
 //!   (see `docs/CHECKPOINT.md`). Corruption is detected before a single
