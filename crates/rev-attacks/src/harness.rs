@@ -126,25 +126,20 @@ pub fn mount(kind: AttackKind, config: RevConfig) -> Result<AttackOutcome, Attac
 pub fn mount_unprotected(kind: AttackKind) -> Result<AttackOutcome, AttackError> {
     let (program, map) = victim_program()?;
     let memory = MainMemory::with_segments(&program.segments());
-    let oracle = Oracle::new(memory.clone(), program.entry(), program.initial_sp());
+    let oracle = Oracle::new(memory, program.entry(), program.initial_sp());
     let mut pipeline =
         Pipeline::new(CpuConfig::paper_default(), MemConfig::paper_default(), oracle);
-    let mut monitor = NullMonitor::new(memory);
-    pipeline.run(&mut monitor, WARMUP);
+    pipeline.run(&mut NullMonitor, WARMUP);
     if kind != AttackKind::TableTamper {
-        let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
-        attack_writes(kind, &map, &mut |addr, bytes| writes.push((addr, bytes.to_vec())));
-        for (addr, bytes) in &writes {
-            pipeline.oracle_mut().mem_mut().write_bytes(*addr, bytes);
-            monitor.committed_mut().write_bytes(*addr, bytes);
-        }
+        let memory = pipeline.oracle_mut().mem_mut().committed_mut();
+        attack_writes(kind, &map, &mut |addr, bytes| memory.write_bytes(addr, bytes));
     }
-    let result = pipeline.run(&mut monitor, WARMUP + TOTAL);
+    let result = pipeline.run(&mut NullMonitor, WARMUP + TOTAL);
     Ok(AttackOutcome {
         kind,
         detected: false,
         violation: None,
-        tainted: monitor.committed().read_u64(map.canary_addr) != 0,
+        tainted: pipeline.oracle().mem().committed().read_u64(map.canary_addr) != 0,
         committed: result.stats.committed_instrs,
     })
 }

@@ -21,10 +21,10 @@
 //!
 //! * **program** — `prog/1 | SpecProfile` → generated [`Program`] +
 //!   [`CfgStats`]. Workload generation is deterministic in the profile.
-//! * **warm** (disk only) — `rev-bench-pool/1 | rev-ckpt/2 |
+//! * **warm** (disk only) — `rev-bench-pool/1 | CKPT_SCHEMA |
 //!   SpecProfile | RevConfig | warmup` → a warmed [`RevSimulator`]. The
 //!   full `RevConfig` debug form (which includes the superblocks flag)
-//!   and the warmup budget are part of the key; the `rev-ckpt/2` schema
+//!   and the warmup budget are part of the key; the `CKPT_SCHEMA` schema
 //!   version is included so any codec bump invalidates disk entries.
 //!
 //! * **checks** — `checks/1 | SpecProfile | sweep configurations |
@@ -38,7 +38,7 @@
 //! depth etc. never reach the builder, so e.g. standard-mode 32K and 64K
 //! slots share one AES schedule expansion.
 //!
-//! Warm entries persist under `--ckpt-pool DIR` as sealed `rev-ckpt/2`
+//! Warm entries persist under `--ckpt-pool DIR` as sealed `CKPT_SCHEMA`
 //! envelopes (`Session::checkpoint` with the recipe string as the
 //! envelope's recipe section). A disk entry is trusted only if the
 //! trailing checksum verifies, the stored recipe string matches the

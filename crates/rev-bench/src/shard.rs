@@ -3,7 +3,7 @@
 //! A sharded sweep partitions the (profile × slot) work-item list
 //! round-robin across N independent processes; each process simulates
 //! only its own items and *seals* every result into `--shard-dir` as a
-//! `rev-ckpt/2` envelope. A final merge run (`--resume`, no `--shard`)
+//! `CKPT_SCHEMA` envelope. A final merge run (`--resume`, no `--shard`)
 //! loads every sealed item and renders output byte-identical to a
 //! monolithic run — the same contract `rev-bench/tests/equivalence.rs`
 //! pins for `--jobs` and pooling, extended across process boundaries.
@@ -157,7 +157,7 @@ mod tests {
             let mut data = sealed.clone();
             let body = data.len() - 8;
             data[(pos_seed % body as u64) as usize] ^= xor;
-            let sum = fnv1a64(&data[..body]);
+            let sum = rev_trace::ckpt_checksum(&data[..body]);
             data[body..].copy_from_slice(&sum.to_le_bytes());
             let _ = unseal_item(&data, recipe);
         }

@@ -23,7 +23,7 @@ use rev_bench::{
 use rev_core::{RevConfig, RevSimulator, Session, SessionStatus, ValidationMode};
 use rev_lint::audit::{audit_tables, AuditOutcome, AUDIT_MODES};
 use rev_prog::{Cfg, Program};
-use rev_trace::{fnv1a64, parallel_map, MetricRegistry, MetricSink, Snapshot};
+use rev_trace::{fnv1a64, parallel_map, MetricRegistry, MetricSink, Snapshot, CKPT_SCHEMA};
 use rev_workloads::generate;
 
 /// A monolithic sweep of `configs` over a pool of its own.
@@ -202,7 +202,7 @@ fn session_slicing_matches_monolithic_across_all_profiles() {
 
 /// Checkpoint/restore is exact for every one of the 18 workload
 /// profiles: suspending a warmed session at a budget boundary, sealing
-/// it into a `rev-ckpt/2` envelope, restoring it into a *cold* fresh
+/// it into a `CKPT_SCHEMA` envelope, restoring it into a *cold* fresh
 /// simulator (warmup is not re-run — the warmed state travels inside
 /// the envelope) and finishing produces the same outcome and
 /// byte-identical cpu/rev/mem metric registries as one monolithic run.
@@ -210,7 +210,7 @@ fn session_slicing_matches_monolithic_across_all_profiles() {
 /// for byte. This is the property that lets `rev-serve` resume a
 /// crashed job from its last checkpoint without moving a verdict byte.
 /// Each envelope's `(len, fnv1a64)` must also match [`GOLDEN_ENVELOPES`],
-/// which pins the `rev-ckpt/2` bytes themselves: a layout change made the
+/// which pins the `CKPT_SCHEMA` bytes themselves: a layout change made the
 /// same way on the save and restore sides passes every round trip above
 /// but fails here.
 #[test]
@@ -274,31 +274,31 @@ fn checkpoint_restore_matches_monolithic_across_all_profiles() {
         );
         envelopes.push((name, sealed));
     }
-    assert_eq!(envelopes, GOLDEN_ENVELOPES, "rev-ckpt/2 envelope bytes moved");
+    assert_eq!(envelopes, GOLDEN_ENVELOPES, "{CKPT_SCHEMA} envelope bytes moved");
 }
 
 /// `(len, fnv1a64)` of each profile's envelope in
 /// [`checkpoint_restore_matches_monolithic_across_all_profiles`]
 /// (`None`: the profile ended before the suspension point).
 const GOLDEN_ENVELOPES: [(&str, Option<(usize, u64)>); 18] = [
-    ("astar", Some((308_759, 0x41ea71a8e22c14b7))),
-    ("bzip2", Some((304_789, 0x96d030c44d71a035))),
-    ("cactusADM", Some((308_164, 0x3c20385a64f4da15))),
-    ("calculix", Some((301_709, 0x10d280691da7e017))),
-    ("dealII", Some((309_215, 0x4179d486a6325b21))),
-    ("gamess", Some((309_899, 0x91ed9fb5213b62c5))),
-    ("gcc", Some((313_919, 0xcc9e5f1dc0270d86))),
-    ("gobmk", Some((315_680, 0x3fa0ff5ff0c4173b))),
-    ("h264ref", Some((297_081, 0xc1d3f993442eeff4))),
-    ("hmmer", Some((303_143, 0x64f6632747449af8))),
-    ("lbm", Some((294_713, 0x92c25708c9c7a56f))),
-    ("leslie3d", Some((292_830, 0xc61d2777601051eb))),
-    ("libquantum", Some((304_869, 0x872897353f01fd46))),
-    ("mcf", Some((316_666, 0x15c37cc6e3c31f41))),
-    ("milc", Some((303_563, 0x06a35fee4b65636e))),
-    ("namd", Some((309_486, 0x51e25b09c6b7f488))),
-    ("sjeng", Some((310_050, 0x6fb2b16caccde23b))),
-    ("soplex", Some((312_710, 0x4328ad30a1cdf6da))),
+    ("astar", Some((98_448, 0x488c7783c811efdb))),
+    ("bzip2", Some((77_847, 0x6ee1666d01c3f612))),
+    ("cactusADM", Some((78_550, 0x643e31e41959745c))),
+    ("calculix", Some((74_224, 0xf2f328e7c33d2ece))),
+    ("dealII", Some((82_589, 0x668eb0a02a8ddceb))),
+    ("gamess", Some((89_115, 0x9a7dd0994dd869d5))),
+    ("gcc", Some((95_299, 0xed5aa9272d4f0224))),
+    ("gobmk", Some((105_962, 0xa9dabe5f201b02ad))),
+    ("h264ref", Some((73_306, 0x5b4f027ab41e6309))),
+    ("hmmer", Some((77_230, 0x0d2ee50e58aec9c5))),
+    ("lbm", Some((66_291, 0xee28e4badb56bb05))),
+    ("leslie3d", Some((60_925, 0x05f039e4a7e42d5d))),
+    ("libquantum", Some((76_097, 0xbf6aa5eeb5a109c6))),
+    ("mcf", Some((101_163, 0x895cbeccb05da41e))),
+    ("milc", Some((75_445, 0x9046b0e14bd4cb46))),
+    ("namd", Some((83_784, 0xc9b53e131d64d91c))),
+    ("sjeng", Some((94_498, 0xd7f4e86a86b27c3d))),
+    ("soplex", Some((90_956, 0x25f27ca04ccd4349))),
 ];
 
 /// A per-test scratch directory under the system temp dir, wiped on

@@ -189,6 +189,11 @@ impl DeferredStoreBuffer {
         self.addr_index.contains_key(&addr)
     }
 
+    /// The buffered stores, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &DeferredStore> + '_ {
+        self.entries.iter().map(|(s, _)| s)
+    }
+
     /// Current occupancy.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -7,6 +7,7 @@ use crate::sag::Sag;
 use crate::sc::{ScProbe, ScVariant, SignatureCache};
 use crate::shadow::ShadowMemory;
 use crate::stats::RevStats;
+use rev_cpu::Memory;
 use rev_cpu::{
     CommitGate, CommitQuery, ExecMonitor, FetchEvent, StoreCommit, Violation, ViolationKind,
 };
@@ -174,7 +175,6 @@ pub struct RevMonitor {
     sag: Sag,
     sc: SignatureCache,
     chg: ChgPipeline,
-    committed: MainMemory,
     defer: DeferredStoreBuffer,
     shadow: ShadowMemory,
     stats: RevStats,
@@ -234,9 +234,10 @@ pub struct RevMonitor {
     /// Observability event bus (disabled by default: one branch per site).
     bus: TraceBus,
     /// Fault-injection handle (disabled by default: one branch per site).
-    /// Clones of it sit inside the SC, SAG, deferred buffer and committed
-    /// memory; the monitor itself uses it for the CHG-digest and
-    /// return-latch corruption sites.
+    /// Clones of it sit inside the SC, SAG and deferred buffer; the
+    /// monitor itself uses it for the signature-line transfers it reads
+    /// from memory and for the CHG-digest and return-latch corruption
+    /// sites.
     fault: FaultInjector,
     /// Commit-level re-validation budget already spent on the retrying
     /// terminator, as `(seq, attempts)`. Only the ROB head can be mid-
@@ -252,19 +253,19 @@ pub struct RevMonitor {
     resync: bool,
 }
 
-// The state after the committed-memory section (see
-// `RevMonitor::save_state`): deferred stores, shadow pages, statistics,
-// the speculative BB tracker, pending blocks, the return latch and the
-// enable/resync machinery.
+// The state after the SAG, SC, CHG, deferred-store and shadow-window
+// sections (see `RevMonitor::save_state`): statistics, the speculative
+// BB tracker, pending blocks, the return latch and the enable/resync
+// machinery.
 rev_trace::ckpt_fields!(CkptFields for RevMonitor {
-    defer, shadow, stats, cur_start, cur_bytes, cur_instrs, cur_stores, pending, ret_latch,
+    stats, cur_start, cur_bytes, cur_instrs, cur_stores, pending, ret_latch,
     code_gen, unhashed, retry, violated, enabled, resync,
 } then RevMonitor::restart_caches);
 
 impl RevMonitor {
-    /// Creates a monitor over the SAG (with all module tables registered)
-    /// and the committed-memory image (program + tables as loaded).
-    pub fn new(config: RevConfig, sag: Sag, committed: MainMemory) -> Self {
+    /// Creates a monitor over the SAG (with all module tables registered
+    /// and placed in memory).
+    pub fn new(config: RevConfig, sag: Sag) -> Self {
         let code_bounds = Self::compute_code_bounds(&sag);
         RevMonitor {
             sc: SignatureCache::new(config.sc_capacity, config.sc_assoc, config.mode.entry_size()),
@@ -273,7 +274,6 @@ impl RevMonitor {
             shadow: ShadowMemory::new(),
             config,
             sag,
-            committed,
             stats: RevStats::default(),
             cur_start: None,
             cur_bytes: Vec::with_capacity(512),
@@ -308,17 +308,6 @@ impl RevMonitor {
     /// REV statistics accumulated so far.
     pub fn stats(&self) -> &RevStats {
         &self.stats
-    }
-
-    /// The validated (committed) memory image. Deferred stores from
-    /// unvalidated blocks are *not* visible here — that is the point.
-    pub fn committed(&self) -> &MainMemory {
-        &self.committed
-    }
-
-    /// Mutable committed memory (external writes: DMA, attacks).
-    pub fn committed_mut(&mut self) -> &mut MainMemory {
-        &mut self.committed
     }
 
     /// The signature cache (inspection).
@@ -379,8 +368,9 @@ impl RevMonitor {
     }
 
     /// Threads a fault injector through every corruption site: the
-    /// committed-memory read path (signature-line transfers, window-gated
-    /// to the loaded tables), the SC install path, the SAG register file,
+    /// signature-line transfers the monitor reads from memory (window-
+    /// gated to the loaded tables; the oracle's reads are never
+    /// filtered), the SC install path, the SAG register file,
     /// the deferred-store buffer, and the monitor's own CHG-digest and
     /// return-latch sites. All clones share one state, so a single armed
     /// [`rev_trace::FaultSpec`] strikes exactly once per run.
@@ -398,7 +388,6 @@ impl RevMonitor {
         self.sc.set_fault_injector(fault.clone());
         self.sag.set_fault_injector(fault.clone());
         self.defer.set_fault_injector(fault.clone());
-        self.committed.set_fault_injector(fault.clone());
         self.fault = fault;
     }
 
@@ -589,15 +578,27 @@ impl RevMonitor {
 
     /// Starts a table walk for `bb_addr` and installs the SC entry; returns
     /// the fill-completion cycle, or `None` if no table covers the address.
-    fn start_fill(&mut self, mem: &mut Hierarchy, bb_addr: u64, cycle: u64) -> Option<u64> {
+    fn start_fill(
+        &mut self,
+        mem: &mut Hierarchy,
+        memory: &MainMemory,
+        bb_addr: u64,
+        cycle: u64,
+    ) -> Option<u64> {
         let (table_idx, sag_penalty) = self.sag.resolve(bb_addr)?;
         if sag_penalty > 0 {
             self.stats.sag_refills += 1;
         }
         let lookup = {
             let table = self.sag.table(table_idx);
-            let committed = &self.committed;
-            let mut read = |addr: u64, len: usize| committed.read_bytes(addr, len);
+            let fault = &self.fault;
+            let mut read = |addr: u64, len: usize| {
+                let mut line = memory.read_bytes(addr, len);
+                if fault.is_enabled() {
+                    fault.filter_read(addr, &mut line);
+                }
+                line
+            };
             table.lookup_with(&mut read, bb_addr)
         };
         // Timing: dependent chain of entry reads through the hierarchy,
@@ -757,14 +758,16 @@ impl RevMonitor {
             && self.sag.tables().iter().any(|t| addr + 8 > t.module_base() && addr < t.module_end())
     }
 
-    /// Releases validated stores into committed memory. `Err` means a
-    /// buffered store failed its parity re-check — the buffer was
-    /// corrupted after commit — and the caller must escalate to a
+    /// Releases validated stores into memory: each buffered value is
+    /// written and its store leaves the overlay. `Err` means a buffered
+    /// store failed its parity re-check — the buffer was corrupted after
+    /// commit — and the caller must escalate to a
     /// [`ViolationKind::ParityError`] instead of letting the damaged
     /// value become architectural.
     fn release_stores(
         &mut self,
         mem: &mut Hierarchy,
+        memory: &mut Memory,
         boundary_seq: u64,
         cycle: u64,
     ) -> Result<(), crate::defer::ParityViolation> {
@@ -773,13 +776,12 @@ impl RevMonitor {
             // non-deferred modes): skip the release pass entirely.
             return Ok(());
         }
-        let committed = &mut self.committed;
         let mut released = 0u64;
         let mut touched_code = false;
         let tables = self.sag.tables();
         let (code_lo, code_hi) = self.code_bounds;
         let result = self.defer.release_until(boundary_seq, cycle, |s| {
-            committed.write_u64(s.addr, s.value);
+            memory.release(s.seq, s.addr, s.value);
             touched_code |= s.addr + 8 > code_lo
                 && s.addr < code_hi
                 && tables.iter().any(|t| s.addr + 8 > t.module_base() && s.addr < t.module_end());
@@ -839,6 +841,7 @@ impl RevMonitor {
     fn try_superblock_replay(
         &mut self,
         mem: &mut Hierarchy,
+        memory: &mut Memory,
         q: &CommitQuery,
         pb: &PendingBb,
     ) -> Option<CommitGate> {
@@ -924,7 +927,7 @@ impl RevMonitor {
         if let Some(trace) = self.trace.as_mut() {
             trace.insert((pb.start, pb.bb_addr, pb.body.0));
         }
-        if self.release_stores(mem, q.seq, q.cycle).is_err() {
+        if self.release_stores(mem, memory, q.seq, q.cycle).is_err() {
             return Some(self.violation(ViolationKind::ParityError, q));
         }
         self.chg.retire(ChgTag(q.seq));
@@ -968,33 +971,40 @@ impl RevMonitor {
     }
 
     /// Serializes the complete REV state: SAG residency, SC contents, CHG
-    /// in-flight queue, the committed-memory pages that differ from the
-    /// build image `base`, deferred stores, shadow pages, statistics, the
+    /// in-flight queue, deferred stores, shadow pages, statistics, the
     /// speculative BB tracker, pending blocks, the return latch and the
     /// enable/resync machinery. Simulator-performance
     /// caches (decoded-BB memos, digest memos, superblock memos) are
     /// *not* state — they restore cold and refill, which is functionally
     /// invisible (the architectural `rev.*` counters are pinned identical
-    /// with the caches on or off).
-    pub fn save_state(&self, base: &MainMemory, w: &mut CkptWriter) {
+    /// with the caches on or off). Memory is the pipeline's section; the
+    /// shadow window `memory` holds is written here, with the shadow
+    /// counters.
+    pub fn save_state(&self, memory: &Memory, w: &mut CkptWriter) {
         w.tag(TAG_REV);
         self.sag.save_state(w);
         self.sc.save_fields(w);
         self.chg.snapshot().save(w);
-        self.committed.save_state(base, w);
+        self.defer.save_fields(w);
+        memory.window().save(w);
+        self.shadow.stats().save(w);
         self.save_fields(w);
     }
 
     /// Restores state saved by [`RevMonitor::save_state`] into a monitor
-    /// freshly built with the identical configuration, SAG and committed
-    /// image. The performance caches restart cold; the trace/fault
-    /// attachments stay as constructed (disabled).
+    /// freshly built with the identical configuration and SAG. The
+    /// performance caches restart cold; the trace/fault attachments stay
+    /// as constructed (disabled).
     ///
     /// # Errors
     ///
     /// Returns [`rev_trace::CkptError`] on decode failure or any
     /// configuration/geometry mismatch.
-    pub fn restore_state(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+    pub fn restore_state(
+        &mut self,
+        r: &mut CkptReader<'_>,
+        memory: &mut Memory,
+    ) -> Result<(), CkptError> {
         r.tag(TAG_REV)?;
         self.sag.restore_state(r)?;
         self.sc.load_fields(r)?;
@@ -1007,8 +1017,28 @@ impl RevMonitor {
             ));
         }
         self.chg.restore(&in_flight, enqueued, flushed);
-        self.committed.restore_state(r)?;
+        self.defer.load_fields(r)?;
+        let window: Vec<rev_cpu::WindowWord> = Ckpt::load(r)?;
+        memory.restore_window(&window)?;
+        self.shadow.restore(Ckpt::load(r)?, &window);
         self.load_fields(r)
+    }
+
+    /// The committed stores whose values the monitor holds back in the
+    /// overlay, oldest first: the deferred-store buffer's. They are the
+    /// oldest entries of the overlay, which a restore rebuilds from them.
+    pub fn held_stores(&self) -> Vec<rev_cpu::OverlayEntry> {
+        let entry =
+            |s: &DeferredStore| rev_cpu::OverlayEntry { seq: s.seq, addr: s.addr, value: s.value };
+        self.defer.iter().map(entry).collect()
+    }
+
+    /// Page shadowing's end of a window: the whole execution so far
+    /// authenticated, so the window reaches memory and the shadow pages
+    /// are mapped in (paper Sec. IV.A).
+    fn promote_shadow(&mut self, memory: &mut Memory) {
+        self.shadow.promote();
+        memory.promote_window();
     }
 
     /// Performance caches restart cold: stale memos must never survive
@@ -1021,7 +1051,12 @@ impl RevMonitor {
         self.code_bounds = Self::compute_code_bounds(&self.sag);
     }
 
-    fn commit_standard(&mut self, mem: &mut Hierarchy, q: &CommitQuery) -> CommitGate {
+    fn commit_standard(
+        &mut self,
+        mem: &mut Hierarchy,
+        memory: &mut Memory,
+        q: &CommitQuery,
+    ) -> CommitGate {
         if !self.enabled {
             // Validation was switched off after this block was fetched
             // (the disable syscall committed while it was in flight). The
@@ -1053,7 +1088,7 @@ impl RevMonitor {
             ScProbe::Miss => {
                 self.stats.commit_misses += 1;
                 self.sc.stats_mut().complete_misses += 1;
-                return match self.start_fill(mem, pb.bb_addr, q.cycle) {
+                return match self.start_fill(mem, memory.committed(), pb.bb_addr, q.cycle) {
                     Some(ready) => {
                         self.stats.stall_fill += ready.max(q.cycle + 1) - q.cycle;
                         CommitGate::StallUntil(ready.max(q.cycle + 1))
@@ -1067,7 +1102,7 @@ impl RevMonitor {
         // full gate 3–5 sequence (DESIGN.md §10). Falls through whenever
         // anything it depends on may have drifted.
         if self.config.superblocks && self.retry.is_none() && !self.fault.is_enabled() {
-            if let Some(gate) = self.try_superblock_replay(mem, q, &pb) {
+            if let Some(gate) = self.try_superblock_replay(mem, memory, q, &pb) {
                 return gate;
             }
         }
@@ -1231,7 +1266,7 @@ impl RevMonitor {
         if let Some(trace) = self.trace.as_mut() {
             trace.insert((pb.start, pb.bb_addr, pb.body.0));
         }
-        if self.release_stores(mem, q.seq, q.cycle).is_err() {
+        if self.release_stores(mem, memory, q.seq, q.cycle).is_err() {
             return self.violation(ViolationKind::ParityError, q);
         }
         self.chg.retire(ChgTag(q.seq));
@@ -1252,16 +1287,19 @@ impl RevMonitor {
             // The disable syscall itself validated; everything after it
             // runs unvalidated until the enable syscall (trusted
             // self-modifying code, paper Sec. IV.E). Release the
-            // quarantine first — the block that asked was genuine.
-            if self.release_stores(mem, q.seq + 1, q.cycle).is_err() {
+            // quarantine first — the block that asked was genuine, and
+            // the stores that commit unvalidated from here on must reach
+            // memory after every older one.
+            if self.release_stores(mem, memory, q.seq + 1, q.cycle).is_err() {
                 return self.violation(ViolationKind::ParityError, q);
             }
+            self.promote_shadow(memory);
             self.set_enabled(false);
         }
         CommitGate::Proceed
     }
 
-    fn commit_cfi(&mut self, mem: &mut Hierarchy, q: &CommitQuery) -> CommitGate {
+    fn commit_cfi(&mut self, mem: &mut Hierarchy, memory: &Memory, q: &CommitQuery) -> CommitGate {
         if !self.enabled {
             if let rev_isa::Instruction::Syscall { num: SYSCALL_REV_ENABLE } = q.insn {
                 self.set_enabled(true);
@@ -1277,7 +1315,7 @@ impl RevMonitor {
             ScProbe::Miss => {
                 self.stats.commit_misses += 1;
                 self.sc.stats_mut().complete_misses += 1;
-                return match self.start_fill(mem, pb.bb_addr, q.cycle) {
+                return match self.start_fill(mem, memory.committed(), pb.bb_addr, q.cycle) {
                     Some(ready) => CommitGate::StallUntil(ready.max(q.cycle + 1)),
                     None => self.violation(ViolationKind::NoTable, q),
                 };
@@ -1308,7 +1346,7 @@ impl RevMonitor {
 }
 
 impl ExecMonitor for RevMonitor {
-    fn on_fetch(&mut self, mem: &mut Hierarchy, event: &FetchEvent) -> bool {
+    fn on_fetch(&mut self, mem: &mut Hierarchy, memory: &Memory, event: &FetchEvent) -> bool {
         if self.violated {
             return false;
         }
@@ -1333,7 +1371,7 @@ impl ExecMonitor for RevMonitor {
             if self.sc.probe(event.addr, event.cycle) == ScProbe::Miss {
                 if !event.wrong_path {
                     self.sc.stats_mut().complete_misses += 1;
-                    let _ = self.start_fill(mem, event.addr, event.cycle);
+                    let _ = self.start_fill(mem, memory.committed(), event.addr, event.cycle);
                 }
             } else {
                 self.sc.stats_mut().hits += 1;
@@ -1436,7 +1474,7 @@ impl ExecMonitor for RevMonitor {
             ScProbe::Miss => {
                 if !event.wrong_path {
                     self.sc.stats_mut().complete_misses += 1;
-                    let _ = self.start_fill(mem, bb_addr, event.cycle);
+                    let _ = self.start_fill(mem, memory.committed(), bb_addr, event.cycle);
                 }
             }
             ScProbe::Filling(_) => {
@@ -1477,23 +1515,28 @@ impl ExecMonitor for RevMonitor {
         self.cur_stores = 0;
     }
 
-    fn on_terminator_commit(&mut self, mem: &mut Hierarchy, query: &CommitQuery) -> CommitGate {
+    fn on_terminator_commit(
+        &mut self,
+        mem: &mut Hierarchy,
+        memory: &mut Memory,
+        query: &CommitQuery,
+    ) -> CommitGate {
         if !self.unhashed.is_empty() {
             self.resolve_pending_hashes(query.seq);
         }
         match self.config.mode {
-            ValidationMode::CfiOnly => self.commit_cfi(mem, query),
-            _ => self.commit_standard(mem, query),
+            ValidationMode::CfiOnly => self.commit_cfi(mem, memory, query),
+            _ => self.commit_standard(mem, memory, query),
         }
     }
 
-    fn on_store_commit(&mut self, mem: &mut Hierarchy, store: StoreCommit) {
+    fn on_store_commit(&mut self, mem: &mut Hierarchy, memory: &mut Memory, store: StoreCommit) {
         if self.config.mode == ValidationMode::CfiOnly || !self.enabled {
             // CFI-only trusts code integrity; stores commit directly.
             if self.store_touches_code(store.addr) {
                 self.invalidate_code_cache();
             }
-            self.committed.write_u64(store.addr, store.value);
+            memory.release(store.seq, store.addr, store.value);
             mem.data_access(Request {
                 addr: store.addr,
                 is_write: true,
@@ -1515,10 +1558,12 @@ impl ExecMonitor for RevMonitor {
                 if self.store_touches_code(store.addr) {
                     self.invalidate_code_cache();
                 }
-                let created = self.shadow.write_u64(&self.committed, store.addr, store.value);
-                // The write lands in the shadow page; a first touch also
-                // pays the copy-on-write traffic (modeled as one extra
-                // line access off the critical path).
+                let created = self.shadow.hold(store.addr);
+                memory.shadow(store.seq);
+                // The write lands in the shadow page (the memory's window
+                // until promotion); a first touch also pays the
+                // copy-on-write traffic (modeled as one extra line access
+                // off the critical path).
                 mem.data_access(Request {
                     addr: store.addr,
                     is_write: true,
@@ -1547,13 +1592,12 @@ impl ExecMonitor for RevMonitor {
         self.defer.forwards(addr)
     }
 
-    fn on_run_end(&mut self, _mem: &mut Hierarchy, _cycle: u64) {
+    fn on_run_end(&mut self, _mem: &mut Hierarchy, memory: &mut Memory, _cycle: u64) {
         self.stats.sc = self.sc.stats();
         self.stats.defer_peak = self.stats.defer_peak.max(self.defer.peak());
         if self.config.containment == Containment::ShadowPages && !self.violated {
-            // The execution authenticated end to end: map the shadow
-            // pages in (paper Sec. IV.A).
-            self.shadow.promote(&mut self.committed);
+            // The execution authenticated end to end.
+            self.promote_shadow(memory);
         }
         self.stats.shadow = self.shadow.stats();
     }

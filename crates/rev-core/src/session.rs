@@ -133,7 +133,7 @@ impl Session {
         Ok(Session { sim, target: self.target, finished: false })
     }
 
-    /// Serializes the suspended session into a sealed `rev-ckpt/2`
+    /// Serializes the suspended session into a sealed `CKPT_SCHEMA`
     /// envelope (see `docs/CHECKPOINT.md`). `recipe` is an opaque,
     /// caller-owned section — `rev-serve` stores the job spec there so a
     /// checkpoint is self-describing; [`Session::recipe`] reads it back.

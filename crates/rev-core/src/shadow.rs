@@ -16,12 +16,10 @@
 //! authenticates, and a single violation discards every update the program
 //! ever made.
 
-use rev_mem::MainMemory;
-use rev_trace::{CkptError, CkptReader, CkptWriter};
-use std::collections::BTreeMap;
+use rev_cpu::WindowWord;
+use std::collections::BTreeSet;
 
 const PAGE_SHIFT: u32 = 12;
-const PAGE_BYTES: u64 = 1 << PAGE_SHIFT;
 
 /// Counters for the shadow-page mechanism.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,10 +34,18 @@ pub struct ShadowStats {
     pub pages_discarded: u64,
 }
 
-/// The shadow page set: copy-on-write overlays above committed memory.
+/// The pages the shadow window covers.
+///
+/// The window's bytes live in the simulator's memory
+/// ([`rev_cpu::Memory::shadow`]), in front of committed memory, exactly
+/// as the shadow pages stand in front of the original ones: the oracle
+/// reads them, memory does not hold them. Promotion maps them into
+/// memory; a violation discards the window and they never reach it. This
+/// set keeps the page numbers: the copy-on-write traffic and the
+/// `rev.shadow.*` counters.
 #[derive(Debug, Clone, Default)]
 pub struct ShadowMemory {
-    pages: BTreeMap<u64, Box<[u8; PAGE_BYTES as usize]>>,
+    pages: BTreeSet<u64>,
     stats: ShadowStats,
 }
 
@@ -61,58 +67,32 @@ impl ShadowMemory {
 
     /// Whether `addr` currently resolves to a shadow page.
     pub fn covers(&self, addr: u64) -> bool {
-        self.pages.contains_key(&(addr >> PAGE_SHIFT))
+        self.pages.contains(&(addr >> PAGE_SHIFT))
     }
 
-    /// Absorbs a 64-bit store. On the first touch of a page, its current
-    /// content is copied from `backing` (copy-on-write). Returns `true`
-    /// if a new shadow page was created.
-    pub fn write_u64(&mut self, backing: &MainMemory, addr: u64, value: u64) -> bool {
+    /// Absorbs a committed 64-bit store at `addr`. Returns `true` if it
+    /// touched a page the window had not shadowed yet (the copy-on-write
+    /// fill).
+    pub fn hold(&mut self, addr: u64) -> bool {
         self.stats.stores_buffered += 1;
-        let mut created = false;
-        // A u64 may straddle two pages; materialize both.
-        for a in [addr, addr + 7] {
-            let vpn = a >> PAGE_SHIFT;
-            if let std::collections::btree_map::Entry::Vacant(slot) = self.pages.entry(vpn) {
-                let mut page = Box::new([0u8; PAGE_BYTES as usize]);
-                backing.read_into(vpn << PAGE_SHIFT, &mut page[..]);
-                slot.insert(page);
-                self.stats.pages_created += 1;
-                created = true;
-            }
-        }
-        let bytes = value.to_le_bytes();
-        for (i, b) in bytes.iter().enumerate() {
-            let a = addr + i as u64;
-            let page = self.pages.get_mut(&(a >> PAGE_SHIFT)).expect("materialized");
-            page[(a & (PAGE_BYTES - 1)) as usize] = *b;
-        }
-        created
+        let created = self.shadow_pages_of(addr);
+        self.stats.pages_created += created;
+        created > 0
     }
 
-    /// Reads a 64-bit value through the shadow (falling back to `backing`
-    /// for unshadowed bytes).
-    pub fn read_u64(&self, backing: &MainMemory, addr: u64) -> u64 {
-        let mut bytes = [0u8; 8];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            let a = addr + i as u64;
-            *b = match self.pages.get(&(a >> PAGE_SHIFT)) {
-                Some(page) => page[(a & (PAGE_BYTES - 1)) as usize],
-                None => backing.read_u8(a),
-            };
-        }
-        u64::from_le_bytes(bytes)
+    /// Shadows the page(s) an 8-byte store at `addr` touches (it may
+    /// straddle two); returns how many were new.
+    fn shadow_pages_of(&mut self, addr: u64) -> u64 {
+        let (first, last) = (addr >> PAGE_SHIFT, addr.wrapping_add(7) >> PAGE_SHIFT);
+        u64::from(self.pages.insert(first)) + u64::from(last != first && self.pages.insert(last))
     }
 
-    /// The whole execution authenticated: map every shadow page in as the
-    /// program's architectural pages.
-    pub fn promote(&mut self, backing: &mut MainMemory) -> u64 {
-        let promoted = self.pages.len() as u64;
-        for (vpn, page) in std::mem::take(&mut self.pages) {
-            backing.write_bytes(vpn << PAGE_SHIFT, &page[..]);
-        }
-        self.stats.pages_promoted += promoted;
-        promoted
+    /// The whole execution authenticated: the shadow pages are mapped in
+    /// as the program's architectural pages (the caller promotes the
+    /// memory's window).
+    pub fn promote(&mut self) {
+        self.stats.pages_promoted += self.pages.len() as u64;
+        self.pages.clear();
     }
 
     /// Validation failed: every update the execution made is discarded.
@@ -122,112 +102,67 @@ impl ShadowMemory {
         self.stats.pages_discarded += discarded;
         discarded
     }
+
+    /// Restores the counters and re-derives the shadowed pages from a
+    /// restored window.
+    pub fn restore(&mut self, stats: ShadowStats, window: &[WindowWord]) {
+        self.stats = stats;
+        self.pages = window.iter().map(|&(word, ..)| word >> (PAGE_SHIFT - 3)).collect();
+    }
 }
 
 rev_trace::ckpt_fields!(Ckpt for ShadowStats {
     pages_created, stores_buffered, pages_promoted, pages_discarded,
 });
 
-rev_trace::ckpt_fields!(Ckpt for ShadowMemory { pages => ShadowPages, stats });
-
-/// Live shadow pages travel as `(page number, 4 KiB)` records in
-/// ascending page order (the `BTreeMap` order is already canonical); an
-/// out-of-order page number is rejected.
-struct ShadowPages;
-
-impl ShadowPages {
-    const MIN_BYTES: usize = 8;
-
-    fn save(pages: &BTreeMap<u64, Box<[u8; PAGE_BYTES as usize]>>, w: &mut CkptWriter) {
-        w.len(pages.len());
-        for (vpn, page) in pages {
-            w.u64(*vpn);
-            w.raw(&page[..]);
-        }
-    }
-
-    fn load(
-        r: &mut CkptReader<'_>,
-    ) -> Result<BTreeMap<u64, Box<[u8; PAGE_BYTES as usize]>>, CkptError> {
-        let n = r.len(8 + PAGE_BYTES as usize)?;
-        let mut pages = BTreeMap::new();
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let vpn = r.u64()?;
-            if prev.is_some_and(|p| p >= vpn) {
-                return Err(CkptError::Malformed(format!(
-                    "shadow pages out of order at vpn {vpn:#x}"
-                )));
-            }
-            prev = Some(vpn);
-            let mut page = Box::new([0u8; PAGE_BYTES as usize]);
-            page.copy_from_slice(r.raw(PAGE_BYTES as usize)?);
-            pages.insert(vpn, page);
-        }
-        Ok(pages)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn copy_on_write_preserves_surrounding_bytes() {
-        let mut backing = MainMemory::new();
-        backing.write_u64(0x1000, 0x1111);
-        backing.write_u64(0x1008, 0x2222);
-        let mut shadow = ShadowMemory::new();
-        assert!(shadow.write_u64(&backing, 0x1008, 0x9999));
-        // The shadow sees the new value plus copied neighbors...
-        assert_eq!(shadow.read_u64(&backing, 0x1008), 0x9999);
-        assert_eq!(shadow.read_u64(&backing, 0x1000), 0x1111);
-        // ...while the backing store is untouched.
-        assert_eq!(backing.read_u64(0x1008), 0x2222);
-    }
-
-    #[test]
     fn promote_maps_pages_in() {
-        let mut backing = MainMemory::new();
         let mut shadow = ShadowMemory::new();
-        shadow.write_u64(&backing, 0x4000, 42);
-        shadow.write_u64(&backing, 0x9000, 43);
+        shadow.hold(0x4000);
+        shadow.hold(0x9000);
         assert_eq!(shadow.live_pages(), 2);
-        assert_eq!(shadow.promote(&mut backing), 2);
-        assert_eq!(backing.read_u64(0x4000), 42);
-        assert_eq!(backing.read_u64(0x9000), 43);
+        shadow.promote();
         assert_eq!(shadow.live_pages(), 0);
         assert_eq!(shadow.stats().pages_promoted, 2);
     }
 
     #[test]
-    fn discard_leaves_backing_untouched() {
-        let mut backing = MainMemory::new();
-        backing.write_u64(0x4000, 7);
+    fn discard_drops_the_window() {
         let mut shadow = ShadowMemory::new();
-        shadow.write_u64(&backing, 0x4000, 666);
+        shadow.hold(0x4000);
         assert_eq!(shadow.discard(), 1);
-        assert_eq!(backing.read_u64(0x4000), 7, "poison never lands");
         assert!(!shadow.covers(0x4000));
     }
 
     #[test]
-    fn straddling_write_materializes_both_pages() {
-        let backing = MainMemory::new();
+    fn a_restore_derives_the_pages_from_the_window() {
         let mut shadow = ShadowMemory::new();
-        shadow.write_u64(&backing, 0x1ffc, u64::MAX);
+        let stats = ShadowStats { pages_created: 3, stores_buffered: 4, ..Default::default() };
+        shadow
+            .restore(stats, &[(0x1ff8 >> 3, 0, 0x80), (0x2000 >> 3, 0, 0x01), (0x5008 >> 3, 0, 1)]);
+        assert_eq!(shadow.live_pages(), 3);
+        assert!(shadow.covers(0x1fff) && shadow.covers(0x2000) && shadow.covers(0x5000));
+        assert_eq!(shadow.stats(), stats);
+    }
+
+    #[test]
+    fn straddling_write_materializes_both_pages() {
+        let mut shadow = ShadowMemory::new();
+        assert!(shadow.hold(0x1ffc));
         assert!(shadow.covers(0x1ffc));
         assert!(shadow.covers(0x2000));
-        assert_eq!(shadow.read_u64(&backing, 0x1ffc), u64::MAX);
         assert_eq!(shadow.stats().pages_created, 2);
     }
 
     #[test]
     fn second_write_to_page_reuses_it() {
-        let backing = MainMemory::new();
         let mut shadow = ShadowMemory::new();
-        assert!(shadow.write_u64(&backing, 0x5000, 1));
-        assert!(!shadow.write_u64(&backing, 0x5008, 2));
+        assert!(shadow.hold(0x5000));
+        assert!(!shadow.hold(0x5008));
         assert_eq!(shadow.stats().pages_created, 1);
         assert_eq!(shadow.stats().stores_buffered, 2);
     }

@@ -288,24 +288,53 @@ fn table_region_base(program: &Program) -> u64 {
     (highest + 0xffff) & !0xfff
 }
 
-/// The trusted loader: writes every table image into each provided memory
-/// view and loads the SAG registers.
+/// The trusted loader: writes every table image into memory and loads
+/// the SAG registers.
 fn place_tables(
     tables: Vec<SignatureTable>,
     mut table_base: u64,
-    memories: &mut [&mut MainMemory],
+    memory: &mut MainMemory,
     config: &RevConfig,
 ) -> Sag {
     let mut sag = Sag::new(config.sag_modules, config.sag_miss_penalty);
     for mut table in tables {
         table.set_base(table_base);
-        for mem in memories.iter_mut() {
-            mem.write_bytes(table_base, table.image());
-        }
+        memory.write_bytes(table_base, table.image());
         table_base = (table_base + table.image().len() as u64 + 0xfff) & !0xfff;
         sag.register(table);
     }
     sag
+}
+
+/// [`RevSimulator::monitor`]'s view: the REV monitor's state, plus the
+/// committed memory whose writes the monitor decides — memory lives with
+/// the core, and REV only holds back when a value reaches it.
+#[derive(Debug, Clone, Copy)]
+pub struct MonitorView<'a> {
+    monitor: &'a RevMonitor,
+    committed: &'a MainMemory,
+}
+
+impl<'a> MonitorView<'a> {
+    /// The committed memory image. Stores from unvalidated blocks are
+    /// *not* visible here — that is the point.
+    pub fn committed(&self) -> &'a MainMemory {
+        self.committed
+    }
+
+    /// See [`RevMonitor::sag`]; borrowed for as long as the simulator,
+    /// where a deref lasts only as long as the view.
+    pub fn sag(&self) -> &'a Sag {
+        self.monitor.sag()
+    }
+}
+
+impl std::ops::Deref for MonitorView<'_> {
+    type Target = RevMonitor;
+
+    fn deref(&self) -> &RevMonitor {
+        self.monitor
+    }
 }
 
 /// The assembled simulator.
@@ -398,8 +427,8 @@ impl RevSimulator {
         ))
     }
 
-    /// The loader half of construction: places tables, wires up memory
-    /// views, and assembles the pipeline + monitor. Shared by
+    /// The loader half of construction: places tables, freezes the build
+    /// image, and assembles the pipeline + monitor. Shared by
     /// [`Self::with_configs`] and [`Self::with_prebuilt`] so the pooled
     /// and fresh build paths cannot drift.
     fn assemble(
@@ -413,13 +442,13 @@ impl RevSimulator {
         // Trusted loader: program image + tables into RAM.
         let mut memory = MainMemory::with_segments(&program.segments());
         let table_region = table_region_base(&program);
-        let sag = place_tables(tables, table_region, &mut [&mut memory], &config);
-        // Every view below, every fork and every baseline run clones the
-        // frozen image, so they share each page until they write it.
+        let sag = place_tables(tables, table_region, &mut memory, &config);
+        // The simulator's memory, every fork and every baseline run clone
+        // the frozen image, so they share each page until they write it.
         memory.freeze();
 
         let oracle = Oracle::new(memory.clone(), program.entry(), program.initial_sp());
-        let monitor = RevMonitor::new(config, sag, memory.clone());
+        let monitor = RevMonitor::new(config, sag);
         // REV shares the D-TLB/L1D with the SC through an *extra* port
         // (Table 2), so the REV machine gets one more than the baseline.
         let mut rev_mem_config = mem_config;
@@ -438,9 +467,9 @@ impl RevSimulator {
     }
 
     /// Forks the simulator: a structural copy of the complete state —
-    /// pipeline, caches, predictor, REV monitor, both memory views —
-    /// with no serialize/deserialize round-trip. The views copy the
-    /// pages they have written and share the rest with the build image. The fork is detached
+    /// pipeline, caches, predictor, REV monitor, memory and its overlay —
+    /// with no serialize/deserialize round-trip. The memory copies the
+    /// pages it has written and shares the rest with the build image. The fork is detached
     /// from any trace bus the original had attached (exactly as a
     /// checkpoint → restore round-trip would leave it), so forking can
     /// never perturb a counter in either copy: the two simulators share
@@ -494,9 +523,10 @@ impl RevSimulator {
         &self.table_stats
     }
 
-    /// The REV monitor (SC, deferral buffer, committed memory).
-    pub fn monitor(&self) -> &RevMonitor {
-        &self.monitor
+    /// The REV monitor (SC, deferral buffer), together with the committed
+    /// memory whose writes it decides.
+    pub fn monitor(&self) -> MonitorView<'_> {
+        MonitorView { monitor: &self.monitor, committed: self.pipeline.oracle().mem().committed() }
     }
 
     /// Mutable monitor access — used by `rev-lint`'s differential oracle
@@ -610,12 +640,14 @@ impl RevSimulator {
     /// REV monitor) into an open checkpoint envelope. The static build
     /// products — program image, tables, configurations — are *not*
     /// written; restore targets a simulator freshly rebuilt from the same
-    /// recipe, guarded by [`RevSimulator::fingerprint`]. Both memory
-    /// views were cloned from the build image, and so is every restore
-    /// target's, so each view writes only the pages that differ from it.
+    /// recipe, guarded by [`RevSimulator::fingerprint`]. Memory was
+    /// cloned from the build image, and so is every restore target's, so
+    /// it writes only the pages that differ from it. The store overlay is
+    /// not written: the restore rebuilds it from the stores the ROB, the
+    /// fetch queue and the monitor's buffers hold.
     pub fn save_state(&self, w: &mut rev_trace::CkptWriter) {
         self.pipeline.save_state(&self.initial_memory, w);
-        self.monitor.save_state(&self.initial_memory, w);
+        self.monitor.save_state(self.pipeline.oracle().mem(), w);
     }
 
     /// Restores state saved by [`RevSimulator::save_state`].
@@ -631,7 +663,8 @@ impl RevSimulator {
         r: &mut rev_trace::CkptReader<'_>,
     ) -> Result<(), rev_trace::CkptError> {
         self.pipeline.restore_state(r)?;
-        self.monitor.restore_state(r)
+        self.monitor.restore_state(r, self.pipeline.oracle_mut().mem_mut())?;
+        self.pipeline.rebuild_overlay(&self.monitor.held_stores())
     }
 
     /// Dynamically loads `module` mid-run (`dlopen`, paper Sec. IV.B):
@@ -646,7 +679,7 @@ impl RevSimulator {
     /// Returns [`SimBuildError`] if the module fails analysis or table
     /// generation.
     pub fn load_dynamic_module(&mut self, module: rev_prog::Module) -> Result<(), SimBuildError> {
-        // Load the module image into both memory views.
+        // Load the module image into memory.
         let code = module.code().to_vec();
         let base = module.base();
         let data = module.data().to_vec();
@@ -669,13 +702,8 @@ impl RevSimulator {
             .max()
             .unwrap_or_else(|| table_region_base(&self.program));
         let region = (old_end.max(table_region_base(&self.program)) + 0xffff) & !0xfff;
-        let sag = {
-            // Disjoint field borrows: the oracle's live memory and the
-            // monitor's committed memory both receive the table images.
-            let oracle_mem = self.pipeline.oracle_mut().mem_mut();
-            let committed = self.monitor.committed_mut();
-            place_tables(built.tables.clone(), region, &mut [oracle_mem, committed], &self.config)
-        };
+        let memory = self.pipeline.oracle_mut().mem_mut().committed_mut();
+        let sag = place_tables(built.tables.clone(), region, memory, &self.config);
         self.monitor.replace_sag(sag);
         self.table_stats = built.stats.clone();
         Ok(())
@@ -694,11 +722,8 @@ impl RevSimulator {
     pub fn rekey_modules(&mut self, generation: u64) -> Result<(), SimBuildError> {
         let built = BuildCache::global().tables(&self.program, &self.config, generation)?;
         let region = table_region_base(&self.program);
-        let sag = {
-            let oracle_mem = self.pipeline.oracle_mut().mem_mut();
-            let committed = self.monitor.committed_mut();
-            place_tables(built.tables.clone(), region, &mut [oracle_mem, committed], &self.config)
-        };
+        let memory = self.pipeline.oracle_mut().mem_mut().committed_mut();
+        let sag = place_tables(built.tables.clone(), region, memory, &self.config);
         self.monitor.replace_sag(sag);
         self.table_stats = built.stats.clone();
         Ok(())
@@ -713,13 +738,13 @@ impl RevSimulator {
         self.monitor.set_enabled(enabled);
     }
 
-    /// Applies an external memory write (attack injection, DMA): mutates
-    /// both the live execution image and the committed image, and
-    /// invalidates REV's memoized hashes so the CHG re-hashes the new
-    /// bytes.
-    pub fn inject<F: Fn(&mut MainMemory)>(&mut self, f: F) {
-        f(self.pipeline.oracle_mut().mem_mut());
-        f(self.monitor.committed_mut());
+    /// Applies an external memory write (attack injection, DMA) to
+    /// memory, and invalidates REV's memoized hashes so the CHG re-hashes
+    /// the new bytes. The write lands beneath the in-flight stores: a
+    /// store the core executed before it still wins, in what the core
+    /// reads now and in memory once released (see [`rev_cpu::Memory`]).
+    pub fn inject<F: FnOnce(&mut MainMemory)>(&mut self, f: F) {
+        f(self.pipeline.oracle_mut().mem_mut().committed_mut());
         self.monitor.invalidate_code_cache();
     }
 
@@ -738,7 +763,7 @@ impl RevSimulator {
             self.program.initial_sp(),
         );
         let mut pipeline = Pipeline::new(self.cpu_config, self.mem_config, oracle);
-        let mut monitor = NullMonitor::new(self.initial_memory.clone());
+        let mut monitor = NullMonitor;
         if warmup > 0 {
             let _ = pipeline.run(&mut monitor, warmup);
             pipeline.reset_stats();
@@ -781,21 +806,15 @@ mod tests {
         pb.build()
     }
 
-    /// The live and committed memory views of `sim`.
-    fn views(sim: &RevSimulator) -> [&MainMemory; 2] {
-        [sim.pipeline().oracle().mem(), sim.monitor().committed()]
-    }
-
     #[test]
-    fn cold_views_hold_no_private_pages() {
+    fn cold_memory_holds_no_private_pages() {
         let sim = RevSimulator::new(demo_program(), RevConfig::paper_default()).unwrap();
         let image = &sim.initial_memory;
         assert!(image.resident_pages() > 0);
         assert_eq!(image.shared_pages(), image.resident_pages(), "the image is frozen");
-        for view in views(&sim) {
-            assert_eq!(view.resident_pages(), image.resident_pages());
-            assert_eq!(view.pages_shared_with(image), image.resident_pages());
-        }
+        let memory = sim.monitor().committed();
+        assert_eq!(memory.resident_pages(), image.resident_pages());
+        assert_eq!(memory.pages_shared_with(image), image.resident_pages());
     }
 
     #[test]
@@ -803,14 +822,17 @@ mod tests {
         let mut sim = RevSimulator::new(demo_program(), RevConfig::paper_default()).unwrap();
         sim.warmup(200);
         let fork = sim.fork().unwrap();
-        for (warm, forked) in views(&sim).into_iter().zip(views(&fork)) {
-            let written = warm.resident_pages() - warm.shared_pages();
-            assert!(written > 0, "the warmup wrote the stack and the data page");
-            assert_eq!(forked.resident_pages(), warm.resident_pages());
-            assert_eq!(forked.pages_shared_with(warm), warm.shared_pages());
-            assert_eq!(forked.pages_shared_with(&sim.initial_memory), warm.shared_pages());
-            assert_eq!(forked.content_digest(u64::MAX), warm.content_digest(u64::MAX));
-        }
+        let (warm, forked) = (sim.monitor().committed(), fork.monitor().committed());
+        let written = warm.resident_pages() - warm.shared_pages();
+        assert!(written > 0, "the warmup wrote the stack and the data page");
+        assert_eq!(forked.resident_pages(), warm.resident_pages());
+        assert_eq!(forked.pages_shared_with(warm), warm.shared_pages());
+        assert_eq!(forked.pages_shared_with(&sim.initial_memory), warm.shared_pages());
+        assert_eq!(forked.content_digest(u64::MAX), warm.content_digest(u64::MAX));
+        let in_flight = |s: &RevSimulator| -> Vec<_> {
+            s.pipeline().oracle().mem().overlay().iter().copied().collect()
+        };
+        assert_eq!(in_flight(&sim), in_flight(&fork), "the fork holds the same stores in flight");
     }
 
     #[test]

@@ -228,9 +228,6 @@ impl BranchPredictor {
         if let Some(&v) = self.counters.iter().find(|&&c| c > 3) {
             return Err(CkptError::Malformed(format!("gshare counter {v}")));
         }
-        if self.btb.len() != self.config.btb_entries {
-            return mismatch("BTB", self.btb.len(), self.config.btb_entries);
-        }
         if self.ras.len() != self.config.ras_depth {
             return mismatch("RAS", self.ras.len(), self.config.ras_depth);
         }
@@ -250,9 +247,21 @@ impl BranchPredictor {
     }
 }
 
+/// The BTB's trained entries: an untrained `(0, 0)` entry restores as
+/// itself, so only the others travel.
+struct BtbEntries;
+
+impl rev_trace::SparseTable for BtbEntries {
+    type Slot = (u64, u64);
+
+    fn occupied(entry: &(u64, u64)) -> bool {
+        *entry != (0, 0)
+    }
+}
+
 // The full predictor state: global history, gshare counters, BTB, RAS.
 rev_trace::ckpt_fields!(CkptFields for BranchPredictor {
-    history, counters, btb, ras, ras_tos, ras_count,
+    history, counters, btb => rev_trace::Sparse<BtbEntries>, ras, ras_tos, ras_count,
 } then BranchPredictor::check_restored);
 
 #[cfg(test)]
@@ -306,6 +315,56 @@ mod tests {
         assert_eq!(p.predict_indirect(0x400), None);
         p.update_indirect(0x400, 0x9000);
         assert_eq!(p.predict_indirect(0x400), Some(0x9000));
+    }
+
+    /// The predictor's sealed state with the BTB section as given:
+    /// history, counters, then `btb` (length, count, records), RAS.
+    fn sealed_with_btb(p: &BranchPredictor, btb: &[(u32, (u64, u64))]) -> Vec<u8> {
+        use rev_trace::Ckpt;
+        let mut w = CkptWriter::new();
+        p.history.save(&mut w);
+        p.counters.save(&mut w);
+        w.len(p.btb.len());
+        w.len(btb.len());
+        for &(pos, entry) in btb {
+            w.u32(pos);
+            entry.save(&mut w);
+        }
+        p.ras.save(&mut w);
+        p.ras_tos.save(&mut w);
+        p.ras_count.save(&mut w);
+        w.finish()
+    }
+
+    fn load(env: &[u8]) -> Result<BranchPredictor, CkptError> {
+        use rev_trace::CkptFields;
+        let mut p = bp();
+        let mut r = CkptReader::new(env)?;
+        p.load_fields(&mut r)?;
+        r.finish()?;
+        Ok(p)
+    }
+
+    #[test]
+    fn only_trained_btb_entries_travel() {
+        use rev_trace::CkptFields;
+        let mut p = bp();
+        p.update_indirect(0x400, 0x9000);
+        let mut w = CkptWriter::new();
+        p.save_fields(&mut w);
+        let env = w.finish();
+        let slot = (0x400usize >> 1) & 63;
+        assert_eq!(env, sealed_with_btb(&p, &[(slot as u32, (0x400, 0x9000))]));
+        assert_eq!(load(&env).unwrap().predict_indirect(0x400), Some(0x9000));
+    }
+
+    #[test]
+    fn a_listed_empty_btb_entry_is_malformed() {
+        let err = load(&sealed_with_btb(&bp(), &[(3, (0, 0))])).unwrap_err();
+        assert!(
+            matches!(err, CkptError::Malformed(ref m) if m.contains("listed unoccupied")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -21,9 +21,14 @@
 //! prefetch), asks permission for BB-terminator commits (validation gate),
 //! hands over committed stores (deferred-update containment) and reports
 //! flushes. A [`NullMonitor`] yields the baseline machine.
+//!
+//! The simulator keeps one [`Memory`]: committed state, with the stores
+//! the oracle has executed but the monitor has not yet released held in
+//! an overlay in front of it.
 
 mod bpred;
 mod config;
+mod memory;
 mod monitor;
 mod oracle;
 mod pipeline;
@@ -31,6 +36,7 @@ mod stats;
 
 pub use bpred::{BranchPredictor, PredictorConfig};
 pub use config::CpuConfig;
+pub use memory::{Memory, OverlayEntry, StoreOverlay, WindowWord};
 pub use monitor::{
     CommitGate, CommitQuery, ExecMonitor, FetchEvent, NullMonitor, StoreCommit, Violation,
     ViolationKind,

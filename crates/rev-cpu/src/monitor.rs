@@ -2,12 +2,13 @@
 //!
 //! The pipeline reports front-end and commit events; the monitor decides
 //! basic-block boundaries, gates terminator commits (validation stalls),
-//! takes custody of committed stores (deferred memory update), and reacts
-//! to squashes. [`NullMonitor`] is the unmodified baseline core: stores
-//! write straight to committed memory and nothing ever stalls.
+//! decides when a committed store's value reaches memory (deferred memory
+//! update), and reacts to squashes. [`NullMonitor`] is the unmodified
+//! baseline core: stores reach memory at commit and nothing ever stalls.
 
+use crate::memory::Memory;
 use rev_isa::{Instruction, MAX_INSTR_LEN};
-use rev_mem::{Hierarchy, MainMemory};
+use rev_mem::Hierarchy;
 use std::fmt;
 
 /// A fetched instruction, reported in fetch order (including wrong-path
@@ -151,21 +152,30 @@ pub struct StoreCommit {
 }
 
 /// Hooks the pipeline calls into. See the crate docs for the call protocol.
+///
+/// Each hook gets the timing hierarchy (`mem`) and, where it may read
+/// tables or move values, the simulator's one [`Memory`] (`memory`).
 pub trait ExecMonitor {
     /// An instruction was fetched. Return `true` if the monitor designates
     /// it a basic-block boundary whose commit must be gated (control-flow
     /// terminators and artificial split points).
-    fn on_fetch(&mut self, mem: &mut Hierarchy, event: &FetchEvent) -> bool;
+    fn on_fetch(&mut self, mem: &mut Hierarchy, memory: &Memory, event: &FetchEvent) -> bool;
 
     /// All instructions with `seq >= from_seq` were squashed.
     fn on_flush(&mut self, from_seq: u64);
 
     /// A boundary instruction at the ROB head wants to commit.
-    fn on_terminator_commit(&mut self, mem: &mut Hierarchy, query: &CommitQuery) -> CommitGate;
+    fn on_terminator_commit(
+        &mut self,
+        mem: &mut Hierarchy,
+        memory: &mut Memory,
+        query: &CommitQuery,
+    ) -> CommitGate;
 
-    /// A store (or call push) reached commit. The monitor owns committed
-    /// memory and decides when the value becomes architectural.
-    fn on_store_commit(&mut self, mem: &mut Hierarchy, store: StoreCommit);
+    /// A store (or call push) reached commit. The monitor decides when
+    /// its value reaches memory ([`Memory::release`]); until then the
+    /// store stays in the overlay the oracle reads through.
+    fn on_store_commit(&mut self, mem: &mut Hierarchy, memory: &mut Memory, store: StoreCommit);
 
     /// Whether the monitor's deferred-store buffers can accept another
     /// store (the post-commit store-queue extension back-pressure).
@@ -182,39 +192,19 @@ pub trait ExecMonitor {
 
     /// The run ended (budget, halt, or violation); flush any terminal
     /// state (e.g. release remaining validated stores).
-    fn on_run_end(&mut self, mem: &mut Hierarchy, cycle: u64) {
-        let _ = (mem, cycle);
+    fn on_run_end(&mut self, mem: &mut Hierarchy, memory: &mut Memory, cycle: u64) {
+        let _ = (mem, memory, cycle);
     }
 }
 
-/// The baseline (no REV) monitor: BB boundaries are never gated and stores
-/// commit directly to its committed-memory image.
-#[derive(Debug)]
-pub struct NullMonitor {
-    committed: MainMemory,
-}
-
-impl NullMonitor {
-    /// Creates a baseline monitor whose committed state starts from the
-    /// loaded program image.
-    pub fn new(initial: MainMemory) -> Self {
-        NullMonitor { committed: initial }
-    }
-
-    /// The committed memory image.
-    pub fn committed(&self) -> &MainMemory {
-        &self.committed
-    }
-
-    /// Mutable committed memory (external/attack writes).
-    pub fn committed_mut(&mut self) -> &mut MainMemory {
-        &mut self.committed
-    }
-}
+/// The baseline (no REV) monitor: BB boundaries are never gated and a
+/// store's value reaches memory at commit.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NullMonitor;
 
 impl ExecMonitor for NullMonitor {
     #[inline]
-    fn on_fetch(&mut self, _mem: &mut Hierarchy, event: &FetchEvent) -> bool {
+    fn on_fetch(&mut self, _mem: &mut Hierarchy, _memory: &Memory, event: &FetchEvent) -> bool {
         event.insn.is_bb_terminator()
     }
 
@@ -222,12 +212,17 @@ impl ExecMonitor for NullMonitor {
     fn on_flush(&mut self, _from_seq: u64) {}
 
     #[inline]
-    fn on_terminator_commit(&mut self, _mem: &mut Hierarchy, _query: &CommitQuery) -> CommitGate {
+    fn on_terminator_commit(
+        &mut self,
+        _mem: &mut Hierarchy,
+        _memory: &mut Memory,
+        _query: &CommitQuery,
+    ) -> CommitGate {
         CommitGate::Proceed
     }
 
     #[inline]
-    fn on_store_commit(&mut self, mem: &mut Hierarchy, store: StoreCommit) {
+    fn on_store_commit(&mut self, mem: &mut Hierarchy, memory: &mut Memory, store: StoreCommit) {
         // The baseline drains stores straight to memory (one cache write).
         mem.data_access(rev_mem::Request {
             addr: store.addr,
@@ -235,6 +230,6 @@ impl ExecMonitor for NullMonitor {
             requester: rev_mem::Requester::Data,
             cycle: store.cycle,
         });
-        self.committed.write_u64(store.addr, store.value);
+        memory.release(store.seq, store.addr, store.value);
     }
 }

@@ -1,14 +1,16 @@
 //! The functional (oracle) execution engine.
 //!
-//! Executes the program architecturally, one instruction at a time, against
-//! the *live* memory image — so run-time attacks that rewrite code bytes or
-//! clobber return addresses genuinely divert the oracle's control flow, and
-//! REV's job is to catch the divergence. The timing pipeline consumes the
+//! Executes the program architecturally, one instruction at a time, ahead
+//! of commit: it reads committed memory through the overlay of the stores
+//! it has executed (see [`Memory`]) — so run-time attacks that rewrite
+//! code bytes or clobber return addresses genuinely divert the oracle's
+//! control flow, and REV's job is to catch the divergence. The timing pipeline consumes the
 //! oracle's [`DynOp`] stream for correct-path instructions and reads raw
 //! bytes for wrong-path fetch; each consumed op surfaces as a `Fetch`
 //! (and later `Commit`) trace event when the pipeline's `TraceBus` is
 //! enabled (see `docs/METRICS.md`).
 
+use crate::memory::Memory;
 use rev_isa::{decode, DecodeError, Instruction, Reg, REG_SP};
 use rev_mem::MainMemory;
 use rev_trace::CkptFields;
@@ -124,20 +126,19 @@ impl DecEntry {
     };
 }
 
-/// The oracle: architectural state + live memory.
+/// The oracle: architectural state + the simulator's memory.
 #[derive(Debug, Clone)]
 pub struct Oracle {
     state: ArchState,
-    mem: MainMemory,
+    mem: Memory,
     halted: bool,
     executed: u64,
     /// Direct-mapped PC → decoded-instruction memo for the fetch hot
-    /// path. Purely a simulator-performance cache: it is bypassed
-    /// entirely while a fault injector is attached (in-flight corruption
-    /// and site-visit counting must see every read), cleared whenever
+    /// path. Purely a simulator-performance cache: it is cleared whenever
     /// [`Oracle::mem_mut`] hands out mutable memory (external writes —
-    /// SMC attacks, DMA, table placement), and cleared when the oracle's
-    /// own stores land inside the cached code range.
+    /// SMC attacks, DMA, table placement), and when the oracle's own
+    /// stores land inside the cached code range. A release never changes
+    /// what the oracle reads (see [`Memory`]), so it keeps the memo.
     dec_cache: Vec<DecEntry>,
     /// `[lo, hi)` union of `pc..pc+len` over cached entries — the
     /// store-invalidation fast-reject bound. `(u64::MAX, 0)` when empty.
@@ -145,11 +146,12 @@ pub struct Oracle {
 }
 
 impl Oracle {
-    /// Creates an oracle at `entry` with stack pointer `sp` over `mem`.
+    /// Creates an oracle at `entry` with stack pointer `sp` over `mem`,
+    /// which becomes the simulator's committed memory.
     pub fn new(mem: MainMemory, entry: u64, sp: u64) -> Self {
         Oracle {
             state: ArchState::new(entry, sp),
-            mem,
+            mem: Memory::new(mem),
             halted: false,
             executed: 0,
             dec_cache: vec![DecEntry::EMPTY; DEC_SLOTS],
@@ -168,15 +170,23 @@ impl Oracle {
         &mut self.state
     }
 
-    /// The live memory image.
-    pub fn mem(&self) -> &MainMemory {
+    /// The simulator's memory: [`Memory::committed`] is committed state,
+    /// and its reads show what the oracle sees.
+    pub fn mem(&self) -> &Memory {
         &self.mem
     }
 
-    /// Mutable live memory (attack injection, table loading). Drops the
+    /// Mutable memory (attack injection, table loading). Drops the
     /// decode memo: the caller may rewrite code bytes the memo pinned.
-    pub fn mem_mut(&mut self) -> &mut MainMemory {
+    pub fn mem_mut(&mut self) -> &mut Memory {
         self.clear_dec_cache();
+        &mut self.mem
+    }
+
+    /// The memory as the monitor's hooks get it: a monitor only moves
+    /// in-flight values into memory, which leaves the oracle's view and
+    /// so the decode memo as they are.
+    pub(crate) fn monitor_mem(&mut self) -> &mut Memory {
         &mut self.mem
     }
 
@@ -202,18 +212,20 @@ impl Oracle {
         self.halted
     }
 
-    /// Serializes architectural state and the live memory pages that
-    /// differ from `base` (see [`MainMemory::save_state`]). The decode
-    /// memo is a simulator-performance cache and is *not* saved — a
-    /// restored oracle refills it cold, which is functionally invisible
+    /// Serializes architectural state and the committed memory pages
+    /// that differ from `base` (see [`MainMemory::save_state`]). The
+    /// overlay is not written: its stores are the checkpointed store
+    /// slots and buffers, and the restore rebuilds it from them. The
+    /// decode memo is a simulator-performance cache and is *not* saved —
+    /// a restored oracle refills it cold, which is functionally invisible
     /// (memoized replays are byte-identical to fresh fetches).
     pub fn save_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter) {
         self.save_fields(w);
-        self.mem.save_state(base, w);
+        self.mem.committed().save_state(base, w);
     }
 
     /// Restores state saved by [`Oracle::save_state`]. The decode memo
-    /// restarts cold.
+    /// restarts cold; the caller rebuilds the overlay.
     ///
     /// # Errors
     ///
@@ -223,7 +235,7 @@ impl Oracle {
         r: &mut rev_trace::CkptReader<'_>,
     ) -> Result<(), rev_trace::CkptError> {
         self.load_fields(r)?;
-        self.mem.restore_state(r)?;
+        self.mem.committed_mut().restore_state(r)?;
         self.clear_dec_cache();
         Ok(())
     }
@@ -233,7 +245,8 @@ impl Oracle {
         self.executed
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction. With no pipeline around it nothing is
+    /// in flight, so a store reaches memory at once.
     ///
     /// # Errors
     ///
@@ -241,15 +254,17 @@ impl Oracle {
     /// do not decode.
     pub fn step(&mut self) -> Result<DynOp, OracleError> {
         let mut bytes = [0u8; rev_isa::MAX_INSTR_LEN];
-        self.step_fetched(&mut bytes)
+        let seq = self.executed;
+        let op = self.step_fetched(seq, &mut bytes)?;
+        self.mem.release_through(seq);
+        Ok(op)
     }
 
-    /// Fetches and decodes the instruction at `pc` from live memory
-    /// without executing it — the pipeline's wrong-path fetch, and the
-    /// first half of [`Oracle::step_fetched`]. Served from the decode
-    /// memo, which is bypassed while a fault injector is armed; a decode
-    /// failure is never memoized. `bytes[..len]` holds the encoding; the
-    /// tail is unspecified.
+    /// Fetches and decodes the instruction at `pc` as the oracle sees
+    /// memory without executing it — the pipeline's wrong-path fetch, and
+    /// the first half of [`Oracle::step_fetched`]. Served from the decode
+    /// memo; a decode failure is never memoized. `bytes[..len]` holds the
+    /// encoding; the tail is unspecified.
     ///
     /// # Errors
     ///
@@ -260,32 +275,30 @@ impl Oracle {
         pc: u64,
         bytes: &mut [u8; rev_isa::MAX_INSTR_LEN],
     ) -> Result<(Instruction, usize), DecodeError> {
-        let faulted = self.mem.fault_enabled();
         let slot = (pc as usize) & (DEC_SLOTS - 1);
         let e = &self.dec_cache[slot];
-        if !faulted && e.pc == pc {
+        if e.pc == pc {
             *bytes = e.bytes;
             return Ok((e.insn, e.len as usize));
         }
-        self.mem.read_filtered(pc, bytes);
+        self.mem.read_into(pc, bytes);
         let (insn, len) = decode(&bytes[..])?;
-        if !faulted {
-            // Pin the post-zeroing byte image so a memo replay is
-            // indistinguishable from this fresh fetch.
-            let mut pinned = *bytes;
-            for b in &mut pinned[len..] {
-                *b = 0;
-            }
-            self.dec_cache[slot] = DecEntry { pc, len: len as u8, insn, bytes: pinned };
-            self.dec_bounds.0 = self.dec_bounds.0.min(pc);
-            self.dec_bounds.1 = self.dec_bounds.1.max(pc + len as u64);
+        // Pin the post-zeroing byte image so a memo replay is
+        // indistinguishable from this fresh fetch.
+        let mut pinned = *bytes;
+        for b in &mut pinned[len..] {
+            *b = 0;
         }
+        self.dec_cache[slot] = DecEntry { pc, len: len as u8, insn, bytes: pinned };
+        self.dec_bounds.0 = self.dec_bounds.0.min(pc);
+        self.dec_bounds.1 = self.dec_bounds.1.max(pc + len as u64);
         Ok((insn, len))
     }
 
-    /// Executes one instruction, exposing the code bytes it fetched in
-    /// `bytes` (so a caller that also needs the raw encoding — the
-    /// pipeline's fetch event — avoids a second memory read).
+    /// Executes one instruction as fetch sequence number `seq`, exposing
+    /// the code bytes it fetched in `bytes` (so a caller that also needs
+    /// the raw encoding — the pipeline's fetch event — avoids a second
+    /// memory read). A store joins the overlay under `seq`.
     ///
     /// # Errors
     ///
@@ -293,6 +306,7 @@ impl Oracle {
     /// do not decode.
     pub fn step_fetched(
         &mut self,
+        seq: u64,
         bytes: &mut [u8; rev_isa::MAX_INSTR_LEN],
     ) -> Result<DynOp, OracleError> {
         let pc = self.state.pc;
@@ -358,7 +372,7 @@ impl Oracle {
                 let v = s.reg(rs);
                 op.mem_addr = Some(addr);
                 op.store_value = Some(v);
-                self.mem.write_u64(addr, v);
+                self.mem.execute_store(seq, addr, v);
             }
             Instruction::LoadF { fd, rbase, off } => {
                 let addr = s.reg(rbase).wrapping_add(off as i64 as u64);
@@ -370,7 +384,7 @@ impl Oracle {
                 let v = s.fregs[fs.index()].to_bits();
                 op.mem_addr = Some(addr);
                 op.store_value = Some(v);
-                self.mem.write_u64(addr, v);
+                self.mem.execute_store(seq, addr, v);
             }
             Instruction::Branch { cond, rs1, rs2, disp } => {
                 op.taken = cond.eval(s.reg(rs1), s.reg(rs2));
@@ -384,7 +398,7 @@ impl Oracle {
             Instruction::Call { disp } => {
                 let sp = s.reg(REG_SP).wrapping_sub(8);
                 s.set_reg(REG_SP, sp);
-                self.mem.write_u64(sp, next_seq);
+                self.mem.execute_store(seq, sp, next_seq);
                 op.mem_addr = Some(sp);
                 op.store_value = Some(next_seq);
                 op.next_pc = next_seq.wrapping_add(disp as i64 as u64);
@@ -393,7 +407,7 @@ impl Oracle {
                 let target = s.reg(rt);
                 let sp = s.reg(REG_SP).wrapping_sub(8);
                 s.set_reg(REG_SP, sp);
-                self.mem.write_u64(sp, next_seq);
+                self.mem.execute_store(seq, sp, next_seq);
                 op.mem_addr = Some(sp);
                 op.store_value = Some(next_seq);
                 op.next_pc = target;
@@ -510,6 +524,27 @@ mod tests {
         assert_eq!(oracle.step().unwrap().insn, new, "the store invalidated the memo");
         assert_eq!(oracle.state().reg(Reg::R1), 7);
         assert!(oracle.step().unwrap().halted);
+    }
+
+    /// A standalone oracle holds nothing in flight: every store it ran is
+    /// in committed memory and the overlay stays empty.
+    #[test]
+    fn standalone_steps_release_every_store() {
+        let (oracle, ops) = run_program(|b| {
+            b.push(Instruction::Li { rd: Reg::R5, imm: 0x8000 });
+            for i in 0..40 {
+                b.push(Instruction::Li { rd: Reg::R6, imm: 7 + i });
+                b.push(Instruction::Store { rs: Reg::R6, rbase: Reg::R5, off: (i % 5) as i32 * 4 });
+            }
+            b.push(Instruction::Halt);
+        });
+        assert_eq!(ops.iter().filter(|op| op.store_value.is_some()).count(), 40);
+        assert!(oracle.mem().overlay().is_empty());
+        let committed = oracle.mem().committed();
+        for off in (0..5).map(|k| 0x8000 + k * 4) {
+            assert_eq!(committed.read_u64(off), oracle.mem().read_u64(off), "{off:#x}");
+        }
+        assert_eq!(committed.read_u64(0x8010), 46);
     }
 
     #[test]

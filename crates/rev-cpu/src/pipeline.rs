@@ -324,15 +324,18 @@ impl<const PREFETCH: bool> SplitLine<PREFETCH> {
         line.map(|(_, c)| c).save(w);
     }
 
-    fn load(r: &mut CkptReader<'_>) -> Result<Option<(u64, u64)>, CkptError> {
-        match (Option::load(r)?, Option::load(r)?) {
-            (Some(l), Some(c)) => Ok(Some((l, c))),
-            (None, None) => Ok(None),
-            _ => Err(malformed(format!(
-                "half-present {} line",
-                if PREFETCH { "prefetched" } else { "current fetch" }
-            ))),
-        }
+    fn load_into(line: &mut Option<(u64, u64)>, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+        *line = match (Option::load(r)?, Option::load(r)?) {
+            (Some(l), Some(c)) => Some((l, c)),
+            (None, None) => None,
+            _ => {
+                return Err(malformed(format!(
+                    "half-present {} line",
+                    if PREFETCH { "prefetched" } else { "current fetch" }
+                )))
+            }
+        };
+        Ok(())
     }
 }
 
@@ -924,8 +927,8 @@ impl Pipeline {
     }
 
     /// Serializes the complete mid-flight core state — oracle
-    /// (architectural registers + the live memory pages that differ from
-    /// the build image `base`), memory hierarchy, branch predictor, fetch
+    /// (architectural registers + the committed memory pages that differ
+    /// from the build image `base`), memory hierarchy, branch predictor, fetch
     /// queue, ROB, every issue/disambiguation structure, and stats — into
     /// a checkpoint section. Scratch buffers and the
     /// trace bus are not state (restored pipelines start with tracing
@@ -1017,7 +1020,27 @@ impl Pipeline {
         self.load_fields(r)?;
         self.wake_buf.clear();
         self.reads_buf.clear();
-        self.relink(&links)
+        self.relink(&links)?;
+        self.rebuild_overlay(&[])
+    }
+
+    /// Rebuilds the oracle's overlay after a restore: `held` (stores past
+    /// commit whose values the monitor still holds, oldest first), then
+    /// the correct-path stores in the ROB and fetch queue, which the
+    /// oracle executed at fetch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkptError::Malformed`] when the stores are not in
+    /// strictly increasing seq order, or `held` reaches into the window.
+    pub fn rebuild_overlay(&mut self, held: &[crate::OverlayEntry]) -> Result<(), CkptError> {
+        let in_flight = self
+            .rob
+            .iter()
+            .chain(&self.fetch_queue)
+            .filter(|s| s.is_store() && s.flag(F_HAS_DYN) && s.flag(F_HAS_MEM))
+            .map(|s| crate::OverlayEntry { seq: s.seq, addr: s.mem_addr, value: s.store_value });
+        self.oracle.monitor_mem().rebuild_overlay(held.iter().copied().chain(in_flight))
     }
 
     /// Rejects restored functional-unit horizons whose counts differ from
@@ -1201,7 +1224,7 @@ impl Pipeline {
     /// over — an intermediate yield is *not* an end of run, and firing
     /// the hook there would promote shadow pages mid-execution.
     pub fn finish_run<M: ExecMonitor>(&mut self, monitor: &mut M) {
-        monitor.on_run_end(&mut self.mem, self.now);
+        monitor.on_run_end(&mut self.mem, self.oracle.monitor_mem(), self.now);
     }
 
     /// Runs until the **cumulative** committed-instruction count (since
@@ -1225,7 +1248,7 @@ impl Pipeline {
         // a cycle — the monolithic loop sees empty in the same iteration,
         // and resumption must not charge a cycle it never ran.
         if self.pipeline_empty() {
-            monitor.on_run_end(&mut self.mem, self.now);
+            monitor.on_run_end(&mut self.mem, self.oracle.monitor_mem(), self.now);
             let outcome = match self.oracle_fault {
                 Some(pc) => RunOutcome::OracleFault { pc },
                 None => RunOutcome::Halted,
@@ -1236,7 +1259,7 @@ impl Pipeline {
         let mut last_committed = self.stats.committed_instrs;
         loop {
             if let Some(v) = self.cycle(monitor) {
-                monitor.on_run_end(&mut self.mem, self.now);
+                monitor.on_run_end(&mut self.mem, self.oracle.monitor_mem(), self.now);
                 return RunResult { outcome: RunOutcome::Violation(v), stats: self.stats.clone() };
             }
             if self.stats.committed_instrs != last_committed {
@@ -1247,7 +1270,7 @@ impl Pipeline {
                 return RunResult { outcome: RunOutcome::BudgetReached, stats: self.stats.clone() };
             }
             if self.pipeline_empty() {
-                monitor.on_run_end(&mut self.mem, self.now);
+                monitor.on_run_end(&mut self.mem, self.oracle.monitor_mem(), self.now);
                 let outcome = match self.oracle_fault {
                     Some(pc) => RunOutcome::OracleFault { pc },
                     None => RunOutcome::Halted,
@@ -1389,7 +1412,8 @@ impl Pipeline {
                     actual_target: head.next_pc,
                     insn: head.insn,
                 };
-                match monitor.on_terminator_commit(&mut self.mem, &query) {
+                match monitor.on_terminator_commit(&mut self.mem, self.oracle.monitor_mem(), &query)
+                {
                     CommitGate::Proceed => {}
                     CommitGate::StallUntil(c) => {
                         self.head_retry_at = c.max(self.now + 1);
@@ -1435,6 +1459,7 @@ impl Pipeline {
                 self.stores.remove(slot.mem_addr, slot.seq);
                 monitor.on_store_commit(
                     &mut self.mem,
+                    self.oracle.monitor_mem(),
                     StoreCommit {
                         seq: slot.seq,
                         addr: slot.mem_addr,
@@ -1928,7 +1953,7 @@ impl Pipeline {
                     }
                 }
             } else {
-                match self.oracle.step_fetched(&mut bytes) {
+                match self.oracle.step_fetched(self.next_seq, &mut bytes) {
                     Ok(op) => (op.insn, op.len, Some(op)),
                     Err(e) => {
                         let crate::oracle::OracleError::IllegalInstruction { pc } = e;
@@ -2009,7 +2034,7 @@ impl Pipeline {
                 cycle: self.now,
                 kind: EventKind::Fetch { seq, addr, wrong_path: self.wrong_path_mode },
             });
-            let is_boundary = monitor.on_fetch(&mut self.mem, &event);
+            let is_boundary = monitor.on_fetch(&mut self.mem, self.oracle.mem(), &event);
 
             let class = insn.class();
             let mut flags = 0u16;
@@ -2113,7 +2138,7 @@ mod tests {
         pb.module(m);
         let p = pb.build();
         let mem = MainMemory::with_segments(&p.segments());
-        let monitor = NullMonitor::new(mem.clone());
+        let monitor = NullMonitor;
         let oracle = Oracle::new(mem.clone(), p.entry(), p.initial_sp());
         (Pipeline::new(config, MemConfig::paper_default(), oracle), monitor, mem)
     }
@@ -2271,7 +2296,7 @@ mod tests {
             // li_data loaded R5.
             p.oracle().state().reg(Reg::R5) + 16
         };
-        assert_eq!(m.committed().read_u64(data_addr), 0xabcd);
+        assert_eq!(p.oracle().mem().committed().read_u64(data_addr), 0xabcd);
     }
 
     #[test]

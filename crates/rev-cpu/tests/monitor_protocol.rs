@@ -2,8 +2,8 @@
 //! Violation), store custody, deferral back-pressure and flush reporting.
 
 use rev_cpu::{
-    CommitGate, CommitQuery, CpuConfig, ExecMonitor, FetchEvent, Oracle, Pipeline, RunOutcome,
-    StoreCommit, Violation, ViolationKind,
+    CommitGate, CommitQuery, CpuConfig, ExecMonitor, FetchEvent, Memory, Oracle, Pipeline,
+    RunOutcome, StoreCommit, Violation, ViolationKind,
 };
 use rev_isa::{BranchCond, Instruction, Reg};
 use rev_mem::{Hierarchy, MainMemory, MemConfig};
@@ -42,7 +42,7 @@ struct ProtocolMonitor {
 }
 
 impl ExecMonitor for ProtocolMonitor {
-    fn on_fetch(&mut self, _mem: &mut Hierarchy, event: &FetchEvent) -> bool {
+    fn on_fetch(&mut self, _mem: &mut Hierarchy, _memory: &Memory, event: &FetchEvent) -> bool {
         self.fetches += 1;
         if event.wrong_path {
             self.wrong_path_fetches += 1;
@@ -58,7 +58,12 @@ impl ExecMonitor for ProtocolMonitor {
         self.flushes += 1;
     }
 
-    fn on_terminator_commit(&mut self, _mem: &mut Hierarchy, q: &CommitQuery) -> CommitGate {
+    fn on_terminator_commit(
+        &mut self,
+        _mem: &mut Hierarchy,
+        _memory: &mut Memory,
+        q: &CommitQuery,
+    ) -> CommitGate {
         if let Some(n) = self.violate_at_commit {
             if self.commits_gated >= n {
                 return CommitGate::Violation(Violation {
@@ -79,7 +84,8 @@ impl ExecMonitor for ProtocolMonitor {
         CommitGate::Proceed
     }
 
-    fn on_store_commit(&mut self, _mem: &mut Hierarchy, store: StoreCommit) {
+    fn on_store_commit(&mut self, _mem: &mut Hierarchy, memory: &mut Memory, store: StoreCommit) {
+        memory.release(store.seq, store.addr, store.value);
         self.stores.push(store);
     }
 

@@ -1,6 +1,8 @@
 //! Set-associative, write-back, write-allocate tag-only cache model with
 //! true-LRU replacement.
 
+#[cfg(test)]
+use rev_trace::CkptFields;
 use rev_trace::{Ckpt, CkptError, CkptReader, CkptWriter};
 
 /// Static configuration of one cache level.
@@ -205,25 +207,24 @@ impl Cache {
     pub fn latency(&self) -> u64 {
         self.config.latency
     }
+}
 
-    /// Rejects a restored line array that does not fit this cache's
-    /// geometry (checkpoints carry content only; the constructor owns
-    /// the geometry).
-    fn check_restored(&mut self) -> Result<(), CkptError> {
-        let want = self.config.assoc * self.num_sets;
-        if self.lines.len() != want {
-            return Err(CkptError::Malformed(format!(
-                "cache line count {} does not match geometry ({want} lines)",
-                self.lines.len()
-            )));
-        }
-        Ok(())
+/// The valid lines of a cache: an invalid line restores as
+/// `Line::default()`, since no access reads an invalid line's tag, dirty
+/// bit or LRU stamp.
+struct ValidLines;
+
+impl rev_trace::SparseTable for ValidLines {
+    type Slot = Line;
+
+    fn occupied(line: &Line) -> bool {
+        line.valid
     }
 }
 
-// The flat line order is part of the deterministic model state and
-// round-trips byte-identically.
-rev_trace::ckpt_fields!(CkptFields for Cache { tick, stats, lines } then Cache::check_restored);
+// The flat line order is part of the deterministic model state; only
+// valid lines travel, each at its position.
+rev_trace::ckpt_fields!(CkptFields for Cache { tick, stats, lines => rev_trace::Sparse<ValidLines> });
 rev_trace::ckpt_fields!(Ckpt for CacheStats { accesses, misses, writebacks });
 
 /// A line packs its valid and dirty bits into one flag byte (bit 0
@@ -266,6 +267,51 @@ mod tests {
     fn small() -> Cache {
         // 2 sets x 2 ways x 64B lines = 256 B
         Cache::new(CacheConfig { size_bytes: 256, assoc: 2, line_bytes: 64, latency: 2 })
+    }
+
+    /// The cache's sealed state: tick, stats, then the sparse lines.
+    fn sealed(c: &Cache) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        c.save_fields(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn only_valid_lines_travel_and_invalid_ones_restore_default() {
+        let mut c = small();
+        c.access(0x000, true);
+        c.access(0x040, false);
+        let env = sealed(&c);
+        // tick + three stats + length + count + two (u32, 17-byte) lines.
+        assert_eq!(env.len(), 12 + 8 + 24 + 8 + 8 + 2 * 21 + 8);
+        let mut back = small();
+        back.access(0x1000, false); // a line the checkpoint must clear
+        let mut r = CkptReader::new(&env).unwrap();
+        back.load_fields(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(sealed(&back), env);
+        assert!(back.access(0x000, false).hit && back.access(0x040, false).hit);
+        assert!(!back.access(0x1000, false).hit, "an unlisted line restores invalid");
+    }
+
+    #[test]
+    fn a_listed_invalid_line_is_malformed() {
+        let c = small();
+        let mut w = CkptWriter::new();
+        c.tick.save(&mut w);
+        c.stats.save(&mut w);
+        w.len(c.lines.len());
+        w.len(1);
+        w.u32(0);
+        Line { tag: 3, valid: false, dirty: false, lru: 1 }.save(&mut w);
+        let env = w.finish();
+        let mut back = small();
+        let mut r = CkptReader::new(&env).unwrap();
+        let err = back.load_fields(&mut r).unwrap_err();
+        assert!(
+            matches!(err, CkptError::Malformed(ref m) if m.contains("listed unoccupied")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Holds the program image and all run-time data. The timing model
 //! ([`crate::Hierarchy`]) is tag-only, so this is the single source of
-//! functional truth for both the oracle execution engine and the committed
-//! state. Pages are allocated lazily.
+//! functional truth: a simulator's committed state, which its oracle
+//! reads through the stores it has in flight. Pages are allocated
+//! lazily.
 //!
 //! The page table is a hand-rolled open-addressed hash table (linear
 //! probing, power-of-two capacity, no deletion — pages are never freed
@@ -15,13 +16,12 @@
 //! page into a shared, immutable one; a clone then shares those pages
 //! instead of copying them, and a memory copies a shared page into a
 //! private one the first time it writes it. A simulator's build image,
-//! its live and committed views and every fork of them therefore hold
-//! one copy of each page none of them has written. The copy happens once
+//! its memory and every fork of them therefore hold one copy of each
+//! page none of them has written. The copy happens once
 //! per page, so a store to a private page costs what it always did: no
 //! reference count is touched on the per-store path.
 
 use rev_prog::Segment;
-use rev_trace::FaultInjector;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -212,18 +212,11 @@ pub struct MainMemory {
     /// table on use (the slot may have moved on growth), so it is purely
     /// an accelerator. `Cell` keeps the read path `&self`.
     last: Cell<(u64, usize)>,
-    /// Fault filter applied to [`Self::read_bytes`] transfers (window-
-    /// gated to the signature-table region; disabled by default).
-    fault: FaultInjector,
 }
 
 impl Default for MainMemory {
     fn default() -> Self {
-        MainMemory {
-            pages: PageTable::default(),
-            last: Cell::new((EMPTY, 0)),
-            fault: FaultInjector::disabled(),
-        }
+        MainMemory { pages: PageTable::default(), last: Cell::new((EMPTY, 0)) }
     }
 }
 
@@ -312,39 +305,11 @@ impl MainMemory {
         }
     }
 
-    /// [`Self::read_into`] plus the bulk-transfer fault filter — the
-    /// allocation-free equivalent of [`Self::read_bytes`] for hot callers
-    /// with a stack buffer (instruction fetch).
-    #[inline]
-    pub fn read_filtered(&self, addr: u64, buf: &mut [u8]) {
-        self.read_into(addr, buf);
-        if self.fault.is_enabled() {
-            self.fault.filter_read(addr, buf);
-        }
-    }
-
-    /// Returns `len` bytes starting at `addr`. This is the bulk-transfer
-    /// path signature-table line fetches use, so an attached
-    /// [`FaultInjector`] filters the returned bytes (the stored pages are
-    /// never altered — the fault models corruption *in flight*).
+    /// Returns `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut buf = vec![0; len];
-        self.read_filtered(addr, &mut buf);
+        self.read_into(addr, &mut buf);
         buf
-    }
-
-    /// Attaches a fault injector to the bulk-read path (chaos campaigns).
-    pub fn set_fault_injector(&mut self, fault: FaultInjector) {
-        self.fault = fault;
-    }
-
-    /// Whether a fault injector is attached (armed or counting). Callers
-    /// that memoize read results must bypass their caches while this is
-    /// true: [`Self::read_filtered`] may alter bytes in flight, and even a
-    /// counting-only injector tallies per-read site visits.
-    #[inline]
-    pub fn fault_enabled(&self) -> bool {
-        self.fault.is_enabled()
     }
 
     /// A deterministic digest of all resident content strictly below
@@ -487,8 +452,7 @@ impl MainMemory {
     /// holds the right value. Each listed page is this memory's page (or
     /// zeros, where it has none) with the runs applied, installed as a
     /// new private page, so a shared base page is replaced, never
-    /// written. The fault injector is left untouched; the last-page
-    /// accelerator is reset.
+    /// written. The last-page accelerator is reset.
     ///
     /// # Errors
     ///
@@ -632,15 +596,6 @@ mod tests {
         for i in 0..500u64 {
             assert_eq!(mem.read_u64(i * (PAGE_SIZE as u64)), i + 1, "page {i}");
         }
-    }
-
-    #[test]
-    fn read_filtered_matches_read_bytes() {
-        let mut mem = MainMemory::new();
-        mem.write_bytes(0x3000, &[9, 8, 7, 6, 5]);
-        let mut buf = [0u8; 5];
-        mem.read_filtered(0x3000, &mut buf);
-        assert_eq!(buf.to_vec(), mem.read_bytes(0x3000, 5));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! and configuration.
 //!
 //! The gateway is *fault tolerant*: workers are supervised, a crashed
-//! job resumes from its last `rev-ckpt/2` checkpoint with bounded retry
+//! job resumes from its last `CKPT_SCHEMA` checkpoint with bounded retry
 //! and backoff (without moving a verdict byte), corrupt checkpoints are
 //! rejected fail-closed, per-job deadlines kill stuck jobs, the bounded
 //! admission queue sheds overload, and a suspending shutdown drains

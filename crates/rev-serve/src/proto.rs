@@ -310,7 +310,7 @@ pub enum Request {
     Shutdown {
         /// `false` (the default, wire value `"drain"`): run queued and
         /// in-flight jobs to their natural end. `true` (`"suspend"`):
-        /// seal each live job into a `rev-ckpt/2` checkpoint and retire
+        /// seal each live job into a `CKPT_SCHEMA` checkpoint and retire
         /// it with a `suspended` event instead of a verdict.
         suspend: bool,
     },
@@ -569,7 +569,7 @@ pub enum Response {
         committed: u64,
         /// Committed-instruction target the job was working toward.
         target: u64,
-        /// Size of the sealed `rev-ckpt/2` envelope in bytes (0 when
+        /// Size of the sealed `CKPT_SCHEMA` envelope in bytes (0 when
         /// the job had not yet started and there is no warmed state).
         ckpt_bytes: u64,
     },

@@ -13,7 +13,7 @@
 //! # Fault tolerance
 //!
 //! Workers are *supervised*: a panic while advancing a job is caught,
-//! and the job is re-dispatched from its last `rev-ckpt/2` checkpoint
+//! and the job is re-dispatched from its last `CKPT_SCHEMA` checkpoint
 //! (sealed every [`ServeOptions::ckpt_every`] slices) with bounded
 //! retry and linear backoff. Because checkpoint/restore is byte-exact
 //! (see `docs/CHECKPOINT.md`), a crashed-and-restored job produces a
@@ -75,7 +75,7 @@ pub struct ServeOptions {
     /// Base backoff before a crash re-dispatch, scaled linearly by the
     /// attempt number.
     pub retry_backoff_ms: u64,
-    /// Checkpoint cadence: seal a `rev-ckpt/2` envelope every N yielded
+    /// Checkpoint cadence: seal a `CKPT_SCHEMA` envelope every N yielded
     /// slices (0 = never checkpoint; crashes then retry from scratch).
     pub ckpt_every: u64,
     /// Injected faults (inert by default).
@@ -177,7 +177,7 @@ struct Job {
     spec: JobSpec,
     session: Option<Session>,
     cancel: Arc<AtomicBool>,
-    /// Last sealed `rev-ckpt/2` envelope — the crash-recovery point.
+    /// Last sealed `CKPT_SCHEMA` envelope — the crash-recovery point.
     ckpt: Option<Vec<u8>>,
     /// Crash retries consumed so far.
     attempts: u32,

@@ -1,4 +1,4 @@
-//! The `rev-ckpt/2` binary checkpoint codec.
+//! The binary checkpoint codec; [`CKPT_SCHEMA`] names its current layout.
 //!
 //! A checkpoint is a self-delimiting byte envelope:
 //!
@@ -42,18 +42,44 @@ use std::hash::{BuildHasher, Hash};
 pub const CKPT_MAGIC: [u8; 8] = *b"REVCKPT1";
 
 /// The current state-body layout version.
-pub const CKPT_VERSION: u32 = 2;
+pub const CKPT_VERSION: u32 = 3;
 
 /// The schema identifier advertised in docs and service handshakes.
-pub const CKPT_SCHEMA: &str = "rev-ckpt/2";
+pub const CKPT_SCHEMA: &str = "rev-ckpt/3";
 
-/// FNV-1a 64 over `bytes` — the envelope's trailing checksum function.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64 over `bytes`, byte by byte — the digest of golden tables,
+/// table images and cache keys.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// The envelope's trailing checksum over `body` (every byte before it):
+/// FNV-1a 64 over the body's little-endian u64 words, then its tail
+/// bytes one at a time. Each step — xor one word or byte into the state,
+/// multiply by the odd FNV prime — is a bijection of the state, so a
+/// change confined to one word or tail byte (any single bit flip) always
+/// changes the sum. Eight bytes per multiply make it about eight times
+/// cheaper than [`fnv1a64`] on a large envelope.
+#[must_use]
+pub fn ckpt_checksum(body: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut words = body.chunks_exact(8);
+    for word in &mut words {
+        h ^= u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    for &b in words.remainder() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -134,11 +160,18 @@ impl Default for CkptWriter {
     }
 }
 
+/// The buffer a writer starts with. A simulator envelope is mostly fixed
+/// state (predictor tables, valid cache lines, the signature cache) of a
+/// few hundred KiB, so starting here seals it with one allocation, where
+/// growing by doubling from 4 KiB took seven reallocations and copies on
+/// every checkpoint of every job; `finish` returns the unused tail.
+const INITIAL_CAPACITY: usize = 1 << 19;
+
 impl CkptWriter {
     /// Starts an envelope: magic + version are written immediately.
     #[must_use]
     pub fn new() -> Self {
-        let mut buf = Vec::with_capacity(4096);
+        let mut buf = Vec::with_capacity(INITIAL_CAPACITY);
         buf.extend_from_slice(&CKPT_MAGIC);
         buf.extend_from_slice(&CKPT_VERSION.to_le_bytes());
         CkptWriter { buf }
@@ -199,12 +232,12 @@ impl CkptWriter {
         self.buf.extend_from_slice(b);
     }
 
-    /// Seals the envelope: appends FNV-1a 64 over everything written and
+    /// Seals the envelope: appends [`ckpt_checksum`] over everything written and
     /// returns a buffer exactly as large as the envelope (the writer grows
     /// by doubling, and a caller may keep the envelope for a long time).
     #[must_use]
     pub fn finish(mut self) -> Vec<u8> {
-        let sum = fnv1a64(&self.buf);
+        let sum = ckpt_checksum(&self.buf);
         self.buf.extend_from_slice(&sum.to_le_bytes());
         self.buf.shrink_to_fit();
         self.buf
@@ -238,7 +271,7 @@ impl<'a> CkptReader<'a> {
         }
         let (body, sum_bytes) = data.split_at(data.len() - 8);
         let stored = u64::from_le_bytes(sum_bytes.try_into().expect("split at 8"));
-        let computed = fnv1a64(body);
+        let computed = ckpt_checksum(body);
         if stored != computed {
             return Err(CkptError::ChecksumMismatch { stored, computed });
         }
@@ -647,6 +680,76 @@ impl<T: Ckpt + Ord + Hash, S: BuildHasher + Default> Ckpt for HashSet<T, S> {
     }
 }
 
+/// What [`Sparse`] needs of a fixed-size table: its slot type and which
+/// slots are occupied. An unoccupied slot must be unobservable, so it can
+/// restore as `Default` whatever it held.
+pub trait SparseTable {
+    /// One slot of the table.
+    type Slot: Ckpt + Default;
+
+    /// Whether `slot` holds state a checkpoint must carry.
+    fn occupied(slot: &Self::Slot) -> bool;
+}
+
+/// Codec of a constructor-sized table that writes only its occupied
+/// slots: the table's length, the occupied count, and per occupied slot
+/// a u32 position and the slot. A restore loads in place into the
+/// constructor-built table (nothing is allocated from a checkpointed
+/// length) and resets every unlisted slot to `Default`.
+pub struct Sparse<S>(std::marker::PhantomData<S>);
+
+impl<S: SparseTable> Sparse<S> {
+    /// Appends the occupied slots of `table`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has more than `u32::MAX + 1` slots.
+    pub fn save(table: &[S::Slot], w: &mut CkptWriter) {
+        w.len(table.len());
+        w.len(table.iter().filter(|s| S::occupied(s)).count());
+        for (pos, slot) in table.iter().enumerate().filter(|(_, s)| S::occupied(s)) {
+            w.u32(u32::try_from(pos).expect("sparse table positions fit a u32"));
+            slot.save(w);
+        }
+    }
+
+    /// Loads the occupied slots into `table`, resetting the rest.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::Malformed`] on a length other than the table's,
+    /// positions not strictly increasing or past the table, or a listed
+    /// slot that is not occupied; decode failures of a slot propagate.
+    pub fn load_into(table: &mut [S::Slot], r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+        let len = r.u64()?;
+        if len != table.len() as u64 {
+            return Err(CkptError::Malformed(format!(
+                "sparse table of {len} slots, geometry holds {}",
+                table.len()
+            )));
+        }
+        let listed = r.len(4 + S::Slot::MIN_BYTES)?;
+        let mut next = 0usize;
+        for _ in 0..listed {
+            let pos = r.u32()? as usize;
+            if pos < next || pos >= table.len() {
+                return Err(CkptError::Malformed(format!(
+                    "sparse slot {pos} out of order or past {} slots",
+                    table.len()
+                )));
+            }
+            table[next..pos].fill_with(Default::default);
+            table[pos].load_into(r)?;
+            if !S::occupied(&table[pos]) {
+                return Err(CkptError::Malformed(format!("sparse slot {pos} listed unoccupied")));
+            }
+            next = pos + 1;
+        }
+        table[next..].fill_with(Default::default);
+        Ok(())
+    }
+}
+
 macro_rules! ckpt_tuple {
     ($($t:ident . $i:tt),+) => {
         impl<$($t: Ckpt),+> Ckpt for ($($t,)+) {
@@ -697,8 +800,10 @@ impl Ckpt for MetricRegistry {
 ///   `tag NAME` after the type writes and checks a section marker first.
 ///
 /// A field spelled `f => C` travels through the codec type `C` instead
-/// of its own impl (`C::MIN_BYTES`, `C::save(&T, w)`, `C::load(r)`), for
-/// the few encodings a test pins or a safety check needs. `then HOOK`
+/// of its own impl (`C::MIN_BYTES`, `C::save(&T, w)`, and `C::load(r)`
+/// for `Ckpt` or `C::load_into(&mut T, r)` for `CkptFields`), for the
+/// few encodings a test pins, a safety check needs or a table writes
+/// sparsely ([`Sparse`]). `then HOOK`
 /// runs `HOOK(&mut value)` after the fields load: the place for a
 /// `Malformed` check against the geometry (returning a `Result`), or for
 /// rebuilding derived state (returning `()`).
@@ -751,7 +856,9 @@ macro_rules! ckpt_fields {
     (@load_into $s:ident, $r:ident, $f:ident) => {
         $crate::CkptFields::load_fields(&mut $s.$f, $r)?
     };
-    (@load_into $s:ident, $r:ident, $f:ident, $codec:ty) => { $s.$f = <$codec>::load($r)? };
+    (@load_into $s:ident, $r:ident, $f:ident, $codec:ty) => {
+        <$codec>::load_into(&mut $s.$f, $r)?
+    };
 }
 
 /// Maps a fieldless enum to one-byte codes:
@@ -935,6 +1042,76 @@ mod tests {
         }
     }
 
+    /// A toy table for [`Sparse`]: a slot is occupied when nonzero.
+    struct Nonzero;
+
+    impl SparseTable for Nonzero {
+        type Slot = u64;
+
+        fn occupied(slot: &u64) -> bool {
+            *slot != 0
+        }
+    }
+
+    /// A sealed sparse section: `len`, then `(position, slot)` records.
+    fn sparse_section(len: u64, slots: &[(u32, u64)]) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        w.u64(len);
+        w.len(slots.len());
+        for &(pos, v) in slots {
+            w.u32(pos);
+            w.u64(v);
+        }
+        w.finish()
+    }
+
+    fn load_sparse(env: &[u8], table: &mut [u64]) -> Result<(), CkptError> {
+        let mut r = CkptReader::new(env)?;
+        Sparse::<Nonzero>::load_into(table, &mut r)?;
+        r.finish()
+    }
+
+    #[test]
+    fn sparse_table_round_trips_in_place_and_resets_the_rest() {
+        let table = [0, 7, 0, 0, 9, 0];
+        let mut w = CkptWriter::new();
+        Sparse::<Nonzero>::save(&table, &mut w);
+        let env = w.finish();
+        assert_eq!(env, sparse_section(6, &[(1, 7), (4, 9)]));
+        let mut back = [5u64; 6];
+        load_sparse(&env, &mut back).unwrap();
+        assert_eq!(back, table);
+    }
+
+    #[test]
+    fn sparse_positions_out_of_order_are_malformed() {
+        let mut table = [0u64; 8];
+        for slots in [&[(4, 1), (2, 1)][..], &[(3, 1), (3, 2)][..]] {
+            let err = load_sparse(&sparse_section(8, slots), &mut table).unwrap_err();
+            assert!(
+                matches!(err, CkptError::Malformed(ref m) if m.contains("out of order")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn sparse_positions_past_the_geometry_are_malformed() {
+        let mut table = [0u64; 8];
+        let err = load_sparse(&sparse_section(8, &[(8, 1)]), &mut table).unwrap_err();
+        assert!(matches!(err, CkptError::Malformed(ref m) if m.contains("past 8 slots")), "{err}");
+        let err = load_sparse(&sparse_section(9, &[]), &mut table).unwrap_err();
+        assert!(
+            matches!(err, CkptError::Malformed(ref m) if m.contains("geometry holds 8")),
+            "{err}"
+        );
+        let mut w = CkptWriter::new();
+        w.u64(8);
+        w.u64(u64::MAX); // an absurd count, correctly checksummed
+        let err = load_sparse(&w.finish(), &mut table).unwrap_err();
+        assert!(matches!(err, CkptError::Malformed(_)), "{err}");
+    }
+
     #[test]
     fn wrong_version_is_rejected() {
         // A syntactically valid envelope of the previous layout: set the
@@ -942,7 +1119,7 @@ mod tests {
         let mut data = CkptWriter::new().finish();
         data.truncate(data.len() - 8);
         data[8] = 1;
-        let sum = fnv1a64(&data);
+        let sum = ckpt_checksum(&data);
         data.extend_from_slice(&sum.to_le_bytes());
         assert_eq!(CkptReader::new(&data).unwrap_err(), CkptError::BadVersion(1));
     }

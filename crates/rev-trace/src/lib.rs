@@ -17,7 +17,7 @@
 //! * [`snapshot`] — schema-versioned, deterministic **JSON baselines**
 //!   ([`Snapshot`], rendered as `BENCH_rev.json`), which
 //!   `scripts/check.sh` byte-diffs against the committed baselines.
-//! * [`ckpt`] — the **`rev-ckpt/2` binary checkpoint codec**
+//! * [`ckpt`] — the **binary checkpoint codec** ([`CKPT_SCHEMA`])
 //!   ([`CkptWriter`] / [`CkptReader`]): a checksummed, schema-versioned
 //!   envelope the simulator crates use to serialize suspended sessions
 //!   (see `docs/CHECKPOINT.md`). Corruption is detected before a single
@@ -48,8 +48,8 @@ pub mod pool;
 pub mod snapshot;
 
 pub use ckpt::{
-    fnv1a64, Ckpt, CkptError, CkptFields, CkptReader, CkptWriter, CKPT_MAGIC, CKPT_SCHEMA,
-    CKPT_VERSION,
+    ckpt_checksum, fnv1a64, Ckpt, CkptError, CkptFields, CkptReader, CkptWriter, Sparse,
+    SparseTable, CKPT_MAGIC, CKPT_SCHEMA, CKPT_VERSION,
 };
 pub use event::{EventKind, ProbeOutcome, TraceBus, TraceEvent, Verdict};
 pub use fault::{FaultInjector, FaultKind, FaultLayer, FaultSpec, FAULT_LAYERS};
