@@ -281,24 +281,24 @@ fn checkpoint_restore_matches_monolithic_across_all_profiles() {
 /// [`checkpoint_restore_matches_monolithic_across_all_profiles`]
 /// (`None`: the profile ended before the suspension point).
 const GOLDEN_ENVELOPES: [(&str, Option<(usize, u64)>); 18] = [
-    ("astar", Some((98_448, 0x488c7783c811efdb))),
-    ("bzip2", Some((77_847, 0x6ee1666d01c3f612))),
-    ("cactusADM", Some((78_550, 0x643e31e41959745c))),
-    ("calculix", Some((74_224, 0xf2f328e7c33d2ece))),
-    ("dealII", Some((82_589, 0x668eb0a02a8ddceb))),
-    ("gamess", Some((89_115, 0x9a7dd0994dd869d5))),
-    ("gcc", Some((95_299, 0xed5aa9272d4f0224))),
-    ("gobmk", Some((105_962, 0xa9dabe5f201b02ad))),
-    ("h264ref", Some((73_306, 0x5b4f027ab41e6309))),
-    ("hmmer", Some((77_230, 0x0d2ee50e58aec9c5))),
-    ("lbm", Some((66_291, 0xee28e4badb56bb05))),
-    ("leslie3d", Some((60_925, 0x05f039e4a7e42d5d))),
-    ("libquantum", Some((76_097, 0xbf6aa5eeb5a109c6))),
-    ("mcf", Some((101_163, 0x895cbeccb05da41e))),
-    ("milc", Some((75_445, 0x9046b0e14bd4cb46))),
-    ("namd", Some((83_784, 0xc9b53e131d64d91c))),
-    ("sjeng", Some((94_498, 0xd7f4e86a86b27c3d))),
-    ("soplex", Some((90_956, 0x25f27ca04ccd4349))),
+    ("astar", Some((97_970, 0x62fc484e0bdd33fa))),
+    ("bzip2", Some((76_880, 0x530c1aa182effaaa))),
+    ("cactusADM", Some((77_489, 0x6869ee8a6469e225))),
+    ("calculix", Some((73_857, 0x17ce5acf8a5901ae))),
+    ("dealII", Some((81_693, 0x49f695d15fb5bd9b))),
+    ("gamess", Some((88_146, 0x7a3b93f8fbbe9867))),
+    ("gcc", Some((94_886, 0x3917240ffbc532f8))),
+    ("gobmk", Some((105_453, 0x712085a745036d37))),
+    ("h264ref", Some((73_144, 0x54b656aa81431c8a))),
+    ("hmmer", Some((76_797, 0xd49021d6cdef7ac1))),
+    ("lbm", Some((66_052, 0xf981095a7e520a1a))),
+    ("leslie3d", Some((60_715, 0x5cb0f50a569c0926))),
+    ("libquantum", Some((74_934, 0x58f2857a289fc2b3))),
+    ("mcf", Some((100_616, 0x0649d9e170041983))),
+    ("milc", Some((74_986, 0xc3de03ab610a72bc))),
+    ("namd", Some((83_087, 0x2f79840e49a2fed4))),
+    ("sjeng", Some((94_140, 0x18caceb087558500))),
+    ("soplex", Some((89_979, 0xeed83d57c737f416))),
 ];
 
 /// A per-test scratch directory under the system temp dir, wiped on

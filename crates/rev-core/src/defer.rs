@@ -123,14 +123,6 @@ impl DeferredStoreBuffer {
         self.peak = self.peak.max(self.entries.len());
     }
 
-    /// Releases every store with `seq < boundary_seq` (the just-validated
-    /// block's stores), in order, into `sink`. `cycle` stamps the trace
-    /// events (the validation cycle that freed the stores).
-    ///
-    /// Each store's parity is re-checked on the way out; a mismatch stops
-    /// the release immediately and returns the corrupted store's identity
-    /// so the monitor can raise a `ParityError` violation (the remaining
-    /// buffer is left for `discard_all`).
     /// Whether any buffered store is older than `boundary_seq` — i.e.
     /// whether [`Self::release_until`] would release anything. The
     /// monitor's per-commit release pass (and every superblock replay)
@@ -140,6 +132,14 @@ impl DeferredStoreBuffer {
         self.entries.front().map(|(s, _)| s.seq < boundary_seq).unwrap_or(false)
     }
 
+    /// Releases every store with `seq < boundary_seq` (the just-validated
+    /// block's stores), in order, into `sink`. `cycle` stamps the trace
+    /// events (the validation cycle that freed the stores).
+    ///
+    /// Each store's parity is re-checked on the way out; a mismatch stops
+    /// the release immediately and returns the corrupted store's identity
+    /// so the monitor can raise a `ParityError` violation (the remaining
+    /// buffer is left for `discard_all`).
     pub fn release_until<F: FnMut(DeferredStore)>(
         &mut self,
         boundary_seq: u64,

@@ -65,8 +65,7 @@ pub use sc::{ScEntry, ScProbe, ScStats, ScVariant, SignatureCache};
 pub use session::{Session, SessionStatus};
 pub use shadow::{ShadowMemory, ShadowStats};
 pub use sim::{
-    analyze_and_link, linked_tables, BaselineReport, MonitorView, RevReport, RevSimulator,
-    SimBuildError, SimError,
+    analyze_and_link, linked_tables, BaselineReport, MonitorView, RevReport, RevSimulator, SimError,
 };
 pub use stats::RevStats;
 

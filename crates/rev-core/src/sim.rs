@@ -52,9 +52,6 @@ pub enum SimError {
     Mem(rev_mem::MemConfigError),
 }
 
-/// Former name of [`SimError`], kept for source compatibility.
-pub type SimBuildError = SimError;
-
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -196,11 +193,11 @@ rev_trace::ckpt_fields!(Ckpt for BaselineReport { outcome, cpu, mem });
 ///
 /// # Errors
 ///
-/// Returns [`SimBuildError`] if a module fails static analysis.
+/// Returns [`SimError`] if a module fails static analysis.
 pub fn analyze_and_link(
     program: &Program,
     limits: rev_prog::BbLimits,
-) -> Result<Vec<Cfg>, SimBuildError> {
+) -> Result<Vec<Cfg>, SimError> {
     BuildCache::global().cfgs(program, limits).map(|cfgs| cfgs.to_vec())
 }
 
@@ -208,12 +205,12 @@ pub fn analyze_and_link(
 pub(crate) fn link_cfgs(
     program: &Program,
     limits: rev_prog::BbLimits,
-) -> Result<Vec<Cfg>, SimBuildError> {
+) -> Result<Vec<Cfg>, SimError> {
     // Pass 1: analyze every module.
     let mut cfgs: Vec<Cfg> = Vec::new();
     for module in program.modules() {
         let cfg = Cfg::analyze(module, limits)
-            .map_err(|source| SimBuildError::Cfg { module: module.name().to_string(), source })?;
+            .map_err(|source| SimError::Cfg { module: module.name().to_string(), source })?;
         cfgs.push(cfg);
     }
     // Pass 2: for each call whose target lives in another module, link the
@@ -248,12 +245,12 @@ pub(crate) fn link_cfgs(
 ///
 /// # Errors
 ///
-/// Returns [`SimBuildError`] if a module fails static analysis or table
+/// Returns [`SimError`] if a module fails static analysis or table
 /// generation.
 pub fn linked_tables(
     program: &Program,
     config: &RevConfig,
-) -> Result<(Vec<SignatureTable>, Vec<TableStats>), SimBuildError> {
+) -> Result<(Vec<SignatureTable>, Vec<TableStats>), SimError> {
     let built = BuildCache::global().tables(program, config, 0)?;
     Ok((built.tables.clone(), built.stats.clone()))
 }
@@ -266,14 +263,14 @@ pub(crate) fn build_tables(
     cfgs: &[Cfg],
     mode: ValidationMode,
     key_generation: u64,
-) -> Result<BuiltTables, SimBuildError> {
+) -> Result<BuiltTables, SimError> {
     let cpu_master = Aes128::new(CPU_MASTER_KEY);
     let mut tables: Vec<SignatureTable> = Vec::new();
     let mut stats = Vec::new();
     for (module, cfg) in program.modules().iter().zip(cfgs) {
         let key = SignatureKey::from_seed(module.base() ^ 0x5eed ^ key_generation.rotate_left(17));
         let table = build_table(module, cfg, &key, mode, &cpu_master)
-            .map_err(|source| SimBuildError::Table { module: module.name().to_string(), source })?;
+            .map_err(|source| SimError::Table { module: module.name().to_string(), source })?;
         stats.push(table.stats());
         tables.push(table);
     }
@@ -356,9 +353,9 @@ impl RevSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimBuildError`] if a module fails static analysis or
+    /// Returns [`SimError`] if a module fails static analysis or
     /// table generation.
-    pub fn new(program: Program, config: RevConfig) -> Result<Self, SimBuildError> {
+    pub fn new(program: Program, config: RevConfig) -> Result<Self, SimError> {
         Self::with_configs(program, config, CpuConfig::paper_default(), MemConfig::paper_default())
     }
 
@@ -366,14 +363,14 @@ impl RevSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimBuildError`] if a module fails static analysis or
+    /// Returns [`SimError`] if a module fails static analysis or
     /// table generation.
     pub fn with_configs(
         program: Program,
         config: RevConfig,
         cpu_config: CpuConfig,
         mem_config: MemConfig,
-    ) -> Result<Self, SimBuildError> {
+    ) -> Result<Self, SimError> {
         config.validate()?;
         mem_config.validate()?;
         let cfgs = link_cfgs(&program, config.bb_limits)?;
@@ -389,9 +386,9 @@ impl RevSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimBuildError`] if the configuration is unrunnable or a
+    /// Returns [`SimError`] if the configuration is unrunnable or a
     /// module fails static analysis or table generation.
-    pub fn cached(program: Program, config: RevConfig) -> Result<Self, SimBuildError> {
+    pub fn cached(program: Program, config: RevConfig) -> Result<Self, SimError> {
         let built = BuildCache::global().tables(&program, &config, 0)?;
         Self::with_prebuilt(program, config, built.tables.clone(), built.stats.clone())
     }
@@ -409,13 +406,13 @@ impl RevSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimBuildError`] if the REV configuration is unrunnable.
+    /// Returns [`SimError`] if the REV configuration is unrunnable.
     pub fn with_prebuilt(
         program: Program,
         config: RevConfig,
         tables: Vec<SignatureTable>,
         table_stats: Vec<TableStats>,
-    ) -> Result<Self, SimBuildError> {
+    ) -> Result<Self, SimError> {
         config.validate()?;
         Ok(Self::assemble(
             program,
@@ -676,9 +673,9 @@ impl RevSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimBuildError`] if the module fails analysis or table
+    /// Returns [`SimError`] if the module fails analysis or table
     /// generation.
-    pub fn load_dynamic_module(&mut self, module: rev_prog::Module) -> Result<(), SimBuildError> {
+    pub fn load_dynamic_module(&mut self, module: rev_prog::Module) -> Result<(), SimError> {
         // Load the module image into memory.
         let code = module.code().to_vec();
         let base = module.base();
@@ -717,9 +714,9 @@ impl RevSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimBuildError`] if regeneration fails (it cannot for a
+    /// Returns [`SimError`] if regeneration fails (it cannot for a
     /// program that built once, but the contract is explicit).
-    pub fn rekey_modules(&mut self, generation: u64) -> Result<(), SimBuildError> {
+    pub fn rekey_modules(&mut self, generation: u64) -> Result<(), SimError> {
         let built = BuildCache::global().tables(&self.program, &self.config, generation)?;
         let region = table_region_base(&self.program);
         let memory = self.pipeline.oracle_mut().mem_mut().committed_mut();

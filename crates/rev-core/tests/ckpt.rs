@@ -413,9 +413,9 @@ fn injected_code_and_data_survive_delta_checkpoint() {
 /// agrees with itself; this table pins the `CKPT_SCHEMA` bytes, so a
 /// layout change made the same way on both sides still fails here.
 const GOLDEN_ENVELOPES: [(&str, usize, u64); 3] = [
-    ("aggressive", 45_240, 0x15ad2c3982e60712),
-    ("cfi-only", 49_657, 0x5f761f98da0ff195),
-    ("shadow-pages", 47_157, 0xefe40bc5164641c9),
+    ("aggressive", 44_868, 0x689fedd42c7d612b),
+    ("cfi-only", 49_285, 0xc2ec791900dfd5e0),
+    ("shadow-pages", 46_785, 0xf1192cf43a9686b4),
 ];
 
 /// The configurations of [`GOLDEN_ENVELOPES`], in order.

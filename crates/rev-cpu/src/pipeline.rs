@@ -11,8 +11,9 @@
 //!   slots. An instruction keeps its slot index (its [`Handle`]) from
 //!   dispatch to commit or squash, so every cross-reference — the rename
 //!   map, the ready/waiting-store/executing lists, the wakeup lists — is
-//!   a direct index, never a search by seq. Seq stays the age order and
-//!   the guard against stale handles (a squashed slot's seq is cleared).
+//!   a direct index, never a search by seq. Seq stays the age order, the
+//!   name a checkpoint gives a slot, and the guard against a committed
+//!   writer's stale handle in the rename map.
 //! * [`Slot`] is `#[repr(C)]` with the hot fields (stage, flags, seq,
 //!   completion cycle) packed into the leading bytes, and everything an
 //!   instruction only needs once (oracle results, predictor checkpoint)
@@ -30,6 +31,10 @@
 //! * Completion walks an age-ordered list of the executing slots and
 //!   their completion cycles, and keeps the minimum `complete_at` among
 //!   them, so cycles with nothing to retire skip the stage entirely.
+//! * All of these indexes form one [`WindowIndex`], a function of the
+//!   ROB and fetch-queue slots: checkpoints carry only the slots, and
+//!   [`WindowIndex::derive`] rebuilds the index on restore and after
+//!   every squash.
 
 use crate::bpred::{BranchPredictor, PredictorCheckpoint};
 use crate::config::CpuConfig;
@@ -215,16 +220,14 @@ struct Slot {
     stage: Stage,
     class: InstrClass,
     src_count: u8,
-    /// Source producers still in flight (wakeup scheduling); the slot
-    /// enters the ready list when this reaches zero.
-    unready: u8,
     flags: u16,
-    /// Fetch order; 0 marks a vacant (never filled or squashed) ROB slot.
+    /// Fetch order, from 1; 0 marks a never-filled ROB slot.
     seq: u64,
     mem_addr: u64, // valid iff F_HAS_MEM
     complete_at: u64,
-    /// Producer seqs as renamed at dispatch (checkpoint content only:
-    /// the wakeup lists carry the live dependences).
+    /// The first `src_count` are the seqs of the source producers still
+    /// in the ROB at dispatch. The wakeup lists carry the live
+    /// dependences; a restore derives them from these.
     srcs: [u64; 2],
     addr: u64,
     next_pc: u64,     // oracle next PC, valid iff F_HAS_DYN
@@ -244,7 +247,6 @@ impl Slot {
         stage: Stage::Done,
         class: InstrClass::Other,
         src_count: 0,
-        unready: 0,
         flags: 0,
         seq: 0,
         mem_addr: 0,
@@ -283,7 +285,7 @@ impl Slot {
 rev_trace::ckpt_enum!(Stage { Waiting = 0, Executing = 1, Done = 2 });
 
 rev_trace::ckpt_fields!(Ckpt for Slot {
-    stage, src_count, unready, flags, seq, mem_addr, complete_at, srcs, addr, next_pc, store_value,
+    stage, src_count, flags, seq, mem_addr, complete_at, srcs, addr, next_pc, store_value,
     dispatch_ready, history_at_predict, insn => InsnBytes, checkpoint,
     ..Slot::VACANT
 } then Slot::derive_class);
@@ -313,36 +315,10 @@ impl InsnBytes {
     }
 }
 
-/// A `(line address, cycle)` fetch-line register travels as two
-/// `Option<u64>`s; exactly one present is rejected. `PREFETCH` names the
-/// register in the error.
-struct SplitLine<const PREFETCH: bool>;
-
-impl<const PREFETCH: bool> SplitLine<PREFETCH> {
-    fn save(line: &Option<(u64, u64)>, w: &mut CkptWriter) {
-        line.map(|(l, _)| l).save(w);
-        line.map(|(_, c)| c).save(w);
-    }
-
-    fn load_into(line: &mut Option<(u64, u64)>, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        *line = match (Option::load(r)?, Option::load(r)?) {
-            (Some(l), Some(c)) => Some((l, c)),
-            (None, None) => None,
-            _ => {
-                return Err(malformed(format!(
-                    "half-present {} line",
-                    if PREFETCH { "prefetched" } else { "current fetch" }
-                )))
-            }
-        };
-        Ok(())
-    }
-}
-
 const NIL: u32 = u32::MAX;
 
 /// A ROB slot index. An instruction keeps its handle from dispatch until
-/// it commits or is squashed; its seq tells a live handle from a stale one.
+/// it commits or is squashed.
 type Handle = u32;
 
 /// The reorder buffer: a fixed ring of `rob_size.next_power_of_two()`
@@ -457,11 +433,31 @@ impl Rob {
         }
     }
 
-    /// Drops the entries of an age-ordered list that are no longer live
-    /// (the squashed tail).
-    fn truncate_dead<T>(&self, list: &mut Vec<T>, key: impl Fn(&T) -> Handle) {
-        let keep = list.partition_point(|e| self.age(key(e)) < self.len);
-        list.truncate(keep);
+    /// The live handle holding `seq` (the window is in seq order).
+    fn find(&self, seq: u64) -> Option<Handle> {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self[self.handle(mid)].seq < seq {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let h = self.handle(lo);
+        (lo < self.len && self[h].seq == seq).then_some(h)
+    }
+
+    /// The rename map the window implies: each register's youngest
+    /// writer in the ROB.
+    fn rename_map(&self) -> [Option<(Handle, u64)>; 64] {
+        let mut map = [None; 64];
+        for h in self.handles() {
+            if let Some(w) = write_of(&self[h].insn) {
+                map[w as usize] = Some((h, self[h].seq));
+            }
+        }
+        map
     }
 }
 
@@ -484,17 +480,15 @@ impl std::ops::IndexMut<Handle> for Rob {
 struct WakeNode {
     consumer: Handle,
     next: u32,
-    seq: u64, // the consumer's seq at registration
 }
 
 /// Per-producer lists of waiting consumers for event-driven issue: a
 /// consumer whose source is still executing registers under the
 /// producer's handle at dispatch and is woken (its `unready` count
 /// dropped) when the producer completes. Nodes live in a slab with a free
-/// list, so steady state allocates nothing. Entries for squashed
-/// consumers are skipped lazily at wake time (their recorded seq no
-/// longer matches the slot); lists of a squashed producer are dropped
-/// eagerly during the squash walk.
+/// list, so steady state allocates nothing. A squash rederives the table
+/// with the rest of the window's index, so no entry outlives its
+/// consumer.
 #[derive(Debug, Clone)]
 struct WakeupTable {
     heads: Vec<u32>, // per ROB slot
@@ -507,10 +501,16 @@ impl WakeupTable {
         WakeupTable { heads: vec![NIL; slots], slab: Vec::new(), free: Vec::new() }
     }
 
+    fn clear(&mut self) {
+        self.heads.fill(NIL);
+        self.slab.clear();
+        self.free.clear();
+    }
+
     #[inline]
-    fn register(&mut self, producer: Handle, consumer: Handle, seq: u64) {
+    fn register(&mut self, producer: Handle, consumer: Handle) {
         let next = self.heads[producer as usize];
-        let node = WakeNode { consumer, next, seq };
+        let node = WakeNode { consumer, next };
         let i = match self.free.pop() {
             Some(i) => {
                 self.slab[i as usize] = node;
@@ -524,43 +524,27 @@ impl WakeupTable {
         self.heads[producer as usize] = i;
     }
 
-    /// Empties the producer's list, pushing its `(consumer, seq)` entries
-    /// into `out`.
+    /// Empties the producer's list, pushing its consumers into `out`.
     #[inline]
-    fn drain(&mut self, producer: Handle, out: &mut Vec<(Handle, u64)>) {
+    fn drain(&mut self, producer: Handle, out: &mut Vec<Handle>) {
         let mut cur = std::mem::replace(&mut self.heads[producer as usize], NIL);
         while cur != NIL {
             let n = self.slab[cur as usize];
-            out.push((n.consumer, n.seq));
+            out.push(n.consumer);
             self.free.push(cur);
             cur = n.next;
         }
     }
 
-    /// Drops the producer's list without waking anyone (squash path: every
-    /// registered consumer is younger and being squashed too).
-    #[inline]
-    fn remove_key(&mut self, producer: Handle) {
-        let mut cur = std::mem::replace(&mut self.heads[producer as usize], NIL);
-        while cur != NIL {
-            self.free.push(cur);
-            cur = self.slab[cur as usize].next;
-        }
-    }
-
-    #[inline]
-    fn has_waiters(&self, producer: Handle) -> bool {
-        self.heads[producer as usize] != NIL
-    }
-
-    /// The producer's registered entries, newest registration first.
-    fn entries(&self, producer: Handle) -> impl Iterator<Item = WakeNode> + '_ {
+    /// The producer's consumers, newest registration first.
+    #[cfg(debug_assertions)]
+    fn consumers(&self, producer: Handle) -> impl Iterator<Item = Handle> + '_ {
         let mut cur = self.heads[producer as usize];
         std::iter::from_fn(move || {
             (cur != NIL).then(|| {
                 let n = self.slab[cur as usize];
                 cur = n.next;
-                n
+                n.consumer
             })
         })
     }
@@ -587,6 +571,12 @@ struct StoreTracker {
 }
 
 impl StoreTracker {
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.slab.clear();
+        self.free.clear();
+    }
+
     /// A store's address became known (it issued): track it, keeping the
     /// per-address list sorted by seq.
     #[inline]
@@ -692,53 +682,26 @@ impl StoreTracker {
         best
     }
 
-    /// Every tracked store as `(addr, seq, data ready)`, each address's
-    /// stores in list order.
-    fn entries(&self) -> impl Iterator<Item = (u64, u64, bool)> + '_ {
-        self.heads.iter().flat_map(move |(&addr, &head)| {
-            let mut cur = head;
-            std::iter::from_fn(move || {
-                (cur != NIL).then(|| {
-                    let n = self.slab[cur as usize];
-                    cur = n.next;
-                    (addr, n.seq, n.done)
-                })
+    /// The `(seq, data ready)` list that starts at slab node `cur`.
+    fn list(&self, mut cur: u32) -> impl Iterator<Item = (u64, bool)> + '_ {
+        std::iter::from_fn(move || {
+            (cur != NIL).then(|| {
+                let n = self.slab[cur as usize];
+                cur = n.next;
+                (n.seq, n.done)
             })
         })
     }
+}
 
-    /// The logical content checkpoints carry: per address (sorted), the
-    /// seq-ascending list of in-flight stores with their data-ready bits.
-    fn content(&self) -> Vec<(u64, Vec<(u64, bool)>)> {
-        let mut addrs: Vec<u64> = self.heads.keys().copied().collect();
-        addrs.sort_unstable();
-        addrs
-            .into_iter()
-            .map(|a| {
-                let mut list = Vec::new();
-                let mut cur = self.heads[&a];
-                while cur != NIL {
-                    let n = self.slab[cur as usize];
-                    list.push((n.seq, n.done));
-                    cur = n.next;
-                }
-                (a, list)
+/// Trackers are equal when they track the same stores: slab layout and
+/// free-list order are not content.
+impl PartialEq for StoreTracker {
+    fn eq(&self, other: &StoreTracker) -> bool {
+        self.heads.len() == other.heads.len()
+            && self.heads.iter().all(|(addr, &head)| {
+                other.heads.get(addr).is_some_and(|&o| self.list(head).eq(other.list(o)))
             })
-            .collect()
-    }
-
-    /// Rebuilds a tracker from [`StoreTracker::content`].
-    fn from_content(content: &[(u64, Vec<(u64, bool)>)]) -> Self {
-        let mut t = StoreTracker::default();
-        for &(addr, ref list) in content {
-            for &(seq, done) in list {
-                t.insert(addr, seq);
-                if done {
-                    t.mark_done(addr, seq);
-                }
-            }
-        }
-        t
     }
 }
 
@@ -754,29 +717,110 @@ fn malformed(what: String) -> rev_trace::CkptError {
     rev_trace::CkptError::Malformed(what)
 }
 
-/// The pipeline's cross-structure content keyed by seq, the form
-/// checkpoints carry: lists sorted by seq, wakeup lists as producer →
-/// sorted consumers, the store tracker's content, and the rename map's
-/// writer seqs.
+/// Every index the pipeline keeps over its window (the ROB and the
+/// fetch queue). Dispatch, issue, completion and commit keep it in step
+/// with the window incrementally; [`WindowIndex::derive`] rebuilds it
+/// from the window alone after a squash and on restore, so checkpoints
+/// carry only the window.
 #[derive(Debug, Clone)]
-struct SeqLinks {
-    iq_occupancy: u64,
-    lsq_occupancy: u64,
-    first_executing_seq: u64,
-    executing_count: u64,
+struct WindowIndex {
+    // ROB occupancy by stage/kind, so dispatch doesn't rescan the ROB,
+    // and the register writers in the ROB and fetch queue.
+    iq_occupancy: usize,
+    lsq_occupancy: usize,
+    in_flight_writers: usize,
+    // Executing slots in age order with their completion cycles, and the
+    // earliest of those cycles (u64::MAX = none).
+    executing: Vec<(Handle, u64)>,
     next_complete_at: u64,
-    ready: Vec<u64>,
-    waiting_stores: Vec<u64>,
-    wakeups: Vec<(u64, Vec<u64>)>,
-    stores: Vec<(u64, Vec<(u64, bool)>)>,
-    last_writer: [Option<u64>; 64],
-    in_flight_writers: u64,
+    // Event-driven issue: age-ordered Waiting slots whose sources are all
+    // complete (or committed), age-ordered Waiting store-class slots
+    // (conservative disambiguation), the producer → consumer wakeup
+    // lists that maintain `ready` without rescanning the ROB, and per
+    // handle a Waiting slot's count of sources not yet done (it becomes
+    // ready at zero).
+    ready: Vec<Handle>,
+    waiting_stores: Vec<Handle>,
+    wakeups: WakeupTable,
+    unready: Vec<u8>,
+    stores: StoreTracker,
+    // Rename map: each register's last writer as (handle, seq). The
+    // handle is only valid while the writer is still in the ROB (its seq
+    // is at least the head's); a committed writer's slot may be reused.
+    last_writer: [Option<(Handle, u64)>; 64],
 }
 
-rev_trace::ckpt_fields!(Ckpt for SeqLinks {
-    iq_occupancy, lsq_occupancy, first_executing_seq, executing_count, next_complete_at, ready,
-    waiting_stores, wakeups, stores, last_writer, in_flight_writers,
-});
+impl WindowIndex {
+    /// The index of an empty window.
+    fn new(rob_capacity: usize) -> WindowIndex {
+        WindowIndex {
+            iq_occupancy: 0,
+            lsq_occupancy: 0,
+            in_flight_writers: 0,
+            executing: Vec::new(),
+            next_complete_at: u64::MAX,
+            ready: Vec::new(),
+            waiting_stores: Vec::new(),
+            wakeups: WakeupTable::new(rob_capacity),
+            unready: vec![0; rob_capacity],
+            stores: StoreTracker::default(),
+            last_writer: [None; 64],
+        }
+    }
+
+    /// Rederives every index from the window, in place (allocations are
+    /// reused). A Waiting slot subscribes to each `srcs` producer that is
+    /// in the ROB and not Done; an older producer has committed. The
+    /// window must be one [`Pipeline::check_window`] accepts.
+    fn derive(&mut self, rob: &Rob, fetch_queue: &VecDeque<Slot>) {
+        self.iq_occupancy = 0;
+        self.lsq_occupancy = 0;
+        self.in_flight_writers = fetch_queue.iter().filter(|s| s.flag(F_WRITES_REG)).count();
+        self.executing.clear();
+        self.next_complete_at = u64::MAX;
+        self.ready.clear();
+        self.waiting_stores.clear();
+        self.wakeups.clear();
+        self.unready.fill(0);
+        self.stores.clear();
+        for h in rob.handles() {
+            let s = &rob[h];
+            self.in_flight_writers += s.flag(F_WRITES_REG) as usize;
+            self.lsq_occupancy += (s.is_load() || s.is_store()) as usize;
+            match s.stage {
+                Stage::Waiting => {
+                    self.iq_occupancy += 1;
+                    for &p in &s.srcs[..s.src_count as usize] {
+                        if let Some(ph) = rob.find(p).filter(|&ph| rob[ph].stage != Stage::Done) {
+                            self.wakeups.register(ph, h);
+                            self.unready[h as usize] += 1;
+                        }
+                    }
+                    if self.unready[h as usize] == 0 {
+                        self.ready.push(h);
+                    }
+                    if s.is_store() {
+                        self.waiting_stores.push(h);
+                    }
+                }
+                Stage::Executing => {
+                    self.executing.push((h, s.complete_at));
+                    self.next_complete_at = self.next_complete_at.min(s.complete_at);
+                }
+                Stage::Done => {}
+            }
+            // The tracker holds the issued correct-path stores.
+            if s.stage != Stage::Waiting && s.flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM)
+            {
+                self.stores.insert(s.mem_addr, s.seq);
+                if s.stage == Stage::Done {
+                    self.stores.mark_done(s.mem_addr, s.seq);
+                }
+            }
+        }
+        self.last_writer = rob.rename_map();
+    }
+}
 
 /// The out-of-order core.
 ///
@@ -793,28 +837,12 @@ pub struct Pipeline {
     bpred: BranchPredictor,
     fetch_queue: VecDeque<Slot>,
     rob: Rob,
-    // Incremental ROB occupancy by stage/kind, kept in sync by
-    // dispatch/issue/commit/squash so dispatch doesn't rescan the ROB.
-    iq_occupancy: usize,
-    lsq_occupancy: usize,
-    // Executing slots in age order with their completion cycles, and the
-    // earliest of those cycles (u64::MAX = none).
-    executing: Vec<(Handle, u64)>,
-    next_complete_at: u64,
-    // Event-driven issue: age-ordered Waiting slots whose sources are all
-    // complete (or committed), age-ordered Waiting store-class slots
-    // (conservative disambiguation), and the producer → consumer wakeup
-    // lists that maintain `ready` without rescanning the ROB.
-    ready: Vec<Handle>,
-    waiting_stores: Vec<Handle>,
-    wakeups: WakeupTable,
-    wake_buf: Vec<(Handle, u64)>,
-    stores: StoreTracker,
-    // Rename map: each register's last writer as (handle, seq). The
-    // handle is only valid while the writer is still in the ROB (its seq
-    // is at least the head's); a committed writer's slot may be reused.
-    last_writer: [Option<(Handle, u64)>; 64],
-    in_flight_writers: usize,
+    index: WindowIndex,
+    // Scratch for the debug-build check that `index` equals a fresh
+    // derivation.
+    #[cfg(debug_assertions)]
+    fresh_index: WindowIndex,
+    wake_buf: Vec<Handle>,
     next_seq: u64,
     now: u64,
     fetch_pc: u64,
@@ -834,11 +862,11 @@ pub struct Pipeline {
     reads_buf: Vec<u8>,
 }
 
-// The fields after the seq-keyed links (see `Pipeline::save_state`).
+// The scalar registers saved after the window (see `Pipeline::save_state`).
 rev_trace::ckpt_fields!(CkptFields for Pipeline {
     next_seq, now, fetch_pc, fetch_resume, wrong_path_mode, wrong_path_stuck, fetch_stopped,
-    oracle_fault, cur_line => SplitLine<false>, prefetched_line => SplitLine<true>, head_retry_at,
-    stats, stats_start_cycle, fpu_free, alu_free,
+    oracle_fault, cur_line, prefetched_line, head_retry_at, stats, stats_start_cycle, fpu_free,
+    alu_free,
 } then Pipeline::check_units);
 
 impl Pipeline {
@@ -846,7 +874,6 @@ impl Pipeline {
     pub fn new(config: CpuConfig, mem_config: MemConfig, oracle: Oracle) -> Self {
         let entry = oracle.state().pc;
         let rob = Rob::new(config.rob_size);
-        let wakeups = WakeupTable::new(rob.capacity());
         Pipeline {
             bpred: BranchPredictor::new(config.predictor),
             fpu_free: vec![0; config.fpu_units],
@@ -855,18 +882,11 @@ impl Pipeline {
             oracle,
             mem: Hierarchy::new(mem_config),
             fetch_queue: VecDeque::new(),
+            index: WindowIndex::new(rob.capacity()),
+            #[cfg(debug_assertions)]
+            fresh_index: WindowIndex::new(rob.capacity()),
             rob,
-            iq_occupancy: 0,
-            lsq_occupancy: 0,
-            executing: Vec::new(),
-            next_complete_at: u64::MAX,
-            ready: Vec::new(),
-            waiting_stores: Vec::new(),
-            wakeups,
             wake_buf: Vec::new(),
-            stores: StoreTracker::default(),
-            last_writer: [None; 64],
-            in_flight_writers: 0,
             next_seq: 1,
             now: 0,
             fetch_pc: entry,
@@ -928,44 +948,14 @@ impl Pipeline {
 
     /// Serializes the complete mid-flight core state — oracle
     /// (architectural registers + the committed memory pages that differ
-    /// from the build image `base`), memory hierarchy, branch predictor, fetch
-    /// queue, ROB, every issue/disambiguation structure, and stats — into
-    /// a checkpoint section. Scratch buffers and the
-    /// trace bus are not state (restored pipelines start with tracing
-    /// disabled, matching the fresh-build default); slab-backed and
-    /// handle-keyed tables are written as canonical seq-sorted logical
-    /// content, so a restored pipeline re-serializes byte-identically.
+    /// from the build image `base`), memory hierarchy, branch predictor,
+    /// the window (fetch queue and ROB slots), and the scalar registers
+    /// and stats — into a checkpoint section. Every index over the window
+    /// is derived again on restore (`WindowIndex::derive`), so none is
+    /// written; scratch buffers and the trace bus are not state (restored
+    /// pipelines start with tracing disabled, matching the fresh-build
+    /// default). A restored pipeline re-serializes byte-identically.
     pub fn save_state(&self, base: &MainMemory, w: &mut rev_trace::CkptWriter) {
-        self.write_state(base, w, &self.seq_links());
-    }
-
-    /// The seq-keyed form of every handle-keyed structure, as
-    /// checkpoints carry it (handles name ring positions of one process
-    /// and never leave it).
-    fn seq_links(&self) -> SeqLinks {
-        let seqs = |list: &[Handle]| list.iter().map(|&h| self.rob[h].seq).collect();
-        let mut wakeups = Vec::new();
-        for h in self.rob.handles().filter(|&h| self.wakeups.has_waiters(h)) {
-            let mut consumers: Vec<u64> = self.wakeups.entries(h).map(|n| n.seq).collect();
-            consumers.sort_unstable();
-            wakeups.push((self.rob[h].seq, consumers));
-        }
-        SeqLinks {
-            iq_occupancy: self.iq_occupancy as u64,
-            lsq_occupancy: self.lsq_occupancy as u64,
-            first_executing_seq: self.executing.first().map_or(u64::MAX, |&(h, _)| self.rob[h].seq),
-            executing_count: self.executing.len() as u64,
-            next_complete_at: self.next_complete_at,
-            ready: seqs(&self.ready),
-            waiting_stores: seqs(&self.waiting_stores),
-            wakeups,
-            stores: self.stores.content(),
-            last_writer: self.last_writer.map(|w| w.map(|(_, seq)| seq)),
-            in_flight_writers: self.in_flight_writers as u64,
-        }
-    }
-
-    fn write_state(&self, base: &MainMemory, w: &mut CkptWriter, links: &SeqLinks) {
         w.tag(TAG_CPU);
         self.oracle.save_state(base, w);
         self.mem.save_fields(w);
@@ -975,40 +965,35 @@ impl Pipeline {
         for s in self.rob.iter() {
             s.save(w);
         }
-        links.save(w);
         self.save_fields(w);
     }
 
     /// Restores state saved by [`Pipeline::save_state`] into a pipeline
     /// freshly built with the identical configuration, program, and
     /// initial memory image (the enclosing checkpoint carries a
-    /// fingerprint guarding this). Scratch buffers reset; the trace bus
-    /// stays as constructed (disabled).
+    /// fingerprint guarding this), and derives the window's indexes.
+    /// Scratch buffers reset; the trace bus stays as constructed
+    /// (disabled).
     ///
     /// # Errors
     ///
     /// Returns [`rev_trace::CkptError`] on decode failure, a
-    /// configuration mismatch, or cross-structure content no run could
-    /// have produced (a window larger than configured, a list entry
-    /// naming no matching slot, counters that disagree with the ROB).
+    /// configuration mismatch, or a window no run could have produced
+    /// (see `Pipeline::check_window`).
     pub fn restore_state(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         r.tag(TAG_CPU)?;
         self.oracle.restore_state(r)?;
         self.mem.load_fields(r)?;
         self.bpred.load_fields(r)?;
         self.fetch_queue = Ckpt::load(r)?;
-        if self.fetch_queue.len() > self.config.fetch_queue {
-            return Err(malformed(format!(
-                "fetch queue holds {} slots, configured for {}",
-                self.fetch_queue.len(),
-                self.config.fetch_queue
-            )));
-        }
         let rob: Vec<Slot> = Ckpt::load(r)?;
-        if rob.len() > self.config.rob_size {
+        self.load_fields(r)?;
+        if self.fetch_queue.len() > self.config.fetch_queue || rob.len() > self.config.rob_size {
             return Err(malformed(format!(
-                "ROB holds {} slots, configured for {}",
+                "window of {} fetched and {} ROB slots, configured for {} and {}",
+                self.fetch_queue.len(),
                 rob.len(),
+                self.config.fetch_queue,
                 self.config.rob_size
             )));
         }
@@ -1016,12 +1001,49 @@ impl Pipeline {
         for s in rob {
             self.rob.push_back(s);
         }
-        let links = SeqLinks::load(r)?;
-        self.load_fields(r)?;
+        self.check_window()?;
+        self.index.derive(&self.rob, &self.fetch_queue);
+        let (waiting, memory) = (self.index.iq_occupancy, self.index.lsq_occupancy);
+        let rob_writers = self.rob.iter().filter(|s| s.flag(F_WRITES_REG)).count();
+        if waiting > self.config.iq_size
+            || memory > self.config.lsq_size
+            || (rob_writers > 0 && rob_writers + 64 >= self.config.phys_regs)
+        {
+            return Err(malformed(format!(
+                "window holds {waiting} waiting, {memory} memory and {rob_writers} writing \
+                 slots, over the configured issue queue, load/store queue or physical registers"
+            )));
+        }
         self.wake_buf.clear();
         self.reads_buf.clear();
-        self.relink(&links)?;
         self.rebuild_overlay(&[])
+    }
+
+    /// Rejects window content no run could have produced, which would
+    /// otherwise index past the window or stall the core forever: slots
+    /// out of fetch order, more than two sources, a source that is not an
+    /// older slot still in the ROB or committed, or a branch checkpoint
+    /// whose RAS position is past this core's stack.
+    fn check_window(&self) -> Result<(), CkptError> {
+        let mut prev = 0;
+        for s in self.rob.iter().chain(&self.fetch_queue) {
+            if s.seq <= prev || s.seq >= self.next_seq {
+                return Err(malformed(format!("slot seq {} out of fetch order", s.seq)));
+            }
+            prev = s.seq;
+            if let Some(cp) = &s.checkpoint {
+                cp.check_ras(self.config.predictor.ras_depth)?;
+            }
+        }
+        let head_seq = self.rob.front().map_or(u64::MAX, |s| s.seq);
+        for s in self.rob.iter() {
+            let srcs = s.srcs.get(..s.src_count as usize);
+            let known = |&p: &u64| p < s.seq && (p < head_seq || self.rob.find(p).is_some());
+            if !srcs.is_some_and(|srcs| srcs.iter().all(known)) {
+                return Err(malformed(format!("slot seq {} has bad sources", s.seq)));
+            }
+        }
+        Ok(())
     }
 
     /// Rebuilds the oracle's overlay after a restore: `held` (stores past
@@ -1058,147 +1080,6 @@ impl Pipeline {
             )));
         }
         Ok(())
-    }
-
-    /// Rebuilds the handle-keyed structures from checkpointed seq-keyed
-    /// content (the ROB was just restored at ring position 0, so a live
-    /// slot's handle is its index). Content no run could have produced is
-    /// rejected: left in, it would index past the window, underflow an
-    /// occupancy counter or stall the core forever.
-    fn relink(&mut self, l: &SeqLinks) -> Result<(), rev_trace::CkptError> {
-        let mut prev = 0;
-        for s in self.rob.iter().chain(&self.fetch_queue) {
-            if s.seq <= prev || s.seq >= self.next_seq {
-                return Err(malformed(format!("slot seq {} out of fetch order", s.seq)));
-            }
-            prev = s.seq;
-        }
-        for s in self.rob.iter() {
-            if s.src_count > 2 || s.unready > s.src_count {
-                return Err(malformed(format!("slot seq {} has bad source counts", s.seq)));
-            }
-        }
-        for cp in self.rob.iter().chain(&self.fetch_queue).filter_map(|s| s.checkpoint.as_ref()) {
-            cp.check_ras(self.config.predictor.ras_depth)?;
-        }
-        let count = |f: fn(&Slot) -> bool| self.rob.iter().filter(|&s| f(s)).count() as u64;
-        let writers =
-            self.rob.iter().chain(&self.fetch_queue).filter(|s| s.flag(F_WRITES_REG)).count();
-        if l.iq_occupancy != count(|s| s.stage == Stage::Waiting)
-            || l.lsq_occupancy != count(|s| s.is_load() || s.is_store())
-            || l.in_flight_writers != writers as u64
-        {
-            return Err(malformed("occupancy counters disagree with the ROB".to_string()));
-        }
-
-        let live = &self.rob.slots[..self.rob.len()];
-        let find = |seq: u64| live.binary_search_by_key(&seq, |s| s.seq).ok().map(|i| i as Handle);
-        // Seqs below this were dispatched (ROB, committed or squashed).
-        let undispatched = self.fetch_queue.front().map_or(self.next_seq, |s| s.seq);
-
-        let executing = self.handles_where(|s| s.stage == Stage::Executing);
-        let first = executing.first().map_or(u64::MAX, |&h| self.rob[h].seq);
-        let next = executing.iter().map(|&h| self.rob[h].complete_at).min().unwrap_or(u64::MAX);
-        if l.executing_count != executing.len() as u64
-            || l.first_executing_seq != first
-            || l.next_complete_at != next
-        {
-            return Err(malformed("executing summary disagrees with the ROB".to_string()));
-        }
-        let ready = self.handles_where(|s| s.stage == Stage::Waiting && s.unready == 0);
-        let waiting_stores = self.handles_where(|s| s.stage == Stage::Waiting && s.is_store());
-        for (list, seqs, what) in
-            [(&ready, &l.ready, "ready"), (&waiting_stores, &l.waiting_stores, "waiting-store")]
-        {
-            if !list.iter().map(|&h| self.rob[h].seq).eq(seqs.iter().copied()) {
-                return Err(malformed(format!("{what} list does not match the ROB")));
-            }
-        }
-
-        let mut wakeups = WakeupTable::new(self.rob.capacity());
-        let mut pending = vec![0u32; live.len()];
-        let mut prev = 0;
-        for &(p, ref consumers) in &l.wakeups {
-            let producer = find(p).filter(|&h| p > prev && live[h as usize].stage != Stage::Done);
-            let Some(ph) = producer else {
-                return Err(malformed(format!("wakeup list of seq {p} has no in-flight producer")));
-            };
-            prev = p;
-            for &c in consumers {
-                let ch = match find(c) {
-                    Some(h) if c > p && live[h as usize].stage == Stage::Waiting => {
-                        pending[h as usize] += 1;
-                        h
-                    }
-                    // A squashed consumer: its seq never matches a slot again.
-                    None if c > p && c < undispatched => 0,
-                    _ => {
-                        return Err(malformed(format!(
-                            "wakeup entry {p} -> {c} names no younger waiting slot"
-                        )))
-                    }
-                };
-                wakeups.register(ph, ch, c);
-            }
-        }
-        if live
-            .iter()
-            .zip(&pending)
-            .any(|(s, &n)| s.stage == Stage::Waiting && n != s.unready as u32)
-        {
-            return Err(malformed("pending-source counts disagree with the wakeup lists".into()));
-        }
-
-        // The store tracker holds exactly the issued correct-path stores,
-        // each address's list in ascending seq order.
-        let tracked = |s: &Slot| {
-            s.stage != Stage::Waiting && s.flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM)
-        };
-        self.stores = StoreTracker::from_content(&l.stores);
-        let (mut entries, mut last) = (0, (u64::MAX, 0));
-        for (addr, seq, done) in self.stores.entries() {
-            let slot = find(seq).map(|h| &live[h as usize]);
-            let matches = slot.is_some_and(|s| {
-                tracked(s) && s.mem_addr == addr && done == (s.stage == Stage::Done)
-            });
-            if !matches || (addr == last.0 && seq <= last.1) {
-                return Err(malformed(format!("store tracker entry {seq} names no issued store")));
-            }
-            (entries, last) = (entries + 1, (addr, seq));
-        }
-        if entries != live.iter().filter(|s| tracked(s)).count() {
-            return Err(malformed("store tracker misses an issued store".to_string()));
-        }
-
-        let committed_below = self.rob.front().map_or(undispatched, |s| s.seq);
-        let mut last_writer = [None; 64];
-        for (dst, &writer) in last_writer.iter_mut().zip(&l.last_writer) {
-            *dst = match writer {
-                None => None,
-                Some(p) => match find(p) {
-                    Some(h) => Some((h, p)),
-                    // Committed: the handle is never dereferenced.
-                    None if p < committed_below => Some((0, p)),
-                    None => return Err(malformed(format!("rename map names unknown seq {p}"))),
-                },
-            };
-        }
-
-        self.iq_occupancy = l.iq_occupancy as usize;
-        self.lsq_occupancy = l.lsq_occupancy as usize;
-        self.in_flight_writers = l.in_flight_writers as usize;
-        self.executing = executing.iter().map(|&h| (h, self.rob[h].complete_at)).collect();
-        self.next_complete_at = next;
-        self.ready = ready;
-        self.waiting_stores = waiting_stores;
-        self.wakeups = wakeups;
-        self.last_writer = last_writer;
-        Ok(())
-    }
-
-    /// Live handles whose slot satisfies `want`, oldest first.
-    fn handles_where(&self, want: impl Fn(&Slot) -> bool) -> Vec<Handle> {
-        self.rob.handles().filter(|&h| want(&self.rob[h])).collect()
     }
 
     /// Runs until `max_instrs` correct-path instructions commit, the
@@ -1286,7 +1167,7 @@ impl Pipeline {
             // Pre-gate on the cheapest disqualifier (issue always acts on
             // a non-empty ready list) so busy cycles don't pay the full
             // idle-condition scan.
-            if self.ready.is_empty() {
+            if self.index.ready.is_empty() {
                 self.skip_idle_cycles();
             }
         }
@@ -1317,15 +1198,15 @@ impl Pipeline {
             }
         }
         // Complete.
-        if !self.executing.is_empty() {
-            if t < self.next_complete_at {
-                next_event = next_event.min(self.next_complete_at);
+        if !self.index.executing.is_empty() {
+            if t < self.index.next_complete_at {
+                next_event = next_event.min(self.index.next_complete_at);
             } else {
                 return;
             }
         }
         // Issue (re-checked for callers other than the gated run loop).
-        if !self.ready.is_empty() {
+        if !self.index.ready.is_empty() {
             return;
         }
         // Dispatch: resource blocks (ROB/IQ/LSQ/physical registers) only
@@ -1336,11 +1217,11 @@ impl Pipeline {
                 next_event = next_event.min(f.dispatch_ready);
             } else {
                 let blocked = self.rob.len() >= self.config.rob_size
-                    || self.iq_occupancy >= self.config.iq_size
+                    || self.index.iq_occupancy >= self.config.iq_size
                     || ((f.is_load() || f.is_store())
-                        && self.lsq_occupancy >= self.config.lsq_size)
+                        && self.index.lsq_occupancy >= self.config.lsq_size)
                     || (f.flag(F_WRITES_REG)
-                        && self.in_flight_writers + 64 >= self.config.phys_regs);
+                        && self.index.in_flight_writers + 64 >= self.config.phys_regs);
                 if !blocked {
                     return;
                 }
@@ -1430,10 +1311,10 @@ impl Pipeline {
             });
             self.head_retry_at = 0;
             if slot.is_load() || slot.is_store() {
-                self.lsq_occupancy -= 1;
+                self.index.lsq_occupancy -= 1;
             }
             if slot.flag(F_WRITES_REG) {
-                self.in_flight_writers -= 1;
+                self.index.in_flight_writers -= 1;
             }
             debug_assert!(slot.flag(F_HAS_DYN), "correct path");
             // Train the predictor with the architectural outcome.
@@ -1456,7 +1337,7 @@ impl Pipeline {
             }
             if slot.is_store() {
                 debug_assert!(slot.flag(F_HAS_MEM), "stores have addresses");
-                self.stores.remove(slot.mem_addr, slot.seq);
+                self.index.stores.remove(slot.mem_addr, slot.seq);
                 monitor.on_store_commit(
                     &mut self.mem,
                     self.oracle.monitor_mem(),
@@ -1480,7 +1361,7 @@ impl Pipeline {
     // ----- complete / branch resolution -----------------------------------
 
     fn complete_stage<M: ExecMonitor>(&mut self, monitor: &mut M) {
-        if self.executing.is_empty() || self.now < self.next_complete_at {
+        if self.index.executing.is_empty() || self.now < self.index.next_complete_at {
             return;
         }
         let mut recover_from: Option<Handle> = None;
@@ -1490,11 +1371,11 @@ impl Pipeline {
         // Compact the still-executing entries to the front, oldest first.
         let mut kept = 0;
         let mut i = 0;
-        while i < self.executing.len() {
-            let (h, complete_at) = self.executing[i];
+        while i < self.index.executing.len() {
+            let (h, complete_at) = self.index.executing[i];
             i += 1;
             if self.now < complete_at {
-                self.executing[kept] = (h, complete_at);
+                self.index.executing[kept] = (h, complete_at);
                 kept += 1;
                 new_next = new_next.min(complete_at);
                 continue;
@@ -1502,9 +1383,9 @@ impl Pipeline {
             let s = &mut self.rob[h];
             s.stage = Stage::Done;
             let (seq, flags, mem_addr) = (s.seq, s.flags, s.mem_addr);
-            self.wakeups.drain(h, &mut woken);
+            self.index.wakeups.drain(h, &mut woken);
             if flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM) {
-                self.stores.mark_done(mem_addr, seq);
+                self.index.stores.mark_done(mem_addr, seq);
             }
             if flags & F_MISPREDICTED != 0
                 && flags & F_WRONG_PATH == 0
@@ -1517,21 +1398,19 @@ impl Pipeline {
         }
         // Entries past a resolving mispredict are younger than it: the
         // squash below truncates them.
-        self.executing.drain(kept..i);
-        self.next_complete_at = new_next;
-        // Wake consumers of the newly completed producers. Registrations
-        // for consumers that were squashed since dispatch are skipped (the
-        // slot no longer carries their seq).
-        for &(h, seq) in &woken {
-            let s = &mut self.rob[h];
-            if s.seq != seq {
-                continue;
-            }
-            debug_assert!(s.stage == Stage::Waiting && s.unready > 0, "woken slot not pending");
-            s.unready -= 1;
-            if s.unready == 0 {
-                let at = self.rob.age_pos(&self.ready, h, |&e| e);
-                self.ready.insert(at, h);
+        self.index.executing.drain(kept..i);
+        self.index.next_complete_at = new_next;
+        // Wake consumers of the newly completed producers.
+        for &h in &woken {
+            let unready = &mut self.index.unready[h as usize];
+            debug_assert!(
+                self.rob[h].stage == Stage::Waiting && *unready > 0,
+                "woken, not pending"
+            );
+            *unready -= 1;
+            if *unready == 0 {
+                let at = self.rob.age_pos(&self.index.ready, h, |&e| e);
+                self.index.ready.insert(at, h);
             }
         }
         woken.clear();
@@ -1560,59 +1439,22 @@ impl Pipeline {
         self.cur_line = None;
     }
 
-    #[inline]
+    /// Drops every slot younger than `branch` and the fetch queue, and
+    /// rederives the window's index from the survivors.
     fn squash_after(&mut self, branch: Handle) {
         let survivors = self.rob.age(branch) + 1;
-        for age in (survivors..self.rob.len()).rev() {
-            let h = self.rob.handle(age);
-            let s = &mut self.rob[h];
-            let (stage, flags, seq, mem_addr) = (s.stage, s.flags, s.seq, s.mem_addr);
-            s.seq = 0; // stale wakeup entries must never match this slot
-            if flags & F_WRITES_REG != 0 {
-                self.in_flight_writers -= 1;
-            }
-            if flags & F_WRONG_PATH != 0 {
-                self.stats.wrong_path_fetched += 1;
-            }
-            if stage == Stage::Waiting {
-                self.iq_occupancy -= 1;
-            } else if flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM) {
-                self.stores.remove(mem_addr, seq);
-            }
-            if flags & (F_LOAD | F_STORE) != 0 {
-                self.lsq_occupancy -= 1;
-            }
-            // Any wakeup list keyed by this producer only names younger
-            // consumers, all squashed in this same walk: drop it whole.
-            self.wakeups.remove_key(h);
-        }
+        let squashed = (survivors..self.rob.len()).map(|age| &self.rob[self.rob.handle(age)]);
+        let wrong_path = squashed.chain(&self.fetch_queue).filter(|s| s.flag(F_WRONG_PATH)).count();
+        self.stats.wrong_path_fetched += wrong_path as u64;
         self.rob.truncate(survivors);
-        self.rob.truncate_dead(&mut self.ready, |&h| h);
-        self.rob.truncate_dead(&mut self.waiting_stores, |&h| h);
-        self.rob.truncate_dead(&mut self.executing, |&(h, _)| h);
-        for s in self.fetch_queue.drain(..) {
-            if s.flag(F_WRITES_REG) {
-                self.in_flight_writers -= 1;
-            }
-            if s.flag(F_WRONG_PATH) {
-                self.stats.wrong_path_fetched += 1;
-            }
-        }
-        // Rebuild the rename map from the survivors.
-        let mut rebuilt = [None; 64];
-        for h in self.rob.handles() {
-            let s = &self.rob[h];
-            if let Some(w) = write_of(&s.insn) {
-                rebuilt[w as usize] = Some((h, s.seq));
-            }
-        }
-        self.last_writer = rebuilt;
+        self.fetch_queue.clear();
+        self.index.derive(&self.rob, &self.fetch_queue);
     }
 
     // ----- issue -----------------------------------------------------------
 
     fn issue_stage<M: ExecMonitor>(&mut self, monitor: &mut M) {
-        if self.ready.is_empty() {
+        if self.index.ready.is_empty() {
             return;
         }
         let mut ports = IssuePorts::default();
@@ -1622,7 +1464,7 @@ impl Pipeline {
         // forwarding store's data — simply remains ready for next cycle.
         // Nothing joins the list during issue (wakeups happen at
         // completion), so compacting it in place is safe.
-        let mut ready = std::mem::take(&mut self.ready);
+        let mut ready = std::mem::take(&mut self.index.ready);
         let mut kept = 0;
         for i in 0..ready.len() {
             let h = ready[i];
@@ -1636,7 +1478,7 @@ impl Pipeline {
             kept += 1;
         }
         ready.truncate(kept);
-        self.ready = ready;
+        self.index.ready = ready;
     }
 
     /// The completion cycle of ready slot `h` if it can issue this cycle,
@@ -1685,12 +1527,12 @@ impl Pipeline {
                     self.now + 3 // wrong-path load: no oracle address
                 } else {
                     let age = self.rob.age(h);
-                    if self.waiting_stores.first().is_some_and(|&st| self.rob.age(st) < age) {
+                    if self.index.waiting_stores.first().is_some_and(|&st| self.rob.age(st) < age) {
                         return None; // conservative disambiguation
                     }
                     debug_assert!(flags & F_HAS_MEM != 0, "correct-path loads have addresses");
                     let addr = mem_addr;
-                    match self.stores.youngest_older(addr, seq) {
+                    match self.index.stores.youngest_older(addr, seq) {
                         Some((_, false)) => return None, // wait for the forwarding store's data
                         Some((_, true)) => {
                             ports.loads += 1;
@@ -1735,15 +1577,15 @@ impl Pipeline {
         s.stage = Stage::Executing;
         s.complete_at = complete_at;
         let (seq, flags, mem_addr) = (s.seq, s.flags, s.mem_addr);
-        self.iq_occupancy -= 1;
-        let at = self.rob.age_pos(&self.executing, h, |&(e, _)| e);
-        self.executing.insert(at, (h, complete_at));
-        self.next_complete_at = self.next_complete_at.min(complete_at);
+        self.index.iq_occupancy -= 1;
+        let at = self.rob.age_pos(&self.index.executing, h, |&(e, _)| e);
+        self.index.executing.insert(at, (h, complete_at));
+        self.index.next_complete_at = self.index.next_complete_at.min(complete_at);
         if flags & F_STORE != 0 {
-            self.rob.age_remove(&mut self.waiting_stores, h);
+            self.rob.age_remove(&mut self.index.waiting_stores, h);
         }
         if flags & (F_STORE | F_HAS_MEM) == (F_STORE | F_HAS_MEM) {
-            self.stores.insert(mem_addr, seq);
+            self.index.stores.insert(mem_addr, seq);
         }
     }
 
@@ -1765,62 +1607,36 @@ impl Pipeline {
 
     // ----- dispatch --------------------------------------------------------
 
-    /// Debug-build check that every incremental structure agrees with the
-    /// ROB it summarizes.
+    /// Debug-build check that the incrementally kept index equals the
+    /// one derived from the window, up to what never affects scheduling:
+    /// the rename map's entries for committed writers.
     #[cfg(debug_assertions)]
-    fn assert_in_sync(&self) {
-        let count = |f: fn(&Slot) -> bool| self.rob.iter().filter(|&s| f(s)).count();
-        assert_eq!(self.iq_occupancy, count(|s| s.stage == Stage::Waiting), "iq occupancy");
-        assert_eq!(self.lsq_occupancy, count(|s| s.is_load() || s.is_store()), "lsq occupancy");
-        // Every list handle resolves to the live slot of the right kind,
-        // and each list is exactly its slot set in age (= seq) order.
-        let exec: Vec<(Handle, u64)> = self
-            .handles_where(|s| s.stage == Stage::Executing)
-            .into_iter()
-            .map(|h| (h, self.rob[h].complete_at))
-            .collect();
-        assert_eq!(self.executing, exec, "executing list out of sync");
-        let next = exec.iter().map(|&(_, c)| c).min().unwrap_or(u64::MAX);
-        assert_eq!(self.next_complete_at, next, "next completion cycle out of sync");
-        let ready = self.handles_where(|s| s.stage == Stage::Waiting && s.unready == 0);
-        assert_eq!(self.ready, ready, "ready list out of sync");
-        let stores = self.handles_where(|s| s.stage == Stage::Waiting && s.is_store());
-        assert_eq!(self.waiting_stores, stores, "waiting-store list out of sync");
-        // The rename map's in-window writers resolve to their slots.
-        let head_seq = self.rob.front().map_or(u64::MAX, |s| s.seq);
-        for &(h, seq) in self.last_writer.iter().flatten() {
-            if seq >= head_seq {
-                assert_eq!(self.rob[h].seq, seq, "rename map handle is stale");
-                assert!(self.rob.age(h) < self.rob.len(), "rename map handle not live");
-            }
-        }
-        // Wakeup lists hang only off in-flight producers and name younger
-        // Waiting consumers; a squashed consumer's entry no longer matches
-        // any live slot. Each Waiting slot has one entry per pending source.
-        let mut pending = vec![0u8; self.rob.capacity()];
+    fn assert_in_sync(&mut self) {
+        self.fresh_index.derive(&self.rob, &self.fetch_queue);
+        let (live, fresh) = (&self.index, &self.fresh_index);
+        let counts = |ix: &WindowIndex| (ix.iq_occupancy, ix.lsq_occupancy, ix.in_flight_writers);
+        assert_eq!(counts(live), counts(fresh), "iq, lsq and writer counts out of sync");
+        assert_eq!(live.executing, fresh.executing, "executing list out of sync");
+        assert_eq!(live.next_complete_at, fresh.next_complete_at, "next completion out of sync");
+        assert_eq!(live.ready, fresh.ready, "ready list out of sync");
+        assert_eq!(live.waiting_stores, fresh.waiting_stores, "waiting-store list out of sync");
+        assert_eq!(live.stores, fresh.stores, "store tracker out of sync");
+        // Dispatch registers consumers in age order, as `derive` does, so
+        // the lists agree entry by entry.
         for h in 0..self.rob.capacity() as Handle {
-            if !self.wakeups.has_waiters(h) {
+            if live.wakeups.heads[h as usize] == NIL && fresh.wakeups.heads[h as usize] == NIL {
                 continue;
             }
-            let p = &self.rob[h];
-            assert!(self.rob.age(h) < self.rob.len(), "wakeup list on a dead slot");
-            assert!(p.stage != Stage::Done, "wakeup list on a completed producer");
-            for n in self.wakeups.entries(h) {
-                assert!(n.seq > p.seq, "wakeup entry names an older slot");
-                let c = &self.rob[n.consumer];
-                if c.seq == n.seq {
-                    assert!(self.rob.age(n.consumer) < self.rob.len(), "stale consumer matched");
-                    assert_eq!(c.stage, Stage::Waiting, "woken consumer is not waiting");
-                    pending[n.consumer as usize] += 1;
-                }
-            }
+            let mut fresh_list = fresh.wakeups.consumers(h);
+            assert!(
+                live.wakeups.consumers(h).eq(&mut fresh_list),
+                "wakeup list of slot {h} out of sync"
+            );
         }
-        for h in self.rob.handles() {
-            let s = &self.rob[h];
-            if s.stage == Stage::Waiting {
-                assert_eq!(pending[h as usize], s.unready, "pending sources out of sync");
-            }
-        }
+        assert_eq!(live.unready, fresh.unready, "pending sources out of sync");
+        let head_seq = self.rob.front().map_or(u64::MAX, |s| s.seq);
+        let in_flight = live.last_writer.map(|w| w.filter(|&(_, seq)| seq >= head_seq));
+        assert_eq!(in_flight, fresh.last_writer, "rename map out of sync");
     }
 
     #[inline]
@@ -1836,60 +1652,63 @@ impl Pipeline {
             if self.rob.len() >= self.config.rob_size {
                 break;
             }
-            if self.iq_occupancy >= self.config.iq_size {
+            if self.index.iq_occupancy >= self.config.iq_size {
                 break;
             }
             let front_mem = front.is_load() || front.is_store();
-            if front_mem && self.lsq_occupancy >= self.config.lsq_size {
+            if front_mem && self.index.lsq_occupancy >= self.config.lsq_size {
                 break;
             }
-            if front.flag(F_WRITES_REG) && self.in_flight_writers + 64 >= self.config.phys_regs {
+            if front.flag(F_WRITES_REG)
+                && self.index.in_flight_writers + 64 >= self.config.phys_regs
+            {
                 break;
             }
             let mut slot = self.fetch_queue.pop_front().expect("front exists");
-            // Rename: resolve source producers.
+            // Rename: resolve the source producers still in the ROB (a
+            // writer older than the head has committed). Only these enter
+            // `srcs`, so a restored window, whose rename map names no
+            // committed writer, records the same sources.
             reads_of(&slot.insn, &mut self.reads_buf);
-            let mut producers = [(0, 0); 2];
+            let head_seq = self.rob.front().map_or(u64::MAX, |s| s.seq);
+            let mut producers = [0; 2];
             let mut n = 0usize;
             for &r in &self.reads_buf {
-                if let Some(p) = self.last_writer[r as usize] {
-                    producers[n] = p;
-                    slot.srcs[n] = p.1;
-                    n += 1;
+                if let Some((ph, p)) = self.index.last_writer[r as usize] {
+                    if p >= head_seq {
+                        producers[n] = ph;
+                        slot.srcs[n] = p;
+                        n += 1;
+                    }
                 }
             }
             slot.src_count = n as u8;
             slot.stage = Stage::Waiting;
             let (seq, is_store) = (slot.seq, slot.is_store());
-            // Wakeup scheduling: count the sources still in flight and
-            // subscribe to their completions; a slot with none is ready
-            // now. (A source older than the ROB head has committed.)
-            let head_seq = self.rob.front().map_or(u64::MAX, |s| s.seq);
             let h = self.rob.push_back(slot);
             if let Some(w) = write_of(&self.rob[h].insn) {
-                self.last_writer[w as usize] = Some((h, seq));
+                self.index.last_writer[w as usize] = Some((h, seq));
             }
+            // Wakeup scheduling: subscribe to the completions of the
+            // producers still executing; a slot with none is ready now.
             let mut unready = 0u8;
-            for &(ph, p) in &producers[..n] {
-                // The producer is still in the ROB (renamed at dispatch,
-                // rebuilt on squash, younger than the head): read its stage
-                // directly instead of keeping a side done-set.
-                if p >= head_seq && self.rob[ph].stage != Stage::Done {
+            for &ph in &producers[..n] {
+                if self.rob[ph].stage != Stage::Done {
                     unready += 1;
-                    self.wakeups.register(ph, h, seq);
+                    self.index.wakeups.register(ph, h);
                 }
             }
-            self.rob[h].unready = unready;
+            self.index.unready[h as usize] = unready;
             // The new slot is the youngest, so it goes at the lists' ends.
             if unready == 0 {
-                self.ready.push(h);
+                self.index.ready.push(h);
             }
             if is_store {
-                self.waiting_stores.push(h);
+                self.index.waiting_stores.push(h);
             }
-            self.iq_occupancy += 1;
+            self.index.iq_occupancy += 1;
             if front_mem {
-                self.lsq_occupancy += 1;
+                self.index.lsq_occupancy += 1;
             }
             dispatched += 1;
         }
@@ -2081,7 +1900,6 @@ impl Pipeline {
                 stage: Stage::Waiting,
                 class,
                 src_count: 0,
-                unready: 0,
                 flags,
                 seq,
                 mem_addr,
@@ -2096,7 +1914,7 @@ impl Pipeline {
                 checkpoint,
             });
             if writes_reg {
-                self.in_flight_writers += 1;
+                self.index.in_flight_writers += 1;
             }
 
             if let Some(d) = &dyn_op {
@@ -2436,30 +2254,56 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn checkpoints_across_squash_gaps_restore_exactly() {
-        let (mut reference, mut m, _) = build_with(CpuConfig::paper_default(), mispredict_heavy);
+    /// Branch-free code, so no squash ever rebuilds the rename map: every
+    /// add reads R5, whose only writer commits early. A never-restored
+    /// run keeps that committed writer in its map, a restored run derives
+    /// a map without it.
+    fn straight_reads(b: &mut ModuleBuilder) {
+        b.push(Instruction::Li { rd: Reg::R5, imm: 3 });
+        for i in 0..600 {
+            let rd = Reg::from_index(6 + (i % 8) as u8).unwrap();
+            b.push(Instruction::AddI { rd, rs: Reg::R5, imm: i });
+        }
+        b.push(Instruction::Halt);
+    }
+
+    /// Runs `program` in 7-instruction slices next to a reference run that
+    /// is never restored. Whenever `restore` accepts a slice's pipeline,
+    /// it is checkpointed and a fresh build restored from the checkpoint
+    /// steps on. At every later slice boundary the restored run's
+    /// checkpoint must equal the reference's: a rebuilt window records
+    /// the same sources, rename map and counters. Returns the restore and
+    /// comparison counts and the reference's mispredicts.
+    fn restore_against_reference(
+        program: fn(&mut ModuleBuilder),
+        restore: fn(&Pipeline) -> bool,
+    ) -> (usize, usize, u64) {
+        let (mut reference, mut ref_m, _) = build_with(CpuConfig::paper_default(), program);
         let ref_bus = TraceBus::with_capacity(1 << 20);
         reference.set_trace(ref_bus.clone());
-        let want = reference.run(&mut m, u64::MAX);
-        assert_eq!(want.outcome, RunOutcome::Halted);
-        assert!(want.stats.mispredicts > 50, "program must mispredict often");
-
-        let (mut p, mut m, base) = build_with(CpuConfig::paper_default(), mispredict_heavy);
+        let (mut p, mut m, base) = build_with(CpuConfig::paper_default(), program);
         let bus = TraceBus::with_capacity(1 << 20);
         p.set_trace(bus.clone());
-        let (mut budget, mut restored) = (0, 0);
-        let got = loop {
+        let (mut budget, mut restored, mut compared) = (0, 0, 0);
+        let (got, want) = loop {
             budget += 7;
+            let want = reference.run_slice(&mut ref_m, budget);
             let r = p.run_slice(&mut m, budget);
             if r.outcome != RunOutcome::BudgetReached {
-                break r;
-            }
-            if !has_seq_gap(&p) {
-                continue;
+                break (r, want);
             }
             let bytes = envelope(&p, &base);
-            let (mut fresh, _, _) = build_with(CpuConfig::paper_default(), mispredict_heavy);
+            if restored > 0 {
+                assert!(
+                    bytes == envelope(&reference, &base),
+                    "envelopes differ at budget {budget}"
+                );
+                compared += 1;
+            }
+            if !restore(&p) {
+                continue;
+            }
+            let (mut fresh, _, _) = build_with(CpuConfig::paper_default(), program);
             let mut rd = rev_trace::CkptReader::new(&bytes).unwrap();
             fresh.restore_state(&mut rd).unwrap();
             rd.finish().unwrap();
@@ -2468,24 +2312,37 @@ mod tests {
             p = fresh;
             restored += 1;
         };
-        assert!(restored >= 20, "only {restored} slices ended with a seq gap in the ROB");
+        assert_eq!(want.outcome, RunOutcome::Halted);
         assert_eq!(got.outcome, want.outcome);
         assert_eq!(stats_bytes(&got.stats), stats_bytes(&want.stats), "CpuStats differ");
         assert_eq!(commits(&bus), commits(&ref_bus), "committed stream differs");
+        (restored, compared, want.stats.mispredicts)
     }
 
-    /// Steps the mispredict-heavy program until the ROB is deep and holds
-    /// waiting, executing and subscribed slots at once.
+    #[test]
+    fn checkpoints_across_squash_gaps_restore_exactly() {
+        let (restored, compared, mispredicts) =
+            restore_against_reference(mispredict_heavy, has_seq_gap);
+        assert!(mispredicts > 50, "program must mispredict often");
+        assert!(restored >= 20, "only {restored} slices ended with a seq gap in the ROB");
+        assert!(compared >= 100, "only {compared} slices compared after a restore");
+        let (restored, _, _) = restore_against_reference(straight_reads, |_| true);
+        assert!(restored >= 80, "only {restored} slices of branch-free code restored");
+    }
+
+    /// Steps the mispredict-heavy program until the ROB is deep, has a
+    /// seq gap, and holds waiting, executing and subscribed slots at once.
     fn busy_pipeline() -> (Pipeline, MainMemory) {
         let (mut p, mut m, base) = build_with(CpuConfig::paper_default(), mispredict_heavy);
         for _ in 0..100_000 {
             assert!(p.cycle(&mut m).is_none());
-            let subscribed = p.rob.handles().any(|h| p.wakeups.has_waiters(h));
+            let subscribed = p.rob.handles().any(|h| p.index.unready[h as usize] > 0);
             if p.rob.len() >= 24
                 && p.fetch_queue.len() >= 4
-                && !p.executing.is_empty()
-                && !p.ready.is_empty()
+                && !p.index.executing.is_empty()
+                && !p.index.ready.is_empty()
                 && subscribed
+                && has_seq_gap(&p)
             {
                 return (p, base);
             }
@@ -2502,73 +2359,52 @@ mod tests {
     #[test]
     fn restore_rejects_inconsistent_cross_structure_content() {
         let (p, base) = busy_pipeline();
-        let save = |links: &SeqLinks| {
-            let mut w = rev_trace::CkptWriter::new();
-            p.write_state(&base, &mut w, links);
-            w.finish()
-        };
-        let good = p.seq_links();
         let cfg = CpuConfig::paper_default();
-        restore_into(cfg, &save(&good)).expect("untampered content restores");
-
-        let rob: Vec<Slot> = p.rob.iter().copied().collect();
-        let tail = rob.last().unwrap().seq;
-        let find = |f: fn(&Slot) -> bool| rob.iter().find(|&s| f(s)).expect("slot kind").seq;
-        let done = find(|s| s.stage == Stage::Done);
-        let executing = find(|s| s.stage == Stage::Executing);
-        let non_store = find(|s| s.stage == Stage::Waiting && !s.is_store());
-
-        let mut cases: Vec<(&str, SeqLinks)> = Vec::new();
-        let mut tamper = |what, f: &dyn Fn(&mut SeqLinks)| {
-            let mut l = good.clone();
-            f(&mut l);
-            cases.push((what, l));
-        };
-        tamper("ready entry past the ROB tail", &|l| l.ready.push(tail + 1));
-        tamper("ready entry naming an executing slot", &|l| {
-            l.ready.insert(0, executing);
-        });
-        tamper("ready list missing an entry", &|l| {
-            l.ready.pop();
-        });
-        tamper("waiting-store entry past the ROB tail", &|l| l.waiting_stores.push(tail + 1));
-        tamper("waiting-store entry naming a non-store", &|l| {
-            l.waiting_stores.push(non_store);
-            l.waiting_stores.sort_unstable();
-        });
-        tamper("wakeup producer past the ROB tail", &|l| {
-            l.wakeups.push((tail + 1, vec![tail + 2]))
-        });
-        tamper("wakeup producer already done", &|l| {
-            l.wakeups.push((done, vec![tail]));
-            l.wakeups.sort_unstable();
-        });
-        tamper("wakeup consumer older than its producer", &|l| {
-            let (p, c) = &mut l.wakeups[0];
-            c.insert(0, *p - 1);
-        });
-        tamper("wakeup consumer not yet dispatched", &|l| l.wakeups[0].1.push(u64::MAX - 1));
-        tamper("extra executing count", &|l| l.executing_count += 1);
-        tamper("executing head naming a waiting slot", &|l| l.first_executing_seq = tail + 1);
-        tamper("completion cycle ahead of every executing slot", &|l| l.next_complete_at += 1);
-        tamper("rename map naming a squashed-range seq", &|l| l.last_writer[1] = Some(tail + 1));
-        tamper("issue-queue count", &|l| l.iq_occupancy += 1);
-        tamper("in-flight writer count", &|l| l.in_flight_writers -= 1);
-        for (what, links) in cases {
-            let err = restore_into(cfg, &save(&links));
+        let good = envelope(&p, &base);
+        restore_into(cfg, &good).expect("untampered content restores");
+        let rejects = |what: &str, config: CpuConfig, bytes: &[u8]| {
+            let err = restore_into(config, bytes);
             assert!(
                 matches!(err, Err(rev_trace::CkptError::Malformed(_))),
                 "{what}: expected Malformed, got {err:?}"
             );
-        }
+        };
 
-        // A store-tracker entry for a slot that is not an issued store.
+        // Slot content no dispatch writes: a source that is not older, or
+        // more sources than an instruction reads.
+        let tail = p.rob.iter().last().unwrap().seq;
+        let consumer = p.rob.handles().find(|&h| p.rob[h].src_count > 0).expect("a consumer");
+        assert!(p.rob[consumer].seq < tail, "the oldest consumer is not the youngest slot");
+        let tampered = |f: &dyn Fn(&mut Slot)| {
+            let mut q = p.clone();
+            f(&mut q.rob[consumer]);
+            envelope(&q, &base)
+        };
+        rejects("source naming a younger slot", cfg, &tampered(&|s| s.srcs[0] = tail));
+        rejects("source naming itself", cfg, &tampered(&|s| s.srcs[0] = s.seq));
+        rejects("source past the ROB tail", cfg, &tampered(&|s| s.srcs[0] = tail + 1));
+        rejects("more than two sources", cfg, &tampered(&|s| s.src_count = 3));
+
+        // A source in a squash gap: older than its slot and not committed,
+        // yet no slot holds it.
+        let gap = p.rob.iter().zip(p.rob.iter().skip(1)).find(|(a, b)| b.seq > a.seq + 1);
+        let gap = gap.map(|(a, _)| a.seq + 1).expect("a seq gap");
         let mut q = p.clone();
-        q.stores.insert(0x40, tail + 1);
-        let mut w = rev_trace::CkptWriter::new();
-        q.save_state(&base, &mut w);
-        let err = restore_into(cfg, &w.finish());
-        assert!(matches!(err, Err(rev_trace::CkptError::Malformed(_))), "tracker: {err:?}");
+        let h = q.rob.handles().find(|&h| q.rob[h].seq > gap).expect("a slot past the gap");
+        q.rob[h].src_count = q.rob[h].src_count.max(1);
+        q.rob[h].srcs[0] = gap;
+        rejects("source in a squash gap", cfg, &envelope(&q, &base));
+
+        // Seqs no fetch hands out: two slots out of order, a slot at the
+        // seq the next fetch takes.
+        let mut q = p.clone();
+        let (a, b) = (q.rob.handle(0), q.rob.handle(1));
+        let (sa, sb) = (q.rob[a].seq, q.rob[b].seq);
+        (q.rob[a].seq, q.rob[b].seq) = (sb, sa);
+        rejects("slots out of seq order", cfg, &envelope(&q, &base));
+        let mut q = p.clone();
+        q.fetch_queue.back_mut().unwrap().seq = p.next_seq;
+        rejects("slot at the next seq", cfg, &envelope(&q, &base));
 
         // A branch checkpoint whose RAS position is past the restoring
         // core's stack: restored, the first squash through it followed by
@@ -2581,16 +2417,22 @@ mod tests {
         let mut q = p.clone();
         let h = q.rob.handles().find(|&h| q.rob[h].checkpoint.is_some()).expect("a branch slot");
         q.rob[h].checkpoint = Some(bp.checkpoint());
-        let mut w = rev_trace::CkptWriter::new();
-        q.save_state(&base, &mut w);
-        let err = restore_into(cfg, &w.finish());
-        assert!(matches!(err, Err(rev_trace::CkptError::Malformed(_))), "RAS: {err:?}");
+        rejects("RAS position", cfg, &envelope(&q, &base));
 
-        // A window deeper than the restoring core's configuration.
-        let bytes = save(&good);
-        let small_rob = CpuConfig { rob_size: p.rob.len() - 1, ..cfg };
-        assert!(matches!(restore_into(small_rob, &bytes), Err(rev_trace::CkptError::Malformed(_))));
-        let small_fq = CpuConfig { fetch_queue: p.fetch_queue.len() - 1, ..cfg };
-        assert!(matches!(restore_into(small_fq, &bytes), Err(rev_trace::CkptError::Malformed(_))));
+        // A window larger than the restoring core's configuration holds.
+        let count = |f: fn(&Slot) -> bool| p.rob.iter().filter(|&s| f(s)).count();
+        let waiting = count(|s| s.stage == Stage::Waiting);
+        let memory = count(|s| s.is_load() || s.is_store());
+        let writers = count(|s| s.flag(F_WRITES_REG));
+        let smaller = [
+            ("deep ROB", CpuConfig { rob_size: p.rob.len() - 1, ..cfg }),
+            ("deep fetch queue", CpuConfig { fetch_queue: p.fetch_queue.len() - 1, ..cfg }),
+            ("waiting slots over the IQ", CpuConfig { iq_size: waiting - 1, ..cfg }),
+            ("memory slots over the LSQ", CpuConfig { lsq_size: memory - 1, ..cfg }),
+            ("writers over the registers", CpuConfig { phys_regs: 64 + writers, ..cfg }),
+        ];
+        for (what, config) in smaller {
+            rejects(what, config, &good);
+        }
     }
 }

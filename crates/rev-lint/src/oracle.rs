@@ -13,7 +13,7 @@
 //! static-minus-dynamic, is merely cold code and reported as `info`.
 
 use crate::diag::{Diagnostic, Lint, Report};
-use rev_core::{BuildCache, DynBlockTriple, RevSimulator, SimBuildError};
+use rev_core::{BuildCache, DynBlockTriple, RevSimulator, SimError};
 use rev_crypto::bb_body_hash;
 use rev_prog::{BbLimits, Program};
 use rev_sigtable::ValidationMode;
@@ -48,11 +48,11 @@ impl OracleOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`SimBuildError`] if a module fails static analysis.
+/// Returns [`SimError`] if a module fails static analysis.
 pub fn static_triples(
     program: &Program,
     limits: BbLimits,
-) -> Result<BTreeSet<DynBlockTriple>, SimBuildError> {
+) -> Result<BTreeSet<DynBlockTriple>, SimError> {
     let cfgs = BuildCache::global().cfgs(program, limits)?;
     let mut set = BTreeSet::new();
     for (module, cfg) in program.modules().iter().zip(cfgs.iter()) {

@@ -42,10 +42,10 @@ use std::hash::{BuildHasher, Hash};
 pub const CKPT_MAGIC: [u8; 8] = *b"REVCKPT1";
 
 /// The current state-body layout version.
-pub const CKPT_VERSION: u32 = 3;
+pub const CKPT_VERSION: u32 = 4;
 
 /// The schema identifier advertised in docs and service handshakes.
-pub const CKPT_SCHEMA: &str = "rev-ckpt/3";
+pub const CKPT_SCHEMA: &str = "rev-ckpt/4";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
