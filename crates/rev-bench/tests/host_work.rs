@@ -14,21 +14,25 @@
 
 use rev_bench::sections::{grid_configs, select};
 use rev_bench::{sweep_configs_pooled, BenchOptions, SweepOutcome, WarmPool};
+use rev_core::RevStats;
+use rev_trace::HostWork;
+use std::fmt::Display;
 
 const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines/host_work_quick.txt");
 
 /// One fixed-width line: profile, configuration, then the counters.
-fn line(cells: [&str; 10]) -> String {
-    let [profile, config, numbers @ ..] = cells;
+fn line(profile: &str, config: &str, cells: impl IntoIterator<Item = impl Display>) -> String {
     let mut out = format!("{profile:<10}  {config:<8}");
-    for n in numbers {
-        out.push_str(&format!("  {n:>10}"));
+    for cell in cells {
+        out.push_str(&format!("  {cell:>10}"));
     }
     out.push('\n');
     out
 }
 
-/// The counters of every REV run of the quick paper grid, as text.
+/// The counters of every REV run of the quick paper grid, as text: the
+/// committed instructions, then `RevStats`' host-work counters in
+/// declaration order.
 fn host_work_text() -> String {
     let opts = BenchOptions::parse(["--quick", "--quiet"]).expect("well-formed options");
     let configs = grid_configs(&select(&[]));
@@ -36,33 +40,14 @@ fn host_work_text() -> String {
     else {
         panic!("a monolithic sweep assembles every item")
     };
-    let mut text = line([
-        "profile",
-        "config",
-        "committed",
-        "bb_hits",
-        "bb_misses",
-        "bb_inval",
-        "sb_formed",
-        "sb_hits",
-        "sb_flushes",
-        "chg_lanes",
-    ]);
+    let unset = RevStats::default();
+    let names = unset.host_work().map(|(name, _)| name);
+    let mut text = line("profile", "config", std::iter::once("committed").chain(names));
     for run in &runs {
         for (config, report) in configs.iter().zip(&run.revs) {
-            let rev = &report.rev;
-            text.push_str(&line([
-                &run.name,
-                &config.label,
-                &report.cpu.committed_instrs.to_string(),
-                &rev.bb_cache_hits.to_string(),
-                &rev.bb_cache_misses.to_string(),
-                &rev.bb_cache_invalidations.to_string(),
-                &rev.sb_formed.to_string(),
-                &rev.sb_hits.to_string(),
-                &rev.sb_flushes.to_string(),
-                &rev.chg_lanes.to_string(),
-            ]));
+            let counts = report.rev.host_work().map(|(_, n)| n);
+            let numbers = std::iter::once(report.cpu.committed_instrs).chain(counts);
+            text.push_str(&line(&run.name, &config.label, numbers));
         }
     }
     text

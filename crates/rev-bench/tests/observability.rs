@@ -1,11 +1,14 @@
 //! End-to-end checks of the observability layer: every exported metric is
-//! documented, and real snapshots round-trip.
+//! documented, every documented simulator metric is exported, and real
+//! snapshots round-trip.
 
 use rev_bench::{
     snapshot_from_runs, sweep_configs_pooled, BenchOptions, SweepConfig, SweepOutcome, WarmPool,
 };
 use rev_core::RevConfig;
+use rev_mem::Requester;
 use rev_trace::{MetricValue, Snapshot};
+use std::collections::BTreeSet;
 
 fn tiny_opts() -> BenchOptions {
     BenchOptions {
@@ -17,6 +20,11 @@ fn tiny_opts() -> BenchOptions {
         jobs: 1,
         ..BenchOptions::default()
     }
+}
+
+fn metrics_doc() -> String {
+    let doc_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/METRICS.md");
+    std::fs::read_to_string(doc_path).expect("docs/METRICS.md exists")
 }
 
 fn tiny_snapshot() -> Snapshot {
@@ -36,8 +44,7 @@ fn tiny_snapshot() -> Snapshot {
 /// placeholder in place of the final path segment.
 #[test]
 fn every_exported_metric_is_documented() {
-    let doc_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/METRICS.md");
-    let doc = std::fs::read_to_string(doc_path).expect("docs/METRICS.md exists");
+    let doc = metrics_doc();
     let snap = tiny_snapshot();
     let mut missing = Vec::new();
     for (profile, configs) in &snap.profiles {
@@ -60,6 +67,40 @@ fn every_exported_metric_is_documented() {
         missing.is_empty(),
         "metrics exported but not documented in docs/METRICS.md:\n  {}",
         missing.join("\n  ")
+    );
+}
+
+/// The reverse direction: every `cpu.*`, `rev.*`, `mem.*`, `table.*` and
+/// `cfg.*` row of docs/METRICS.md names a metric a real run exports (the
+/// `{class}` rows once per requester), so a renamed or removed metric
+/// leaves no stale row behind.
+#[test]
+fn every_documented_simulator_metric_is_exported() {
+    let snap = tiny_snapshot();
+    let exported: BTreeSet<&str> = snap
+        .profiles
+        .values()
+        .flat_map(|configs| configs.values())
+        .flat_map(|reg| reg.names())
+        .collect();
+    let doc = metrics_doc();
+    let mut stale = Vec::new();
+    for row in doc.lines().filter_map(|l| l.strip_prefix("| `")) {
+        let name = row.split('`').next().unwrap_or_default();
+        if !["cpu.", "rev.", "mem.", "table.", "cfg."].iter().any(|p| name.starts_with(p)) {
+            continue;
+        }
+        let names: Vec<String> = if name.contains("{class}") {
+            Requester::ALL.iter().map(|r| name.replace("{class}", r.label())).collect()
+        } else {
+            vec![name.to_string()]
+        };
+        stale.extend(names.into_iter().filter(|n| !exported.contains(n.as_str())));
+    }
+    assert!(
+        stale.is_empty(),
+        "metrics documented in docs/METRICS.md but not exported by a real run:\n  {}",
+        stale.join("\n  ")
     );
 }
 

@@ -17,18 +17,21 @@ use rev_trace::{
     CkptError, EventKind, FaultInjector, FaultLayer, ProbeOutcome, TraceBus, TraceEvent,
 };
 
-/// SC traffic counters (feeds the paper's Fig. 10).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScStats {
-    /// Probes that found a ready entry with the needed successor cached.
-    pub hits: u64,
-    /// Probes that found the entry but not the needed successor/
-    /// predecessor record (spill fetch required).
-    pub partial_misses: u64,
-    /// Probes that found no entry (full chain fetch required).
-    pub complete_misses: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
+rev_trace::stats! {
+    /// SC traffic counters (feeds the paper's Fig. 10).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ScStats {
+        /// Probes that found a ready entry with the needed successor cached.
+        pub hits: u64 => "rev.sc.hits",
+        /// Probes that found the entry but not the needed successor/
+        /// predecessor record (spill fetch required).
+        pub partial_misses: u64 => "rev.sc.partial_misses",
+        /// Probes that found no entry (full chain fetch required).
+        pub complete_misses: u64 => "rev.sc.complete_misses",
+        /// Entries evicted to make room.
+        pub evictions: u64 => "rev.sc.evictions",
+    }
+    then |s, reg| reg.gauge("rev.sc.miss_rate", s.miss_rate())
 }
 
 impl ScStats {
@@ -386,8 +389,6 @@ impl SignatureCache {
         self.len() == 0
     }
 }
-
-rev_trace::ckpt_fields!(Ckpt for ScStats { hits, partial_misses, complete_misses, evictions });
 
 rev_trace::ckpt_fields!(Ckpt for ScVariant {
     kind, digest, bound_succs, bound_pred, succs, preds, tag, spill_addrs, mru_succs, mru_preds,

@@ -21,17 +21,19 @@ use std::collections::BTreeSet;
 
 const PAGE_SHIFT: u32 = 12;
 
-/// Counters for the shadow-page mechanism.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShadowStats {
-    /// Shadow pages materialized (first store touch).
-    pub pages_created: u64,
-    /// Stores absorbed by shadow pages.
-    pub stores_buffered: u64,
-    /// Pages mapped in after successful authentication.
-    pub pages_promoted: u64,
-    /// Pages discarded after a violation.
-    pub pages_discarded: u64,
+rev_trace::stats! {
+    /// Counters for the shadow-page mechanism.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ShadowStats {
+        /// Shadow pages materialized (first store touch).
+        pub pages_created: u64 => "rev.shadow.pages_created",
+        /// Stores absorbed by shadow pages.
+        pub stores_buffered: u64 => "rev.shadow.stores_buffered",
+        /// Pages mapped in after successful authentication.
+        pub pages_promoted: u64 => "rev.shadow.pages_promoted",
+        /// Pages discarded after a violation.
+        pub pages_discarded: u64 => "rev.shadow.pages_discarded",
+    }
 }
 
 /// The pages the shadow window covers.
@@ -110,10 +112,6 @@ impl ShadowMemory {
         self.pages = window.iter().map(|&(word, ..)| word >> (PAGE_SHIFT - 3)).collect();
     }
 }
-
-rev_trace::ckpt_fields!(Ckpt for ShadowStats {
-    pages_created, stores_buffered, pages_promoted, pages_discarded,
-});
 
 #[cfg(test)]
 mod tests {

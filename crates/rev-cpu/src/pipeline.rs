@@ -839,9 +839,12 @@ pub struct Pipeline {
     rob: Rob,
     index: WindowIndex,
     // Scratch for the debug-build check that `index` equals a fresh
-    // derivation.
+    // derivation, and whether a stage changed the window or the index
+    // since that check last ran.
     #[cfg(debug_assertions)]
     fresh_index: WindowIndex,
+    #[cfg(debug_assertions)]
+    window_changed: bool,
     wake_buf: Vec<Handle>,
     next_seq: u64,
     now: u64,
@@ -885,6 +888,8 @@ impl Pipeline {
             index: WindowIndex::new(rob.capacity()),
             #[cfg(debug_assertions)]
             fresh_index: WindowIndex::new(rob.capacity()),
+            #[cfg(debug_assertions)]
+            window_changed: true,
             rob,
             wake_buf: Vec::new(),
             next_seq: 1,
@@ -1003,6 +1008,7 @@ impl Pipeline {
         }
         self.check_window()?;
         self.index.derive(&self.rob, &self.fetch_queue);
+        self.note_window_change();
         let (waiting, memory) = (self.index.iq_occupancy, self.index.lsq_occupancy);
         let rob_writers = self.rob.iter().filter(|s| s.flag(F_WRITES_REG)).count();
         if waiting > self.config.iq_size
@@ -1305,6 +1311,7 @@ impl Pipeline {
                 }
             }
             let slot = self.rob.pop_front();
+            self.note_window_change();
             self.trace.emit_with(|| TraceEvent {
                 cycle: self.now,
                 kind: EventKind::Commit { seq: slot.seq, addr: slot.addr },
@@ -1364,6 +1371,7 @@ impl Pipeline {
         if self.index.executing.is_empty() || self.now < self.index.next_complete_at {
             return;
         }
+        self.note_window_change();
         let mut recover_from: Option<Handle> = None;
         let mut new_next = u64::MAX;
         let mut woken = std::mem::take(&mut self.wake_buf);
@@ -1573,6 +1581,7 @@ impl Pipeline {
     /// Moves an issuing slot from the ready state to executing.
     #[inline]
     fn start_executing(&mut self, h: Handle, complete_at: u64) {
+        self.note_window_change();
         let s = &mut self.rob[h];
         s.stage = Stage::Executing;
         s.complete_at = complete_at;
@@ -1607,11 +1616,26 @@ impl Pipeline {
 
     // ----- dispatch --------------------------------------------------------
 
+    /// Records that a stage changed the window or its index, so the next
+    /// [`Pipeline::assert_in_sync`] derives afresh (debug builds only).
+    #[inline]
+    fn note_window_change(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            self.window_changed = true;
+        }
+    }
+
     /// Debug-build check that the incrementally kept index equals the
     /// one derived from the window, up to what never affects scheduling:
-    /// the rename map's entries for committed writers.
+    /// the rename map's entries for committed writers. A cycle on which
+    /// no stage changed the window or the index since the last check
+    /// has nothing new to compare, so it skips the derive.
     #[cfg(debug_assertions)]
     fn assert_in_sync(&mut self) {
+        if !std::mem::take(&mut self.window_changed) {
+            return;
+        }
         self.fresh_index.derive(&self.rob, &self.fetch_queue);
         let (live, fresh) = (&self.index, &self.fresh_index);
         let counts = |ix: &WindowIndex| (ix.iq_occupancy, ix.lsq_occupancy, ix.in_flight_writers);
@@ -1686,6 +1710,7 @@ impl Pipeline {
             slot.stage = Stage::Waiting;
             let (seq, is_store) = (slot.seq, slot.is_store());
             let h = self.rob.push_back(slot);
+            self.note_window_change();
             if let Some(w) = write_of(&self.rob[h].insn) {
                 self.index.last_writer[w as usize] = Some((h, seq));
             }
@@ -1913,6 +1938,7 @@ impl Pipeline {
                 insn,
                 checkpoint,
             });
+            self.note_window_change();
             if writes_reg {
                 self.index.in_flight_writers += 1;
             }

@@ -159,34 +159,22 @@ impl fmt::Display for CfgError {
 
 impl std::error::Error for CfgError {}
 
-/// Aggregate statistics over a CFG — the quantities the paper reports in
-/// Sec. VIII (BB counts, instructions per BB, successors per BB).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CfgStats {
-    /// Number of basic blocks.
-    pub blocks: usize,
-    /// Mean instructions per block.
-    pub avg_instrs: f64,
-    /// Mean successors per block.
-    pub avg_successors: f64,
-    /// Blocks ending in computed jumps/calls or returns.
-    pub computed_terminators: usize,
-    /// Total code bytes covered by blocks (with overlap from shared
-    /// terminators counted once per block).
-    pub code_bytes: usize,
-}
-
-rev_trace::ckpt_fields!(Ckpt for CfgStats {
-    blocks, avg_instrs, avg_successors, computed_terminators, code_bytes,
-});
-
-impl rev_trace::MetricSink for CfgStats {
-    fn export_metrics(&self, reg: &mut rev_trace::MetricRegistry) {
-        reg.counter("cfg.blocks", self.blocks as u64);
-        reg.gauge("cfg.avg_instrs", self.avg_instrs);
-        reg.gauge("cfg.avg_successors", self.avg_successors);
-        reg.counter("cfg.computed_terminators", self.computed_terminators as u64);
-        reg.counter("cfg.code_bytes", self.code_bytes as u64);
+rev_trace::stats! {
+    /// Aggregate statistics over a CFG — the quantities the paper reports
+    /// in Sec. VIII (BB counts, instructions per BB, successors per BB).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct CfgStats {
+        /// Number of basic blocks.
+        pub blocks: usize => "cfg.blocks",
+        /// Mean instructions per block.
+        pub avg_instrs: f64 => "cfg.avg_instrs",
+        /// Mean successors per block.
+        pub avg_successors: f64 => "cfg.avg_successors",
+        /// Blocks ending in computed jumps/calls or returns.
+        pub computed_terminators: usize => "cfg.computed_terminators",
+        /// Total code bytes covered by blocks (with overlap from shared
+        /// terminators counted once per block).
+        pub code_bytes: usize => "cfg.code_bytes",
     }
 }
 

@@ -102,70 +102,35 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Every `serve.*`/`ckpt.*` metric the gateway exports, in documentation
-/// order — the doc-coverage test checks each against `docs/SERVE.md`.
-pub const SERVE_METRICS: &[&str] = &[
-    "serve.jobs.submitted",
-    "serve.jobs.completed",
-    "serve.jobs.cancelled",
-    "serve.jobs.rejected",
-    "serve.jobs.quota_exceeded",
-    "serve.jobs.failed",
-    "serve.jobs.deadline",
-    "serve.jobs.shed",
-    "serve.jobs.crashed",
-    "serve.jobs.suspended",
-    "serve.retries",
-    "serve.slices",
-    "serve.progress_events",
-    "serve.instructions_committed",
-    "ckpt.taken",
-    "ckpt.restored",
-    "ckpt.corrupt",
-];
-
-/// Gateway lifecycle counters, exported as the `serve.*` registry.
-#[derive(Debug, Default, Clone)]
-struct Counters {
-    submitted: u64,
-    completed: u64,
-    cancelled: u64,
-    rejected: u64,
-    quota_exceeded: u64,
-    failed: u64,
-    deadline: u64,
-    shed: u64,
-    crashed: u64,
-    suspended: u64,
-    retries: u64,
-    slices: u64,
-    progress_events: u64,
-    instructions_committed: u64,
-    ckpt_taken: u64,
-    ckpt_restored: u64,
-    ckpt_corrupt: u64,
+rev_trace::stats! {
+    /// Gateway lifecycle counters, exported as the `serve.*`/`ckpt.*`
+    /// registry.
+    #[derive(Debug, Default, Clone)]
+    struct Counters {
+        submitted: u64 => "serve.jobs.submitted",
+        completed: u64 => "serve.jobs.completed",
+        cancelled: u64 => "serve.jobs.cancelled",
+        rejected: u64 => "serve.jobs.rejected",
+        quota_exceeded: u64 => "serve.jobs.quota_exceeded",
+        failed: u64 => "serve.jobs.failed",
+        deadline: u64 => "serve.jobs.deadline",
+        shed: u64 => "serve.jobs.shed",
+        crashed: u64 => "serve.jobs.crashed",
+        suspended: u64 => "serve.jobs.suspended",
+        retries: u64 => "serve.retries",
+        slices: u64 => "serve.slices",
+        progress_events: u64 => "serve.progress_events",
+        instructions_committed: u64 => "serve.instructions_committed",
+        ckpt_taken: u64 => "ckpt.taken",
+        ckpt_restored: u64 => "ckpt.restored",
+        ckpt_corrupt: u64 => "ckpt.corrupt",
+    }
 }
 
 impl Counters {
     fn registry(&self) -> MetricRegistry {
         let mut reg = MetricRegistry::new();
-        reg.counter("serve.jobs.submitted", self.submitted);
-        reg.counter("serve.jobs.completed", self.completed);
-        reg.counter("serve.jobs.cancelled", self.cancelled);
-        reg.counter("serve.jobs.rejected", self.rejected);
-        reg.counter("serve.jobs.quota_exceeded", self.quota_exceeded);
-        reg.counter("serve.jobs.failed", self.failed);
-        reg.counter("serve.jobs.deadline", self.deadline);
-        reg.counter("serve.jobs.shed", self.shed);
-        reg.counter("serve.jobs.crashed", self.crashed);
-        reg.counter("serve.jobs.suspended", self.suspended);
-        reg.counter("serve.retries", self.retries);
-        reg.counter("serve.slices", self.slices);
-        reg.counter("serve.progress_events", self.progress_events);
-        reg.counter("serve.instructions_committed", self.instructions_committed);
-        reg.counter("ckpt.taken", self.ckpt_taken);
-        reg.counter("ckpt.restored", self.ckpt_restored);
-        reg.counter("ckpt.corrupt", self.ckpt_corrupt);
+        self.export_metrics(&mut reg);
         reg
     }
 }
@@ -193,6 +158,9 @@ struct State {
     /// Live job ids → cancel flags (queued and mid-slice jobs alike).
     live: HashMap<String, Arc<AtomicBool>>,
     accepting: bool,
+    /// Workers holding a popped job. Once the gateway stops accepting,
+    /// workers exit together when the queue is empty and none is busy.
+    busy: usize,
     /// A suspending shutdown was requested: drain jobs to checkpoints.
     suspending: bool,
     counters: Counters,
@@ -217,6 +185,7 @@ impl<W: Write> Shared<W> {
                 queue: VecDeque::new(),
                 live: HashMap::new(),
                 accepting: true,
+                busy: 0,
                 suspending: false,
                 counters: Counters::default(),
             }),
@@ -586,21 +555,25 @@ fn deadline_error(spec: &JobSpec, committed: u64) -> Response {
 
 /// Worker loop: pop a job, advance it one supervised slice, re-enqueue
 /// or retire. Panics inside the slice are caught here and routed through
-/// [`handle_crash`].
+/// [`handle_crash`]. After shutdown a worker leaves only when the whole
+/// gateway has drained, so every worker thread ends at the same point of
+/// the run rather than whenever it first finds the queue empty.
 fn worker<W: Write>(shared: &Shared<W>) {
     loop {
         let (mut job, suspending) = {
             let mut st = lock_unpoisoned(&shared.state);
             loop {
                 if let Some(job) = st.queue.pop_front() {
+                    st.busy += 1;
                     break (job, st.suspending);
                 }
-                if !st.accepting {
+                if !st.accepting && st.busy == 0 {
                     return;
                 }
                 st = shared.work_ready.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
+        let _busy = Busy(shared);
         if suspending {
             suspend_job(shared, &mut job);
             continue;
@@ -634,6 +607,21 @@ fn worker<W: Write>(shared: &Shared<W>) {
             Ok((SliceOutcome::Finished(resp, how), delta)) => {
                 retire_job(shared, &job, &resp, &how, delta);
             }
+        }
+    }
+}
+
+/// Marks a worker busy for one job's turn; dropping it (also while
+/// unwinding) frees the worker and wakes the others once none is busy.
+struct Busy<'a, W: Write>(&'a Shared<W>);
+
+impl<W: Write> Drop for Busy<'_, W> {
+    fn drop(&mut self) {
+        let mut st = lock_unpoisoned(&self.0.state);
+        st.busy -= 1;
+        if st.busy == 0 {
+            drop(st);
+            self.0.work_ready.notify_all();
         }
     }
 }
@@ -882,14 +870,19 @@ pub fn serve<R: BufRead, W: Write + Send>(input: R, output: W, opts: &ServeOptio
 
 /// The body of [`serve`] over already-assembled shared state: the reader
 /// loop, the worker pool, the drain and the final `metrics` + `bye`.
+/// Workers are joined explicitly: the scope alone waits only for their
+/// closures, and a worker thread still exiting when `serve` returns would
+/// race the next gateway's threads for the allocator's per-thread arenas.
 fn run_gateway<R: BufRead, W: Write + Send>(shared: &Shared<W>, mut input: R, workers: usize) {
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            std::thread::Builder::new()
-                .name(WORKER_THREAD.to_string())
-                .spawn_scoped(scope, move || worker(shared))
-                .expect("spawn worker");
-        }
+        let pool: Vec<_> = (0..workers)
+            .map(|_| {
+                std::thread::Builder::new()
+                    .name(WORKER_THREAD.to_string())
+                    .spawn_scoped(scope, move || worker(shared))
+                    .expect("spawn worker")
+            })
+            .collect();
         loop {
             match read_request_line(&mut input) {
                 ReadLine::Eof | ReadLine::Failed => break,
@@ -914,6 +907,11 @@ fn run_gateway<R: BufRead, W: Write + Send>(shared: &Shared<W>, mut input: R, wo
         }
         lock_unpoisoned(&shared.state).accepting = false;
         shared.work_ready.notify_all();
+        for handle in pool {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
     let reg = lock_unpoisoned(&shared.state).counters.registry();
     shared.emit(&Response::Metrics { metrics: reg.to_json() });
@@ -946,5 +944,61 @@ mod tests {
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("\"type\":\"verdict\""), "{out}");
         assert!(out.lines().last().is_some_and(|l| l.contains("\"type\":\"bye\"")), "{out}");
+    }
+
+    /// Every gateway counter, set to a distinct nonzero value, survives a
+    /// checkpoint round-trip and is exported under its documented name.
+    #[test]
+    fn every_gateway_counter_travels() {
+        use rev_trace::{Ckpt, CkptReader, CkptWriter, HostWork, MetricValue};
+        let counters = Counters {
+            submitted: 1,
+            completed: 2,
+            cancelled: 3,
+            rejected: 4,
+            quota_exceeded: 5,
+            failed: 6,
+            deadline: 7,
+            shed: 8,
+            crashed: 9,
+            suspended: 10,
+            retries: 11,
+            slices: 12,
+            progress_events: 13,
+            instructions_committed: 14,
+            ckpt_taken: 15,
+            ckpt_restored: 16,
+            ckpt_corrupt: 17,
+        };
+        let mut w = CkptWriter::new();
+        counters.save(&mut w);
+        let data = w.finish();
+        let back = Counters::load(&mut CkptReader::new(&data).unwrap()).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{counters:?}"));
+        let expected = [
+            "serve.jobs.submitted",
+            "serve.jobs.completed",
+            "serve.jobs.cancelled",
+            "serve.jobs.rejected",
+            "serve.jobs.quota_exceeded",
+            "serve.jobs.failed",
+            "serve.jobs.deadline",
+            "serve.jobs.shed",
+            "serve.jobs.crashed",
+            "serve.jobs.suspended",
+            "serve.retries",
+            "serve.slices",
+            "serve.progress_events",
+            "serve.instructions_committed",
+            "ckpt.taken",
+            "ckpt.restored",
+            "ckpt.corrupt",
+        ];
+        let reg = counters.registry();
+        assert_eq!(reg.len(), expected.len());
+        for (n, name) in (1..).zip(expected) {
+            assert_eq!(reg.get(name), Some(&MetricValue::Counter(n)), "{name}");
+        }
+        assert_eq!(counters.host_work().count(), 0);
     }
 }

@@ -7,7 +7,7 @@
 //!   examples cannot drift from the protocol.
 
 use rev_serve::proto::{ErrorCode, Request, Response, REQUEST_TYPES, RESPONSE_TYPES};
-use rev_serve::server::SERVE_METRICS;
+use rev_serve::server::{serve, ServeOptions};
 
 fn doc() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/SERVE.md");
@@ -59,11 +59,25 @@ fn every_error_code_is_documented() {
     );
 }
 
+/// The names come off the wire: the `metrics` line a gateway sends
+/// when it shuts down lists every counter it keeps.
 #[test]
 fn every_serve_metric_is_documented() {
     let doc = doc();
-    let missing: Vec<&&str> =
-        SERVE_METRICS.iter().filter(|m| !doc.contains(&format!("`{m}`"))).collect();
+    let shutdown = Request::Shutdown { suspend: false }.to_json().render() + "\n";
+    let mut output = Vec::new();
+    serve(shutdown.as_bytes(), &mut output, &ServeOptions::default());
+    let output = String::from_utf8(output).expect("utf-8 output");
+    let metrics = output
+        .lines()
+        .find_map(|line| match Response::from_json(&rev_trace::json::parse(line).ok()?).ok()? {
+            Response::Metrics { metrics } => Some(metrics),
+            _ => None,
+        })
+        .expect("a shutdown sends the gateway's metrics");
+    let reg = rev_trace::MetricRegistry::from_json(&metrics).expect("a metric registry");
+    assert!(!reg.is_empty(), "the gateway exports its counters");
+    let missing: Vec<&str> = reg.names().filter(|m| !doc.contains(&format!("`{m}`"))).collect();
     assert!(missing.is_empty(), "serve.* metrics missing from docs/SERVE.md:\n  {missing:?}");
 }
 

@@ -13,39 +13,29 @@ use rev_prog::{BlockInfo, Cfg, Module, TermKind};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Size statistics for a built table (paper Secs. V.B–V.D report these as
-/// percentages of the executable size).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TableStats {
-    /// Primary (per-block-variant) entries.
-    pub primaries: usize,
-    /// Spill entries (extra successors/predecessors + collision overflow).
-    pub spills: usize,
-    /// Primary hash slots allocated.
-    pub slots: usize,
-    /// Total image bytes (header + slots + spill area).
-    pub image_bytes: usize,
-    /// Module code bytes (the ratio's denominator).
-    pub code_bytes: usize,
+rev_trace::stats! {
+    /// Size statistics for a built table (paper Secs. V.B–V.D report these
+    /// as percentages of the executable size).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct TableStats {
+        /// Primary (per-block-variant) entries.
+        pub primaries: usize => "table.primaries",
+        /// Spill entries (extra successors/predecessors + collision overflow).
+        pub spills: usize => "table.spills",
+        /// Primary hash slots allocated.
+        pub slots: usize => "table.slots",
+        /// Total image bytes (header + slots + spill area).
+        pub image_bytes: usize => "table.image_bytes",
+        /// Module code bytes (the ratio's denominator).
+        pub code_bytes: usize => "table.code_bytes",
+    }
+    then |s, reg| reg.gauge("table.ratio_to_code", s.ratio_to_code())
 }
-
-rev_trace::ckpt_fields!(Ckpt for TableStats { primaries, spills, slots, image_bytes, code_bytes });
 
 impl TableStats {
     /// Table size as a fraction of the binary's code size.
     pub fn ratio_to_code(&self) -> f64 {
         self.image_bytes as f64 / self.code_bytes.max(1) as f64
-    }
-}
-
-impl rev_trace::MetricSink for TableStats {
-    fn export_metrics(&self, reg: &mut rev_trace::MetricRegistry) {
-        reg.counter("table.primaries", self.primaries as u64);
-        reg.counter("table.spills", self.spills as u64);
-        reg.counter("table.slots", self.slots as u64);
-        reg.counter("table.image_bytes", self.image_bytes as u64);
-        reg.counter("table.code_bytes", self.code_bytes as u64);
-        reg.gauge("table.ratio_to_code", self.ratio_to_code());
     }
 }
 

@@ -437,8 +437,9 @@ impl<'a> CkptReader<'a> {
 /// Implemented here for the primitives (`usize` travels as a u64),
 /// `bool`, `f64`, `Option<T>` (presence byte, then the value), `[T; N]`
 /// (no prefix), `Vec<T>`/`VecDeque<T>` (u64 length prefix), hash sets
-/// (sorted, as a `Vec<T>`), tuples, [`Histogram`] and [`MetricRegistry`]; structs get theirs from [`ckpt_fields!`](crate::ckpt_fields),
-/// fieldless enums from [`ckpt_enum!`](crate::ckpt_enum).
+/// (sorted, as a `Vec<T>`), tuples, [`Histogram`] and [`MetricRegistry`]; structs get theirs from [`ckpt_fields!`](crate::ckpt_fields)
+/// (stats structs from [`stats!`](crate::stats)), fieldless enums from
+/// [`ckpt_enum!`](crate::ckpt_enum).
 pub trait Ckpt: Sized {
     /// The fewest bytes one encoded value occupies. `Vec<T>` passes it to
     /// [`CkptReader::len`], so a corrupt length can never drive an

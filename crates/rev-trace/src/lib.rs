@@ -54,6 +54,8 @@ pub use ckpt::{
 pub use event::{EventKind, ProbeOutcome, TraceBus, TraceEvent, Verdict};
 pub use fault::{FaultInjector, FaultKind, FaultLayer, FaultSpec, FAULT_LAYERS};
 pub use json::Json;
-pub use metrics::{Histogram, MetricRegistry, MetricSink, MetricValue, HISTOGRAM_BUCKETS};
+pub use metrics::{
+    Histogram, HostWork, Metric, MetricRegistry, MetricSink, MetricValue, HISTOGRAM_BUCKETS,
+};
 pub use pool::{lock_unpoisoned, parallel_map};
 pub use snapshot::{AttackRecord, Snapshot, SCHEMA};

@@ -1,15 +1,12 @@
 //! The typed metrics registry: counters, gauges, and log2-bucket
 //! histograms behind one [`MetricSink`] export trait.
 //!
-//! Every component that used to keep an ad-hoc `stats.rs` struct
-//! (`rev-cpu`'s `CpuStats`, `rev-core`'s `RevStats`, `rev-mem`'s
-//! `MemStats`, ...) still accumulates its counters in plain fields — that
-//! is the cheapest possible hot path — but now exports them through
-//! `MetricSink::export_metrics` into a single [`MetricRegistry`] under
-//! the documented names of `docs/METRICS.md`. The registry is what gets
-//! serialized into baseline snapshots, so the schema is enforced in one
-//! place (and a test fails if a registered metric is missing from the
-//! doc).
+//! Each component accumulates its counters in plain fields (the cheapest
+//! hot path) and exports them through [`MetricSink::export_metrics`]
+//! into one [`MetricRegistry`] under the names of `docs/METRICS.md`. A
+//! stats struct declared with [`stats!`](crate::stats) names each
+//! counter once, on its field. The registry is what baseline snapshots
+//! serialize.
 //!
 //! Naming convention: dot-separated lowercase path, `<layer>.<unit>` or
 //! `<layer>.<component>.<counter>` (e.g. `cpu.ipc`, `rev.sc.hits`,
@@ -229,12 +226,120 @@ impl MetricRegistry {
 }
 
 /// Anything that can export its counters into a registry under the
-/// documented schema. Implemented by every layer's stats struct
-/// (`CpuStats`, `RevStats`, `MemStats`, `TableStats`, `CfgStats`).
+/// documented schema. [`stats!`](crate::stats) derives it for every
+/// stats struct it declares (`CpuStats` with `InstrMix`, `RevStats` with
+/// `ScStats` and `ShadowStats`, `TableStats`, `CfgStats`, rev-serve's
+/// gateway counters); `MemStats`, whose names come from one loop over
+/// the requesters, implements it by hand.
 pub trait MetricSink {
     /// Exports this component's metrics into `reg`. Implementations must
     /// use names listed in `docs/METRICS.md`.
     fn export_metrics(&self, reg: &mut MetricRegistry);
+}
+
+/// A stats field that exports as one metric: integers as counters,
+/// `f64` as a gauge, a [`Histogram`] as itself.
+pub trait Metric {
+    /// Registers the value under `name`.
+    fn export(&self, name: &str, reg: &mut MetricRegistry);
+}
+
+macro_rules! metric {
+    ($t:ty, $v:ident => $value:expr) => {
+        impl Metric for $t {
+            fn export(&self, name: &str, reg: &mut MetricRegistry) {
+                let $v = self;
+                reg.insert(name, $value);
+            }
+        }
+    };
+}
+
+metric!(u64, v => MetricValue::Counter(*v));
+metric!(usize, v => MetricValue::Counter(*v as u64));
+metric!(f64, v => MetricValue::Gauge(*v));
+metric!(Histogram, v => MetricValue::Histogram(Box::new(v.clone())));
+
+/// The host-work counters of a stats struct: counts of the simulator's
+/// own shortcuts (memo hits, multi-lane hashes), deterministic but not
+/// modeled hardware, so no snapshot carries them. `rev-bench`'s
+/// `tests/host_work.rs` pins them instead.
+pub trait HostWork {
+    /// Each host-work counter as (name, value), in declaration order.
+    fn host_work(&self) -> impl Iterator<Item = (&'static str, u64)>;
+}
+
+/// Declares a stats struct and derives everything else from its one
+/// field list: the [`Ckpt`](crate::Ckpt) encoding (fields travel in
+/// declaration order), the [`MetricSink`] export and the [`HostWork`]
+/// iterator. Each field ends in its role:
+///
+/// * `=> "layer.name"` exports the field under that name ([`Metric`]);
+/// * `=> nested` names a struct this macro declared, exported and
+///   iterated through its own list (its names are complete, so export
+///   builds no prefix);
+/// * `=> host "name"` is a host-work counter: checkpointed, never
+///   exported, yielded by [`HostWork::host_work`] under that name;
+/// * `=> ckpt` is checkpointed only (state a derived metric reads);
+/// * `=> skip` is neither, and loads as `Default::default()`.
+///
+/// `then |s, reg| EXPR` after the struct evaluates `EXPR` at the end of
+/// the export, with `s` the struct and `reg` the registry: the place for
+/// the metrics derived from several fields.
+#[macro_export]
+macro_rules! stats {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fattr:meta])* $fvis:vis $f:ident: $t:ty => $role:tt $($host:literal)?),+ $(,)?
+        }
+        $(then |$s:ident, $reg:ident| $derived:expr)?
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$fattr])* $fvis $f: $t,)+
+        }
+
+        impl $crate::Ckpt for $name {
+            const MIN_BYTES: usize = 0 $(+ $crate::stats!(@min $t, $role))+;
+            fn save(&self, w: &mut $crate::CkptWriter) {
+                $($crate::stats!(@save self, w, $f, $role);)+
+            }
+            fn load(r: &mut $crate::CkptReader<'_>) -> Result<Self, $crate::CkptError> {
+                Ok(Self { $($f: $crate::stats!(@load r, $role),)+ })
+            }
+        }
+
+        impl $crate::MetricSink for $name {
+            fn export_metrics(&self, reg: &mut $crate::MetricRegistry) {
+                $($crate::stats!(@export self, reg, $f, $role);)+
+                $(let ($s, $reg) = (self, reg); $derived;)?
+            }
+        }
+
+        impl $crate::HostWork for $name {
+            fn host_work(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                ::std::iter::empty::<(&'static str, u64)>()
+                    $(.chain($crate::stats!(@host self, $f, $role $($host)?)))+
+            }
+        }
+    };
+    (@min $t:ty, skip) => { 0 };
+    (@min $t:ty, $role:tt) => { <$t as $crate::Ckpt>::MIN_BYTES };
+    (@save $s:ident, $w:ident, $f:ident, skip) => {};
+    (@save $s:ident, $w:ident, $f:ident, $role:tt) => { $crate::Ckpt::save(&$s.$f, $w) };
+    (@load $r:ident, skip) => { ::std::default::Default::default() };
+    (@load $r:ident, $role:tt) => { $crate::Ckpt::load($r)? };
+    (@export $s:ident, $reg:ident, $f:ident, nested) => {
+        $crate::MetricSink::export_metrics(&$s.$f, $reg)
+    };
+    (@export $s:ident, $reg:ident, $f:ident, $metric:literal) => {
+        $crate::Metric::export(&$s.$f, $metric, $reg)
+    };
+    (@export $s:ident, $reg:ident, $f:ident, $role:ident) => {};
+    (@host $s:ident, $f:ident, host $host:literal) => { [($host, $s.$f)] };
+    (@host $s:ident, $f:ident, nested) => { $crate::HostWork::host_work(&$s.$f) };
+    (@host $s:ident, $f:ident, $role:tt) => { [] };
 }
 
 #[cfg(test)]

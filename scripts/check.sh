@@ -18,11 +18,24 @@
 #     baselines/audit_quick.json.
 #
 # Host wall clock is measured by the repo benchmark (perfbench/), not
-# here: a clock gate on a shared host can only warn.
+# here: a clock gate on a shared host can only warn. Each step's elapsed
+# seconds are printed when the next one starts, for the log only (no
+# bound), so a step that suddenly takes longer shows in every run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
+step_name=""
+step_start=$SECONDS
+step() {
+    if [ -n "$step_name" ]; then
+        echo "    ${step_name}: $((SECONDS - step_start)) s"
+    fi
+    step_name="$1"
+    step_start=$SECONDS
+    echo "==> $1"
+}
+
+step "cargo fmt --check"
 cargo fmt --all --check
 
 # CHANGELOG currency (hard): each PR appends a CHANGES.md line that
@@ -35,26 +48,26 @@ if [ -z "$pr" ]; then
     echo "FAIL: no line of CHANGES.md starts with 'PR N:'."
     exit 1
 fi
-echo "==> CHANGELOG.md top entry mentions PR $pr"
+step "CHANGELOG.md top entry mentions PR $pr"
 if ! grep -m1 '^## ' CHANGELOG.md | grep -qE "PR ${pr}([^0-9]|$)"; then
     echo "FAIL: top CHANGELOG.md entry does not mention PR ${pr}."
     echo "      Add a changelog entry for the current PR (the last 'PR N:' line of CHANGES.md)."
     exit 1
 fi
 
-echo "==> cargo build --release"
+step "cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
+step "cargo test -q"
 cargo test -q --workspace
 
-echo "==> cargo clippy -- -D warnings"
+step "cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc --no-deps (warnings denied)"
+step "cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
-echo "==> rev-lint --all (static table verification)"
+step "rev-lint --all (static table verification)"
 cargo run --release -q -p rev-lint -- --all --scale 0.05 --format json >/dev/null
 
 # Quick-sweep gates (hard): the pooled quick sweep must render its
@@ -63,7 +76,7 @@ cargo run --release -q -p rev-lint -- --all --scale 0.05 --format json >/dev/nul
 # sweep-quick workload requires the same bytes). Pooled
 # vs fresh-simulator identity is hard-gated by the equivalence suite
 # (crates/rev-bench/tests/equivalence.rs) — see DESIGN.md §13.
-echo "==> quick sweep stdout + snapshot vs baselines/quick.{txt,json} byte-diff (hard gate)"
+step "quick sweep stdout + snapshot vs baselines/quick.{txt,json} byte-diff (hard gate)"
 quick_dir="$(mktemp -d /tmp/quick_gate.XXXXXX)"
 cargo run --release -q -p rev-bench --bin reproduce_all -- \
     --quick --quiet --json "$quick_dir/quick.json" > "$quick_dir/quick.txt"
@@ -81,7 +94,7 @@ rm -rf "$quick_dir"
 # --ckpt-pool directory warms every simulator and seals it to disk; the
 # second restores each one from those delta checkpoints (build image
 # plus changed pages). Both stdout and JSON must be byte-identical.
-echo "==> --ckpt-pool disk round-trip (hard gate)"
+step "--ckpt-pool disk round-trip (hard gate)"
 pool_dir="$(mktemp -d /tmp/pool_gate.XXXXXX)"
 for run in first second; do
     cargo run --release -q -p rev-bench --bin reproduce_all -- \
@@ -101,7 +114,7 @@ rm -rf "$pool_dir"
 # Preflight read-only gate (hard): --preflight lints and audits every
 # table before simulating and may only ever refuse to run, so a passing
 # preflighted sweep must print the same stdout and JSON as the plain one.
-echo "==> --preflight leaves stdout and snapshot unchanged (hard gate)"
+step "--preflight leaves stdout and snapshot unchanged (hard gate)"
 pre_dir="$(mktemp -d /tmp/preflight_gate.XXXXXX)"
 for mode in plain preflight; do
     flag=()
@@ -123,7 +136,7 @@ rm -rf "$pre_dir"
 # Shard merge-identity gate (hard): split one benchmark's sweep grid
 # across two shard processes, merge the sealed items with --resume, and
 # require stdout + JSON byte-identical to the monolithic run.
-echo "==> sharded sweep merge-identity smoke (hard gate)"
+step "sharded sweep merge-identity smoke (hard gate)"
 shard_dir="$(mktemp -d /tmp/shard_gate.XXXXXX)"
 cargo run --release -q -p rev-bench --bin reproduce_all -- \
     --quick --quiet --bench mcf --json "$shard_dir/mono.json" > "$shard_dir/mono.txt"
@@ -149,7 +162,7 @@ rm -rf "$shard_dir"
 # against the committed expectation. Two workers make completion *order*
 # scheduling-dependent, so verdict lines are sorted before the diff; the
 # verdict *payloads* must be byte-identical regardless of interleaving.
-echo "==> rev-serve smoke (two jobs vs baselines/serve_smoke.jsonl)"
+step "rev-serve smoke (two jobs vs baselines/serve_smoke.jsonl)"
 serve_out="$(mktemp /tmp/serve_rev.XXXXXX.jsonl)"
 ./target/release/rev-serve --workers 2 < scripts/serve_smoke_input.jsonl \
     | grep '"type":"verdict"' | sort > "$serve_out"
@@ -166,7 +179,7 @@ rm -f "$serve_out"
 # panic injected on j1's second slice. Supervision must catch the panic,
 # restore j1 from its checkpoint, and finish with verdicts byte-identical
 # to the undisturbed run — so the *same* baseline is the expectation.
-echo "==> rev-serve crash-recovery smoke (injected panic, same baseline)"
+step "rev-serve crash-recovery smoke (injected panic, same baseline)"
 crash_out="$(mktemp /tmp/serve_crash.XXXXXX.jsonl)"
 ./target/release/rev-serve --workers 2 --chaos-panic j1:1 --backoff-ms 0 \
     < scripts/serve_smoke_input.jsonl \
@@ -182,7 +195,7 @@ rm -f "$crash_out"
 # zero silent-corruption and zero false-positive outcomes (rev-chaos
 # exits 1 otherwise), and its seeded JSON must be byte-identical to the
 # committed baseline.
-echo "==> rev-chaos --quick vs baselines/chaos_quick.json (hard gate)"
+step "rev-chaos --quick vs baselines/chaos_quick.json (hard gate)"
 chaos="$(mktemp /tmp/chaos_rev.XXXXXX.json)"
 cargo run --release -q -p rev-chaos -- --quick --seed 7 --quiet --json "$chaos" >/dev/null
 if ! diff -u baselines/chaos_quick.json "$chaos"; then
@@ -199,7 +212,7 @@ rm -f "$chaos"
 # zero false-positive; rev-chaos exits 1 otherwise), and its JSON must be
 # byte-identical to the committed baseline. The injected stalls run
 # 10-25 ms against a 1 ms deadline, so host pace cannot flip a case.
-echo "==> rev-chaos --serve --quick vs baselines/chaos_serve_quick.json (hard gate)"
+step "rev-chaos --serve --quick vs baselines/chaos_serve_quick.json (hard gate)"
 chaos_serve="$(mktemp /tmp/chaos_serve.XXXXXX.json)"
 cargo run --release -q -p rev-chaos -- \
     --serve --quick --seed 7 --jobs 4 --quiet --json "$chaos_serve" >/dev/null
@@ -220,10 +233,10 @@ rm -f "$chaos_serve"
 # the audit reads its analyses and tables from the shared build cache,
 # so a drift here means the cache handed out something a fresh build
 # would not.
-echo "==> rev-chaos --audit (static/dynamic audit-oracle gate)"
+step "rev-chaos --audit (static/dynamic audit-oracle gate)"
 cargo run --release -q -p rev-chaos -- --audit --seed 7 --jobs 4 --quiet
 
-echo "==> rev-lint --audit vs baselines/audit_quick.json byte-diff (hard gate)"
+step "rev-lint --audit vs baselines/audit_quick.json byte-diff (hard gate)"
 audit="$(mktemp /tmp/audit_rev.XXXXXX.json)"
 cargo run --release -q -p rev-lint -- \
     --all --scale 0.05 --jobs 4 --audit-json "$audit" >/dev/null
@@ -235,4 +248,4 @@ if ! diff -u baselines/audit_quick.json "$audit"; then
 fi
 rm -f "$audit"
 
-echo "==> OK"
+step "OK"
